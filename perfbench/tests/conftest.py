@@ -1,0 +1,9 @@
+"""Put the benchmark modules and the program source on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+BENCH = HERE.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))

@@ -8,15 +8,17 @@ hyperbola
     V(d) = a / (d + b) + c
 
 which is linear in ``a`` and ``c`` for fixed ``b``; we solve the inner linear
-problem exactly and search ``b`` with scipy.
+problem exactly and search ``b`` with a bounded Brent minimiser ported from
+scipy, so the runtime needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "HyperbolicFit",
@@ -85,6 +87,12 @@ def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _require_finite(distances: np.ndarray, voltages: np.ndarray) -> None:
+    """Reject NaN/inf samples, which would otherwise give a silent NaN fit."""
+    if not (np.all(np.isfinite(distances)) and np.all(np.isfinite(voltages))):
+        raise ValueError("distances and voltages must be finite")
+
+
 def _solve_linear_part(
     distances: np.ndarray, voltages: np.ndarray, b: float
 ) -> tuple[float, float, float]:
@@ -94,6 +102,113 @@ def _solve_linear_part(
     coeffs, _, _, _ = np.linalg.lstsq(design, voltages, rcond=None)
     residuals = voltages - design @ coeffs
     return float(coeffs[0]), float(coeffs[1]), float(np.sum(residuals**2))
+
+
+def _unit_sign(x: float) -> float:
+    """``np.sign(x) + (x == 0)`` on a Python float: -1 or +1, NaN stays NaN."""
+    return -1.0 if x < 0.0 else (1.0 if x >= 0.0 else x)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(
+    func: Callable[[float], float],
+    lower: float,
+    upper: float,
+    xatol: float = 1e-5,
+    maxiter: int = 500,
+) -> float:
+    """Minimise a scalar ``func`` on ``[lower, upper]``; return the argmin.
+
+    Brent's bounded method, ported operation for operation from
+    ``scipy.optimize._optimize._minimize_scalar_bounded`` (scipy 1.17.1,
+    BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003 SciPy
+    Developers).  ``np.abs``/``np.sign``/``np.maximum`` on scalars become
+    ``abs``/:func:`_unit_sign`/``max`` with every floating-point operation
+    kept in scipy's order, so the result equals
+    ``minimize_scalar(func, bounds=(lower, upper), method="bounded").x``
+    bit for bit (``tests/test_signal_fitting.py`` checks it against scipy).
+    Like scipy, it stops after ``maxiter`` evaluations without raising.
+    """
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lower > upper:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    a, b = lower, upper
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit.
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of the parabola.
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            break
+
+    return xf
 
 
 def fit_hyperbola(
@@ -109,7 +224,8 @@ def fit_hyperbola(
         Distances of the measured samples, in cm.  Must all exceed the lower
         bound of ``b_bounds`` negated (so ``d + b`` stays positive).
     voltages:
-        Measured analog voltages at the Smart-Its input port.
+        Measured analog voltages at the Smart-Its input port.  Both arrays
+        must be finite; NaN or inf raises ``ValueError``.
     b_bounds:
         Search interval for the distance offset ``b``.
 
@@ -124,15 +240,13 @@ def fit_hyperbola(
         raise ValueError("distances and voltages must have the same shape")
     if distances.size < 3:
         raise ValueError("need at least 3 samples to fit three parameters")
+    _require_finite(distances, voltages_arr)
 
     lo = max(b_bounds[0], -float(distances.min()) + 1e-3)
     hi = b_bounds[1]
-    result = optimize.minimize_scalar(
-        lambda b: _solve_linear_part(distances, voltages_arr, b)[2],
-        bounds=(lo, hi),
-        method="bounded",
+    b = _minimize_bounded(
+        lambda b: _solve_linear_part(distances, voltages_arr, b)[2], lo, hi
     )
-    b = float(result.x)
     a, c, rss = _solve_linear_part(distances, voltages_arr, b)
     fit = HyperbolicFit(
         a=a,
@@ -154,6 +268,7 @@ def fit_power_law(
     """
     distances = np.asarray(distances_cm, dtype=float)
     voltages_arr = np.asarray(voltages, dtype=float)
+    _require_finite(distances, voltages_arr)
     if np.any(distances <= 0) or np.any(voltages_arr <= 0):
         raise ValueError("power-law fit needs strictly positive data")
     log_d = np.log(distances)

@@ -111,13 +111,13 @@ def _unit_sign(x: float) -> float:
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-5  # scipy's default absolute tolerance on the argmin
 
 
 def _minimize_bounded(
     func: Callable[[float], float],
     lower: float,
     upper: float,
-    xatol: float = 1e-5,
     maxiter: int = 500,
 ) -> float:
     """Minimise a scalar ``func`` on ``[lower, upper]``; return the argmin.
@@ -147,7 +147,7 @@ def _minimize_bounded(
 
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
     tol2 = 2.0 * tol1
 
     while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
@@ -202,7 +202,7 @@ def _minimize_bounded(
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
 
         if num >= maxiter:

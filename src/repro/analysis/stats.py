@@ -127,13 +127,6 @@ def linear_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
-def _reject_nan(owner: str, value: float) -> float:
-    value = float(value)
-    if math.isnan(value):
-        raise ValueError(f"{owner}: NaN observation")
-    return value
-
-
 class StreamingMoments:
     """Online mean/variance with O(1) state and an exactly mergeable sum.
 
@@ -177,23 +170,34 @@ class StreamingMoments:
 
     def add(self, value: float) -> None:
         """Fold one observation into the running moments."""
-        value = _reject_nan("StreamingMoments", value)
+        value = float(value)
+        if value != value:
+            raise ValueError("StreamingMoments: NaN observation")
         numerator, denominator = value.as_integer_ratio()
         scale = denominator.bit_length() - 1
         self.count += 1
-        if scale > self._shift:
-            self._sum_fp <<= scale - self._shift
+        shift = self._shift
+        if scale > shift:
+            self._sum_fp = (self._sum_fp << (scale - shift)) + numerator
             self._shift = scale
-        self._sum_fp += numerator << (self._shift - scale)
+        else:
+            self._sum_fp += numerator << (shift - scale)
         sq_scale = 2 * scale
-        if sq_scale > self._sq_shift:
-            self._sumsq_fp <<= sq_scale - self._sq_shift
+        sq_shift = self._sq_shift
+        if sq_scale > sq_shift:
+            self._sumsq_fp = (
+                self._sumsq_fp << (sq_scale - sq_shift)
+            ) + numerator * numerator
             self._sq_shift = sq_scale
-        self._sumsq_fp += (numerator * numerator) << (
-            self._sq_shift - sq_scale
-        )
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        else:
+            self._sumsq_fp += (numerator * numerator) << (sq_shift - sq_scale)
+        # min()/max() keep the incumbent on ties; so do these tests.
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
 
     @property
     def _sum(self) -> Fraction:
@@ -337,11 +341,18 @@ class QuantileSketch:
 
     def add(self, value: float) -> None:
         """Record one observation."""
-        value = _reject_nan("QuantileSketch", value)
+        value = float(value)
+        if value != value:
+            raise ValueError("QuantileSketch: NaN observation")
         self.counts[bisect.bisect_right(self._edges, value)] += 1
         self.count += 1
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # min()/max() keep the incumbent on ties; so do these tests.
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:
+            self.max = value
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combined sketch (bin specs must match; operands unchanged)."""

@@ -746,6 +746,8 @@ class DeviceBatch:
         self._gate_idx = np.full(n, _POOL, dtype=np.int64)
         self._noise_pool = np.empty((n, _POOL))
         self._noise_idx = np.full(n, _POOL, dtype=np.int64)
+        self._corrupt_pool = np.empty((n, _POOL))
+        self._corrupt_idx = np.full(n, _POOL, dtype=np.int64)
         self._adc_pool = np.empty((n, _POOL))
         self._adc_cursor = _POOL  # lockstep: one draw per device per tick
 
@@ -880,12 +882,14 @@ class DeviceBatch:
                 ideal = ideal[~corrupt]
                 n_corrupt = int(corrupt_rows.size)
                 self.corrupted[corrupt_rows] += 1
-                for row in corrupt_rows:
-                    self._held[row] = float(
-                        self._corrupt_rngs[row].uniform(
-                            self._floor_v[row], self._peak_v[row]
-                        )
-                    )
+                self._held[corrupt_rows] = self._pool_take(
+                    corrupt_rows,
+                    self._corrupt_pool,
+                    self._corrupt_idx,
+                    lambda row: self._corrupt_rngs[row].uniform(
+                        self._floor_v[row], self._peak_v[row], _POOL
+                    ),
+                )
             else:
                 clean_rows = fresh_rows
             if clean_rows.size:

@@ -48,7 +48,6 @@ from repro.core.config import DeviceConfig
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
 from repro.experiments.harness import ExperimentResult
-from repro.interaction.fitts import movement_time
 from repro.interaction.personas import (
     Persona,
     parse_spec,
@@ -261,13 +260,25 @@ class StudyAggregate:
             self.discovery_time.add(outcome.time_to_discovery_s)
             self.discovery_sketch.add(outcome.time_to_discovery_s)
         self.exploratory_sketch.add(float(outcome.exploratory_movements))
-        for index in range(len(self.segments)):
-            self.seg_errors[index].add(outcome.block_errors[index])
-            self.seg_times[index].add(outcome.block_times[index])
-            self.seg_subs[index].add(outcome.block_subs[index])
-            if outcome.block_errors[index] == 0:
-                self.seg_errorless[index] += 1
-            self.seg_time_sketch[index].add(outcome.block_times[index])
+        segments = zip(
+            self.seg_errors,
+            self.seg_times,
+            self.seg_subs,
+            self.seg_time_sketch,
+            outcome.block_errors,
+            outcome.block_times,
+            outcome.block_subs,
+        )
+        errorless = self.seg_errorless
+        for index, (errors, times, subs, sketch, error, time, sub) in (
+            enumerate(segments)
+        ):
+            errors.add(error)
+            times.add(time)
+            subs.add(sub)
+            if error == 0:
+                errorless[index] += 1
+            sketch.add(time)
         if cell is not None:
             self.cell_users.add(cell)
             # Fixed-order per-user sums over one outcome's block lists:
@@ -275,12 +286,12 @@ class StudyAggregate:
             # per-cell means they feed go through StreamingMoments.
             user_error = sum(outcome.block_errors) / len(self.segments)  # reprolint: allow REP007 (fixed segment order, single user)
             user_time = sum(outcome.block_times) / len(self.segments)  # reprolint: allow REP007 (fixed segment order, single user)
-            self.cell_errors.setdefault(cell, StreamingMoments()).add(
-                user_error
-            )
-            self.cell_times.setdefault(cell, StreamingMoments()).add(
-                user_time
-            )
+            cell_errors = self.cell_errors.get(cell)
+            if cell_errors is None:
+                cell_errors = self.cell_errors[cell] = StreamingMoments()
+                self.cell_times[cell] = StreamingMoments()
+            cell_errors.add(user_error)
+            self.cell_times[cell].add(user_time)
 
     def merge(self, other: "StudyAggregate") -> "StudyAggregate":
         """Combined aggregate (operands unchanged; segments must match)."""
@@ -476,8 +487,13 @@ def _fast_discovery(
     """Analytic unguided-discovery phase (cf. ``SimulatedUser.discover``).
 
     The participant waggles until three highlight changes are causally
-    observed; low vision makes each observation less likely.
+    observed; low vision makes each observation less likely.  Jitters
+    are ``rng.lognormal(0.0, s)`` as numpy computes it (see
+    :func:`simulate_user_fast`).
     """
+    gauss = rng.standard_normal
+    uniform = rng.random
+    exp = math.exp
     observe_p = 0.75 if persona.vision == "normal" else 0.55
     needed = 3
     observed = 0
@@ -485,11 +501,11 @@ def _fast_discovery(
     elapsed = 0.0
     while observed < needed and elapsed < 60.0:
         movements += 1
-        elapsed += 0.5 * float(rng.lognormal(0.0, 0.2)) + 0.15
-        elapsed += 0.20 * float(rng.lognormal(0.0, 0.1))
-        if rng.random() < observe_p:
+        elapsed += 0.5 * exp(0.2 * gauss()) + 0.15
+        elapsed += 0.20 * exp(0.1 * gauss())
+        if uniform() < observe_p:
             observed += 1
-            elapsed += 0.4 * float(rng.lognormal(0.0, 0.2))
+            elapsed += 0.4 * exp(0.2 * gauss())
     return observed >= needed, elapsed, movements
 
 
@@ -506,7 +522,21 @@ def simulate_user_fast(
     long menus — but draws trial outcomes directly from the motor model
     instead of driving the event-kernel device.  ~10⁴× faster per
     participant, which is what makes million-user studies CPU-bound.
+
+    Every draw is the one the distribution methods would make, without
+    their per-call dispatch: numpy computes ``rng.lognormal(0.0, s)`` as
+    ``exp(0.0 + s * z)`` and ``rng.normal(0.0, s)`` as ``0.0 + s * z``
+    from one ``z = rng.standard_normal()``, and this does the same
+    (dropping the ``0.0 +``, which changes at most the sign of a zero
+    that ``exp`` and ``abs`` then erase).
+    Movement times are :func:`~repro.interaction.fitts.movement_time`
+    inlined with the same operation order.
     """
+    gauss = rng.standard_normal
+    uniform = rng.random
+    exp = math.exp
+    log2 = math.log2
+
     profile = persona.motor_profile(rng)
     glove = persona.glove_model()
     miss_p = glove.effective_miss_probability(_SELECT_AREA_MM2)
@@ -522,6 +552,15 @@ def simulate_user_fast(
 
     discovered, discovery_time, movements = _fast_discovery(rng, persona)
 
+    reaction = profile.reaction_time_s
+    fitts_a = profile.fitts_a
+    fitts_b = profile.fitts_b
+    perception = profile.perception_latency_s
+    verify_dwell = profile.verify_dwell_s
+    impulsivity = profile.impulsivity
+    learning_exponent = -profile.learning_rate * 3.0
+    movement_factor = glove.movement_time_factor
+
     span = _GEOMETRY.span_cm
     chunk = _GEOMETRY.chunk_size or 10
     practice = 0
@@ -532,36 +571,32 @@ def simulate_user_fast(
         n_slots = min(scenario.menu_entries, chunk)
         spacing = span / n_slots
         width = max(_GEOMETRY.island_fill * spacing, 0.2)
+        half_width = width / 2.0
+        aim_sigma = profile.endpoint_sigma_frac * half_width
+        slip_distance = max(half_width, 0.05)
         n_chunks = max(
             1, math.ceil(scenario.menu_entries / chunk)
         )
+        error_recovery = scenario.error_recovery
         errors = 0
         total_time = 0.0
         total_subs = 0
         for index_distance in scenario_distances(scenario, rng):
-            uncertainty = 1.0 + 1.2 * (1.0 + practice) ** (
-                -profile.learning_rate * 3.0
-            )
-            sigma = profile.endpoint_sigma_frac * (width / 2.0) * uncertainty
-            trial_time = profile.reaction_time_s * float(
-                rng.lognormal(0.0, 0.15)
-            )
+            uncertainty = 1.0 + 1.2 * (1.0 + practice) ** learning_exponent
+            sigma = aim_sigma * uncertainty
+            trial_time = reaction * exp(0.15 * gauss())
             subs = 0
             # Page switches toward the target's chunk (long menus).
             page_steps = min(index_distance // chunk, n_chunks - 1)
             for _ in range(page_steps):
-                trial_time += profile.reaction_time_s * float(
-                    rng.lognormal(0.0, 0.15)
-                )
-                trial_time += press_time * float(rng.lognormal(0.0, 0.12))
-            if scenario.error_recovery:
+                trial_time += reaction * exp(0.15 * gauss())
+                trial_time += press_time * exp(0.12 * gauss())
+            if error_recovery:
                 # A deliberate wrong activation the participant must
                 # back out of: recovery cost lands in the times, not in
                 # the error rate (those count *unintended* activations).
-                trial_time += profile.reaction_time_s * float(
-                    rng.lognormal(0.0, 0.15)
-                )
-                trial_time += press_time * float(rng.lognormal(0.0, 0.12))
+                trial_time += reaction * exp(0.15 * gauss())
+                trial_time += press_time * exp(0.12 * gauss())
                 subs += 1
             distance = max(
                 (index_distance % chunk) * spacing, 0.05
@@ -569,40 +604,28 @@ def simulate_user_fast(
             success = False
             for _attempt in range(12):
                 subs += 1
-                mt = movement_time(
-                    profile.fitts_a, profile.fitts_b, distance, width
-                )
-                mt *= glove.movement_time_factor
-                mt = max(mt * float(rng.lognormal(0.0, 0.08)), 0.12)
+                mt = fitts_a + fitts_b * log2(distance / width + 1.0)
+                mt *= movement_factor
+                mt = max(mt * exp(0.08 * gauss()), 0.12)
                 trial_time += mt + 0.06
-                trial_time += profile.perception_latency_s * float(
-                    rng.lognormal(0.0, 0.1)
-                )
-                endpoint = float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-                if abs(endpoint) > width / 2.0:
+                trial_time += perception * exp(0.1 * gauss())
+                endpoint = sigma * gauss() if sigma > 0 else 0.0
+                if abs(endpoint) > half_width:
                     # Wrong island: an impulsive user may still commit.
-                    if rng.random() < profile.impulsivity:
+                    if uniform() < impulsivity:
                         errors += 1
-                        trial_time += profile.reaction_time_s * float(
-                            rng.lognormal(0.0, 0.15)
-                        )
-                        trial_time += press_time * float(
-                            rng.lognormal(0.0, 0.12)
-                        )
+                        trial_time += reaction * exp(0.15 * gauss())
+                        trial_time += press_time * exp(0.12 * gauss())
                     distance = max(abs(endpoint), 0.05)
                     continue
-                if rng.random() >= profile.impulsivity:
-                    trial_time += profile.verify_dwell_s * float(
-                        rng.lognormal(0.0, 0.2)
-                    )
-                    if rng.random() < slip_p:
-                        distance = max(width / 2.0, 0.05)
+                if uniform() >= impulsivity:
+                    trial_time += verify_dwell * exp(0.2 * gauss())
+                    if uniform() < slip_p:
+                        distance = slip_distance
                         continue  # tremor pushed it off during the dwell
                 for _press in range(4):
-                    trial_time += press_time * float(
-                        rng.lognormal(0.0, 0.12)
-                    )
-                    if rng.random() >= miss_p:
+                    trial_time += press_time * exp(0.12 * gauss())
+                    if uniform() >= miss_p:
                         break
                 success = True
                 break

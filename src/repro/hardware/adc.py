@@ -78,6 +78,18 @@ class ADC:
         Optional fault-injection hook ``(time_s, channel, code) -> code``
         consulted after quantization on every conversion (see
         :mod:`repro.faults`).  ``None`` means a healthy converter.
+
+    Noise is drawn one scalar per conversion from ``rng`` and must not
+    be pre-drawn in blocks here.  ``rng`` is often not the ADC's own
+    stream: the Point n Move glove
+    (:mod:`repro.baselines.pointnmove`) and the pressure pad
+    (:mod:`repro.baselines.pressurepad`) hand the ADC the participant's
+    shared generator, which also draws that participant's reaction
+    times and endpoint noise.  A block of pre-drawn noise would take
+    values meant for those other draws and shift every later one, so
+    every ARENA output would change.  Pooling is only stream-identical
+    on a dedicated noise stream, as :class:`~repro.core.batch.DeviceBatch`
+    has.
     """
 
     params: ADCParams = field(default_factory=ADCParams)

@@ -22,13 +22,16 @@ derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.interaction.gloves import DEFAULT_GLOVE_WEIGHTS, Glove, resolve_glove
 from repro.interaction.user import MotorProfile
+from repro.signal.scalar import clamp
 
 # Stream-domain tags keeping the persona draw and the trial noise of
 # one participant on decorrelated SeedSequence branches; declared in the
@@ -90,6 +93,32 @@ PERSONA_DIMENSIONS: dict[str, dict[str, tuple[float, dict[str, float]]]] = {
 _TREMOR_SCALE = {"steady": 1.0, "tremor": 2.5, "low-dexterity": 1.2}
 
 
+@lru_cache(maxsize=None)
+def _cell_factors(
+    age_band: str, motor: str, handedness: str, vision: str
+) -> tuple[tuple[tuple[str, float], ...], float]:
+    """One cell's motor-field multipliers, folded once per cell.
+
+    Returns ``(field, product)`` pairs for every field but
+    ``learning_rate`` — each product folded in dimension declaration
+    order — and the ``learning_rate`` product (1.0 when no dimension
+    scales it).  :data:`PERSONA_DIMENSIONS` is read on a cell's first
+    use only.
+    """
+    factors: dict[str, float] = {}
+    for dimension, value in (
+        ("age_band", age_band),
+        ("motor", motor),
+        ("handedness", handedness),
+        ("vision", vision),
+    ):
+        _weight, modifiers = PERSONA_DIMENSIONS[dimension][value]
+        for field_name, factor in modifiers.items():
+            factors[field_name] = factors.get(field_name, 1.0) * factor
+    learning_factor = factors.pop("learning_rate", 1.0)
+    return tuple(factors.items()), learning_factor
+
+
 @dataclass(frozen=True)
 class Persona:
     """One participant cell of the simulated population."""
@@ -130,32 +159,23 @@ class Persona:
         the bounded fields back into their valid ranges).
         """
         base = MotorProfile.sample(rng)
-        factors: dict[str, float] = {}
-        for dimension, value in (
-            ("age_band", self.age_band),
-            ("motor", self.motor),
-            ("handedness", self.handedness),
-            ("vision", self.vision),
-        ):
-            _weight, modifiers = PERSONA_DIMENSIONS[dimension][value]
-            for field_name, factor in modifiers.items():
-                factors[field_name] = factors.get(field_name, 1.0) * factor
-        factors["learning_rate"] = (
-            factors.get("learning_rate", 1.0) * self.learning_scale
+        factors, learning_factor = _cell_factors(
+            self.age_band, self.motor, self.handedness, self.vision
         )
-        updates = {
-            name: getattr(base, name) * factor
-            for name, factor in factors.items()
-        }
-        if "learning_rate" in updates:
-            updates["learning_rate"] = float(
-                np.clip(updates["learning_rate"], 0.10, 0.70)
-            )
-        if "impulsivity" in updates:
-            updates["impulsivity"] = float(
-                np.clip(updates["impulsivity"], 0.0, 0.15)
-            )
-        return replace(base, **updates)
+        values = vars(base).copy()
+        for name, factor in factors:
+            values[name] *= factor
+        # Product of the dimension modifiers first, then the continuous
+        # per-persona scale: the association the pinned profiles carry.
+        values["learning_rate"] = clamp(
+            base.learning_rate * (learning_factor * self.learning_scale),
+            0.10,
+            0.70,
+        )
+        # A no-op unless some dimension scales impulsivity: the sampled
+        # value is already clipped into this range.
+        values["impulsivity"] = clamp(values["impulsivity"], 0.0, 0.15)
+        return MotorProfile(**values)
 
     def to_json(self) -> dict[str, Any]:
         """JSON-safe representation (golden-pin friendly)."""
@@ -296,10 +316,10 @@ def parse_spec(text: str = "full") -> PersonaSpec:
     )
 
 
-def _weighted_draw(
-    rng: np.random.Generator, choices: tuple[tuple[str, float], ...]
+def _weighted_pick(
+    point: float, choices: tuple[tuple[str, float], ...]
 ) -> str:
-    point = float(rng.random())
+    """The value whose cumulative-weight interval holds ``point``."""
     cumulative = 0.0
     for value, weight in choices:
         cumulative += weight
@@ -316,18 +336,23 @@ def persona_for_user(
     The persona stream is spawned from ``(population_seed,
     (PERSONA_STREAM, user_index))`` so any worker can derive any
     participant without coordination, and the population is byte-
-    identical for every ``--jobs`` value.
+    identical for every ``--jobs`` value.  The learning scale is
+    ``np.clip(rng.lognormal(0.0, 0.25), 0.6, 1.6)`` computed as numpy
+    computes it, ``exp(0.25 * z)``, without the per-call dispatch.
     """
     sequence = np.random.SeedSequence(
         entropy=population_seed, spawn_key=(PERSONA_STREAM, user_index)
     )
     rng = np.random.Generator(np.random.PCG64(sequence))
-    age_band = _weighted_draw(rng, spec.age_band)
-    motor = _weighted_draw(rng, spec.motor)
-    handedness = _weighted_draw(rng, spec.handedness)
-    vision = _weighted_draw(rng, spec.vision)
-    glove = _weighted_draw(rng, spec.gloves)
-    learning_scale = float(np.clip(rng.lognormal(0.0, 0.25), 0.6, 1.6))
+    draw = rng.random
+    age_band = _weighted_pick(draw(), spec.age_band)
+    motor = _weighted_pick(draw(), spec.motor)
+    handedness = _weighted_pick(draw(), spec.handedness)
+    vision = _weighted_pick(draw(), spec.vision)
+    glove = _weighted_pick(draw(), spec.gloves)
+    learning_scale = clamp(
+        math.exp(0.25 * rng.standard_normal()), 0.6, 1.6
+    )
     return Persona(
         age_band=age_band,
         motor=motor,

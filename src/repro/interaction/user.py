@@ -22,6 +22,7 @@ perception–decision–action model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,6 +32,7 @@ from repro.core.device import DistScroll
 from repro.interaction.fitts import movement_time
 from repro.interaction.gloves import GLOVES, Glove
 from repro.interaction.hand import Hand
+from repro.signal.scalar import clamp
 
 __all__ = ["MotorProfile", "TrialResult", "DiscoveryResult", "SimulatedUser"]
 
@@ -76,18 +78,26 @@ class MotorProfile:
 
     @classmethod
     def sample(cls, rng: np.random.Generator) -> "MotorProfile":
-        """Draw an individual from the population distribution."""
-        jitter = lambda mean, rel: float(mean * rng.lognormal(0.0, rel))  # noqa: E731
+        """Draw an individual from the population distribution.
+
+        Draw for draw the same values as ``mean * rng.lognormal(0.0,
+        rel)`` and ``np.clip(rng.normal(loc, scale), lo, hi)``: numpy
+        computes those as ``exp(0.0 + rel * z)`` and ``loc + scale * z``
+        from one standard-normal ``z``, and so does this, without the
+        per-call distribution dispatch.
+        """
+        gauss = rng.standard_normal
+        exp = math.exp
         return cls(
-            reaction_time_s=jitter(0.26, 0.15),
-            fitts_a=jitter(0.10, 0.2),
-            fitts_b=jitter(0.145, 0.15),
-            perception_latency_s=jitter(0.20, 0.1),
-            verify_dwell_s=jitter(0.22, 0.2),
-            button_press_s=jitter(0.16, 0.15),
-            endpoint_sigma_frac=jitter(0.27, 0.15),
-            impulsivity=float(np.clip(rng.normal(0.03, 0.02), 0.0, 0.15)),
-            learning_rate=float(np.clip(rng.normal(0.35, 0.08), 0.15, 0.6)),
+            reaction_time_s=0.26 * exp(0.15 * gauss()),
+            fitts_a=0.10 * exp(0.2 * gauss()),
+            fitts_b=0.145 * exp(0.15 * gauss()),
+            perception_latency_s=0.20 * exp(0.1 * gauss()),
+            verify_dwell_s=0.22 * exp(0.2 * gauss()),
+            button_press_s=0.16 * exp(0.15 * gauss()),
+            endpoint_sigma_frac=0.27 * exp(0.15 * gauss()),
+            impulsivity=clamp(0.03 + 0.02 * gauss(), 0.0, 0.15),
+            learning_rate=clamp(0.35 + 0.08 * gauss(), 0.15, 0.6),
         )
 
 

@@ -639,6 +639,60 @@ class ScalarDeviceEngine:
         )
 
 
+class _DrawPool:
+    """One draw site's pre-drawn values: a row per device, one stream each.
+
+    A device's stream is built on its first draw unless
+    :meth:`build_streams` built them all up front.  It depends only on
+    ``(seed, index, purpose)``, so when it is built cannot change a
+    value, and on a lazy site a device that never draws never pays for
+    its stream.  A refill draws ``_POOL`` values in one call, which
+    numpy makes stream-identical to ``_POOL`` scalar draws.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        indices: Sequence[int],
+        purpose: int,
+        draw: Callable[[np.random.Generator, int], np.ndarray],
+    ) -> None:
+        n = len(indices)
+        self._seed = seed
+        self._indices = indices
+        self._purpose = purpose
+        self._draw = draw
+        self._streams: list[Optional[np.random.Generator]] = [None] * n
+        self.values = np.empty((n, _POOL))
+        self._flat = self.values.reshape(-1)
+        self._cursor = np.full(n, _POOL, dtype=np.int64)
+
+    def build_streams(self) -> None:
+        """Build every device's stream now rather than on its first draw."""
+        for row, index in enumerate(self._indices):
+            self._streams[row] = device_stream(self._seed, index, self._purpose)
+
+    def refill(self, rows: Sequence[int]) -> None:
+        """Draw a fresh pool of values for each of ``rows``."""
+        streams = self._streams
+        for row in rows:
+            rng = streams[row]
+            if rng is None:
+                rng = device_stream(self._seed, self._indices[row], self._purpose)
+                streams[row] = rng
+            self.values[row] = self._draw(rng, row)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next pooled value of each of ``rows`` (distinct rows)."""
+        position = self._cursor[rows]
+        exhausted = position >= _POOL
+        if exhausted.any():
+            self.refill(rows[exhausted].tolist())
+            position[exhausted] = 0
+        self._cursor[rows] = position + 1
+        return self._flat[rows * _POOL + position]
+
+
 class DeviceBatch:
     """N devices stepped together, structure-of-arrays.
 
@@ -696,6 +750,14 @@ class DeviceBatch:
             [b.spec.reversed_direction for b in builds], dtype=bool
         )
         self._lut = np.stack([b.lut_row() for b in builds])
+        # Row-major flat views: ``flat[row * width + col]`` is one 1-D
+        # gather, cheaper than ``array[rows, cols]`` fancy indexing.
+        self._lut_flat = self._lut.reshape(-1)
+        self._lut_base = np.arange(n) * self._lut.shape[1]
+        # Loop-invariant operands of the per-tick comparisons.
+        self._confirm_cutoff = self._confirm_needed - 1e-9
+        self._last_slot = self._n_slots - 1
+        self._last_entry = self._n_entries - 1
 
         # trajectories, padded to a common width
         width = max(len(b.spec.waypoints) for b in builds) + 1
@@ -706,14 +768,15 @@ class DeviceBatch:
             self._wp_t[row, : times.size] = times
             self._wp_d[row, : dists.size] = dists
             self._wp_d[row, dists.size :] = dists[-1]
+        self._wp_t_flat = self._wp_t.reshape(-1)
+        self._wp_d_flat = self._wp_d.reshape(-1)
         adc_params = ADCParams()
         self._v_ref = adc_params.v_ref
         self._code_span = float(adc_params.max_code + 1)
         self._max_code = adc_params.max_code
         self._inl_lsb = adc_params.inl_lsb
         self._adc_noise_rms = adc_params.noise_lsb_rms
-        self._ring_cols = np.arange(max(_SMOOTHING_CHOICES))[None, :]
-        self._rows = np.arange(n)
+        self._ring_base = np.arange(n) * max(_SMOOTHING_CHOICES)
         self._span_sample_every = max(int(span_sample_every), 0)
         self.reset()
 
@@ -721,35 +784,49 @@ class DeviceBatch:
         """Restore pristine post-construction state (streams included).
 
         A reset batch replays the exact same run: the RNG streams, pools
-        and fault runtimes are rebuilt from the seed.  Benchmarks use
+        and fault runtimes start over from the seed.  Benchmarks use
         this to time steady-state stepping without rebuilding the fleet.
         """
         n = self.n_devices
         seed = self.seed
         builds = self._builds
-        self._segment = np.zeros(n, dtype=np.int64)
+        indices = [spec.index for spec in self.specs]
+
+        # trajectory: each device's current segment, as its endpoint
+        # waypoints and the flat index of its end waypoint
+        self._seg_end = np.arange(n) * self._wp_t.shape[1] + 1
+        self._seg_t0 = self._wp_t[:, 0].copy()
+        self._seg_t1 = self._wp_t[:, 1].copy()
+        self._seg_d0 = self._wp_d[:, 0].copy()
+        self._seg_d1 = self._wp_d[:, 1].copy()
 
         # dedicated per-device streams + pre-drawn pools
-        self._gate_rngs = [
-            device_stream(seed, s.index, _SUB_GATE) for s in self.specs
-        ]
-        self._noise_rngs = [
-            device_stream(seed, s.index, _SUB_NOISE) for s in self.specs
-        ]
-        self._corrupt_rngs = [
-            device_stream(seed, s.index, _SUB_CORRUPT) for s in self.specs
-        ]
-        self._adc_rngs = [
-            device_stream(seed, s.index, _SUB_ADC) for s in self.specs
-        ]
-        self._gate_pool = np.empty((n, _POOL))
-        self._gate_idx = np.full(n, _POOL, dtype=np.int64)
-        self._noise_pool = np.empty((n, _POOL))
-        self._noise_idx = np.full(n, _POOL, dtype=np.int64)
-        self._corrupt_pool = np.empty((n, _POOL))
-        self._corrupt_idx = np.full(n, _POOL, dtype=np.int64)
-        self._adc_pool = np.empty((n, _POOL))
+        floor_v, peak_v = self._floor_v.tolist(), self._peak_v.tolist()
+        noise_sigma = self._noise_sigma.tolist()
+        self._gate_pool = _DrawPool(
+            seed, indices, _SUB_GATE, lambda rng, _row: rng.random(_POOL)
+        )
+        self._noise_pool = _DrawPool(
+            seed, indices, _SUB_NOISE,
+            lambda rng, row: rng.normal(0.0, noise_sigma[row], _POOL),
+        )
+        self._corrupt_pool = _DrawPool(
+            seed, indices, _SUB_CORRUPT,
+            lambda rng, row: rng.uniform(floor_v[row], peak_v[row], _POOL),
+        )
+        adc_rms = self._adc_noise_rms
+        self._adc_pool = _DrawPool(
+            seed, indices, _SUB_ADC,
+            lambda rng, _row: rng.normal(0.0, adc_rms, _POOL),
+        )
         self._adc_cursor = _POOL  # lockstep: one draw per device per tick
+        # Every device draws gate, noise and ADC values from its first
+        # tick, so those streams are built here, before stepping: built
+        # inside step they fragment the heap (~2 MiB more peak RSS over
+        # a 512-device FLEET run).  Most devices never draw a corrupted
+        # value, so that site keeps building its streams on first draw.
+        for pool in (self._gate_pool, self._noise_pool, self._adc_pool):
+            pool.build_streams()
 
         # fault runtimes (scalar path; most fleets have few faulted devices)
         self._faults: list[Optional[_DeviceFaults]] = [
@@ -766,8 +843,11 @@ class DeviceBatch:
         self._all_held = False
         self._last_cycle = np.full(n, -1, dtype=np.int64)
 
-        # median-filter rings (count-aware, +inf-masked sort)
-        self._ring = np.zeros((n, max(_SMOOTHING_CHOICES)))
+        # median-filter rings: slots not yet written since the last
+        # (re)start hold +inf, so a plain row sort puts the ``count``
+        # live values first, as MedianFilter.update sees them
+        self._ring = np.full((n, max(_SMOOTHING_CHOICES)), np.inf)
+        self._ring_flat = self._ring.reshape(-1)
         self._ring_pos = np.zeros(n, dtype=np.int64)
         self._ring_count = np.zeros(n, dtype=np.int64)
 
@@ -794,29 +874,10 @@ class DeviceBatch:
         self.ticks = 0
         self._obs_plan: Optional[tuple] = None
 
-    # -- pooled draws -----------------------------------------------------
-    def _pool_take(
-        self,
-        rows: np.ndarray,
-        pool: np.ndarray,
-        cursor: np.ndarray,
-        refill: Callable[[int], np.ndarray],
-    ) -> np.ndarray:
-        exhausted = rows[cursor[rows] >= _POOL]
-        for row in exhausted:
-            pool[row] = refill(int(row))
-        if exhausted.size:
-            cursor[exhausted] = 0
-        position = cursor[rows]
-        values = pool[rows, position]
-        cursor[rows] = position + 1
-        return values
-
     # -- one batched firmware tick ---------------------------------------
     def step(self, now: float) -> int:
         """Advance every device by one tick; returns device-ticks done."""
         n = self.n_devices
-        rows = self._rows
 
         # fault poll (scalar, faulted devices only; finished rows pruned)
         overrides: list[tuple[int, float]] = []
@@ -830,6 +891,7 @@ class DeviceBatch:
                 if reset:
                     self._ring_count[row] = 0
                     self._ring_pos[row] = 0
+                    self._ring[row] = np.inf
                     self.last_valid[row] = -1
                     self.latched[row] = False
                     self.streak[row] = 0
@@ -840,6 +902,19 @@ class DeviceBatch:
                 if not faults.finished:
                     keep.append(row)
             self._fault_rows = keep
+
+        # trajectory: step every device past the waypoints it has reached
+        # (the same segment the oracle's per-tick catch-up loop lands on)
+        advance = now >= self._seg_t1
+        while advance.any():
+            passed = np.flatnonzero(advance)
+            end = self._seg_end[passed] + 1
+            self._seg_end[passed] = end
+            self._seg_t0[passed] = self._seg_t1[passed]
+            self._seg_d0[passed] = self._seg_d1[passed]
+            self._seg_t1[passed] = self._wp_t_flat[end]
+            self._seg_d1[passed] = self._wp_d_flat[end]
+            advance = now >= self._seg_t1
 
         # zero-order-hold: refresh only devices entering a new sensor cycle
         cycle = (now / self._cycle_time).astype(np.int64)
@@ -853,28 +928,14 @@ class DeviceBatch:
             if not self._all_held:
                 self._has_held[fresh_rows] = True
                 self._all_held = bool(self._has_held.all())
-            self.fresh[fresh_rows] += 1
-            # trajectory interpolation, lazily caught up per fresh row
-            segment = self._segment
-            while True:
-                upcoming = self._wp_t[fresh_rows, segment[fresh_rows] + 1]
-                advance = now >= upcoming
-                if not advance.any():
-                    break
-                segment[fresh_rows[advance]] += 1
-            seg = segment[fresh_rows]
-            t0 = self._wp_t[fresh_rows, seg]
-            t1 = self._wp_t[fresh_rows, seg + 1]
-            d0 = self._wp_d[fresh_rows, seg]
-            d1 = self._wp_d[fresh_rows, seg + 1]
+            self.fresh += fresh
+            t0 = self._seg_t0[fresh_rows]
+            t1 = self._seg_t1[fresh_rows]
+            d0 = self._seg_d0[fresh_rows]
+            d1 = self._seg_d1[fresh_rows]
             distance = d0 + (d1 - d0) * ((now - t0) / (t1 - t0))
             ideal = self._ideal_voltage(fresh_rows, distance)
-            gate = self._pool_take(
-                fresh_rows,
-                self._gate_pool,
-                self._gate_idx,
-                lambda row: self._gate_rngs[row].random(_POOL),
-            )
+            gate = self._gate_pool.take(fresh_rows)
             corrupt = gate < self._corruption_p[fresh_rows]
             if corrupt.any():
                 corrupt_rows = fresh_rows[corrupt]
@@ -882,26 +943,13 @@ class DeviceBatch:
                 ideal = ideal[~corrupt]
                 n_corrupt = int(corrupt_rows.size)
                 self.corrupted[corrupt_rows] += 1
-                self._held[corrupt_rows] = self._pool_take(
-                    corrupt_rows,
-                    self._corrupt_pool,
-                    self._corrupt_idx,
-                    lambda row: self._corrupt_rngs[row].uniform(
-                        self._floor_v[row], self._peak_v[row], _POOL
-                    ),
+                self._held[corrupt_rows] = self._corrupt_pool.take(
+                    corrupt_rows
                 )
             else:
                 clean_rows = fresh_rows
             if clean_rows.size:
-                noise = self._pool_take(
-                    clean_rows,
-                    self._noise_pool,
-                    self._noise_idx,
-                    lambda row: self._noise_rngs[row].normal(
-                        0.0, self._noise_sigma[row], _POOL
-                    ),
-                )
-                noisy = ideal + noise
+                noisy = ideal + self._noise_pool.take(clean_rows)
                 self._held[clean_rows] = np.minimum(
                     np.maximum(noisy, 0.0), self._saturation[clean_rows]
                 )
@@ -915,18 +963,21 @@ class DeviceBatch:
 
         # ADC quantization (vectorized _quantize, lockstep noise draws)
         if self._adc_cursor >= _POOL:
-            for row in range(n):
-                self._adc_pool[row] = self._adc_rngs[row].normal(
-                    0.0, self._adc_noise_rms, _POOL
-                )
+            self._adc_pool.refill(range(n))
             self._adc_cursor = 0
-        adc_noise = self._adc_pool[:, self._adc_cursor]
+        adc_noise = self._adc_pool.values[:, self._adc_cursor]
         self._adc_cursor += 1
         fraction = volts / self._v_ref
+        bow = np.clip(fraction, 0.0, 1.0)
+        bow *= np.pi
+        np.sin(bow, out=bow)
+        bow *= self._inl_lsb
         code = fraction * self._code_span
-        code = code + self._inl_lsb * np.sin(np.pi * np.clip(fraction, 0.0, 1.0))
-        code = code + adc_noise
-        codes = np.clip(np.round(code), 0, self._max_code).astype(np.int64)
+        code += bow
+        code += adc_noise
+        np.rint(code, out=code)  # np.round's own loop at 0 decimals
+        np.clip(code, 0, self._max_code, out=code)
+        codes = code.astype(np.int64)
         for row in adc_fault_rows:
             faults = self._faults[row]
             assert faults is not None
@@ -935,19 +986,17 @@ class DeviceBatch:
         self.raw_code = codes
 
         # median filter (count-aware ring, matches MedianFilter.update)
-        self._ring[rows, self._ring_pos] = codes
-        self._ring_pos = (self._ring_pos + 1) % self._window
+        self._ring_flat[self._ring_base + self._ring_pos] = codes
+        self._ring_pos += 1
+        self._ring_pos %= self._window
         self._ring_count = np.minimum(self._ring_count + 1, self._window)
-        work = np.where(
-            self._ring_cols < self._ring_count[:, None], self._ring, np.inf
-        )
-        work.sort(axis=1)
-        middle = self._ring_count // 2
-        odd = (self._ring_count & 1) == 1
+        work = np.sort(self._ring, axis=1).reshape(-1)
+        middle = self._ring_base + self._ring_count // 2
+        upper = work[middle]
         median = np.where(
-            odd,
-            work[rows, middle],
-            0.5 * (work[rows, middle - 1] + work[rows, middle]),
+            (self._ring_count & 1) == 1,
+            upper,
+            0.5 * (work[middle - 1] + upper),
         )
         filtered = np.round(median).astype(np.int64)
         self.filtered_code = filtered
@@ -960,8 +1009,8 @@ class DeviceBatch:
         below = ~above & self.latched
         held_latched = below & (filtered > self._reentry)
         unlatch = below & ~held_latched
-        self.latched[unlatch] = False
-        self.last_valid[unlatch] = -1
+        np.putmask(self.latched, unlatch, False)
+        np.putmask(self.last_valid, unlatch, -1)
         active = ~above & ~held_latched
 
         # plausibility gate
@@ -970,36 +1019,36 @@ class DeviceBatch:
             & (self.last_valid != -1)
             & (np.abs(filtered - self.last_valid) > self._max_delta)
         )
-        self.streak[suspicious] += 1
+        self.streak += suspicious
         self.rejections += suspicious
         rejected = suspicious & (self.streak < 3)
         accepted = active & ~rejected
-        self.streak[accepted] = 0
-        self.last_valid[accepted] = filtered[accepted]
+        np.putmask(self.streak, accepted, 0)
+        np.copyto(self.last_valid, filtered, where=accepted)
 
         # island lookup + selection debounce (Firmware._apply_slot_lookup)
-        slot = self._lut[rows, filtered]
-        self.current_slot[accepted] = slot[accepted]
+        slot = self._lut_flat[self._lut_base + filtered]
+        np.copyto(self.current_slot, slot, where=accepted)
         gap = slot < 0
-        self.candidate[accepted & gap] = -1
+        np.putmask(self.candidate, accepted & gap, -1)
         acting = accepted & ~gap
         same_as_confirmed = acting & (slot == self.confirmed)
         changed = acting & ~same_as_confirmed
         fresh_candidate = changed & (slot != self.candidate)
-        self.candidate[fresh_candidate] = slot[fresh_candidate]
-        self.candidate_since[fresh_candidate] = now
+        np.copyto(self.candidate, slot, where=fresh_candidate)
+        np.putmask(self.candidate_since, fresh_candidate, now)
         confirm = changed & ~(
-            (now - self.candidate_since) < (self._confirm_needed - 1e-9)
+            (now - self.candidate_since) < self._confirm_cutoff
         )
-        self.confirmed[confirm] = slot[confirm]
-        self.candidate[confirm] = -1
+        np.copyto(self.confirmed, slot, where=confirm)
+        np.putmask(self.candidate, confirm, -1)
         self.confirmations += confirm
 
         moving = same_as_confirmed | confirm
-        local = np.where(self._reversed, self._n_slots - 1 - slot, slot)
-        index = np.minimum(local, self._n_entries - 1)
+        local = np.where(self._reversed, self._last_slot - slot, slot)
+        index = np.minimum(local, self._last_entry)
         moved = moving & (index != self.highlight)
-        self.highlight[moved] = index[moved]
+        np.copyto(self.highlight, index, where=moved)
         self.moves += moved
 
         self.ticks += 1

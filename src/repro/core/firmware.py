@@ -70,13 +70,18 @@ _DISPLAY_CURRENT_MA = 6.0
 _RF_PULSE_MA = 18.0
 _RF_PULSE_S = 0.005
 
-#: One precomputed tick-obs stage: (span name, duration, attrs,
-#: sorted attr items, cycles histogram, cycles as float).
-_TickObsStage = tuple[
-    str, float, dict[str, int], tuple[tuple[str, int], ...], Any, float
+#: One precomputed tick-obs stage span: (span name, duration, attrs,
+#: sorted attr items), as :meth:`Recorder.emit_span_sequence` takes it.
+_TickObsStage = tuple[str, float, dict[str, int], tuple[tuple[str, int], ...]]
+#: (stage spans, tick attrs, tick attr items, (histogram, cycles)
+#: observations, battery gauge).
+_TickObsPlan = tuple[
+    tuple[_TickObsStage, ...],
+    dict[str, int],
+    tuple[tuple[str, int], ...],
+    tuple[tuple[Any, float], ...],
+    Any,
 ]
-#: (stage rows, tick attrs, tick histogram, total cycles, battery gauge).
-_TickObsPlan = tuple[list[_TickObsStage], dict[str, int], Any, float, Any]
 
 
 class Firmware:
@@ -491,16 +496,12 @@ class Firmware:
         plan = self._tick_obs_plan
         if plan is None:
             plan = self._tick_obs_plan = self._build_tick_obs_plan(obs)
-        stage_rows, tick_attrs, tick_hist, total_f, battery_gauge = plan
-        cursor = now
-        obs.begin_span("firmware.tick", now)
-        for span_name, duration, attrs, items, hist, cycles_f in stage_rows:
-            end = cursor + duration
-            obs.emit_span_static(span_name, cursor, end, attrs, items)
-            hist.observe(cycles_f)
-            cursor = end
-        obs.end_span(cursor, tick_attrs)
-        tick_hist.observe(total_f)
+        stages, tick_attrs, tick_items, observations, battery_gauge = plan
+        obs.emit_span_sequence(
+            "firmware.tick", now, tick_attrs, tick_items, stages
+        )
+        for hist, cycles in observations:
+            hist.observe(cycles)
         battery_gauge.set(self.board.battery.terminal_voltage(), now)
 
     def _build_tick_obs_plan(self, obs: Recorder) -> "_TickObsPlan":
@@ -522,31 +523,44 @@ class Firmware:
             ("island-lookup", _COST_ISLAND_LOOKUP),
         )
         mips = self.board.mcu.params.mips
-        rows: list[_TickObsStage] = []
+        metrics = obs.metrics
+        spans: list[_TickObsStage] = []
+        observations: list[tuple[Any, float]] = []
         total = 0
         for stage, cycles in stages:
             if cycles == 0:
                 continue
             total += cycles
             attrs = {"cycles": cycles}
-            rows.append(
+            spans.append(
                 (
                     f"firmware.tick.{stage}",
                     cycles / mips,
                     attrs,
                     tuple(sorted(attrs.items())),
-                    obs.metrics.histogram(
+                )
+            )
+            observations.append(
+                (
+                    metrics.histogram(
                         f"firmware.stage.{stage}.cycles", low=1.0, high=1e6
                     ),
                     float(cycles),
                 )
             )
+        observations.append(
+            (
+                metrics.histogram("firmware.tick.cycles", low=1.0, high=1e6),
+                float(total),
+            )
+        )
+        tick_attrs = {"cycles": total}
         return (
-            rows,
-            {"cycles": total},
-            obs.metrics.histogram("firmware.tick.cycles", low=1.0, high=1e6),
-            float(total),
-            obs.metrics.gauge("firmware.battery.volts"),
+            tuple(spans),
+            tick_attrs,
+            tuple(sorted(tick_attrs.items())),
+            tuple(observations),
+            metrics.gauge("firmware.battery.volts"),
         )
 
     def _process_code(self, code: int, now: float) -> None:

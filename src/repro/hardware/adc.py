@@ -13,10 +13,13 @@ for the firmware's cycle budget accounting).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+from repro.signal.scalar import clamp
 
 __all__ = ["ADCParams", "ADC", "AnalogSource"]
 
@@ -90,6 +93,14 @@ class ADC:
     every ARENA output would change.  Pooling is only stream-identical
     on a dedicated noise stream, as :class:`~repro.core.batch.DeviceBatch`
     has.
+
+    A conversion is scalar Python with no numpy call but the draw, and
+    every substitution is exact: :func:`~repro.signal.scalar.clamp`
+    returns what ``np.clip`` returns, ``math.sin(math.pi * f)`` equals
+    ``np.sin(np.pi * f)`` on [0, 1], and ``0.0 + s *
+    rng.standard_normal()`` is the sum ``rng.normal(0.0, s)`` computes
+    from the same single draw.  ``tests/test_closed_loop_draws.py`` pins all
+    three.
     """
 
     params: ADCParams = field(default_factory=ADCParams)
@@ -144,8 +155,8 @@ class ADC:
         code = self._quantize(voltage)
         if self.fault_hook is not None:
             code = int(
-                np.clip(self.fault_hook(time_s, channel, code), 0,
-                        self.params.max_code)
+                clamp(self.fault_hook(time_s, channel, code), 0,
+                      self.params.max_code)
             )
         return code
 
@@ -161,7 +172,7 @@ class ADC:
         """Ideal (noise-free) code for a voltage — used to place islands."""
         params = self.params
         code = voltage / params.v_ref * (params.max_code + 1)
-        return int(np.clip(round(code), 0, params.max_code))
+        return int(clamp(round(code), 0, params.max_code))
 
     def codes_for_voltages(self, voltages: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`code_for_voltage` (bit-equal, batched).
@@ -183,7 +194,7 @@ class ADC:
         fraction = voltage / params.v_ref
         code = fraction * (params.max_code + 1)
         # Integral non-linearity: a half-sine bow peaking mid-scale.
-        code += params.inl_lsb * np.sin(np.pi * np.clip(fraction, 0.0, 1.0))
+        code += params.inl_lsb * math.sin(math.pi * clamp(fraction, 0.0, 1.0))
         if self.rng is not None:
-            code += self.rng.normal(0.0, params.noise_lsb_rms)
-        return int(np.clip(round(code), 0, params.max_code))
+            code += 0.0 + params.noise_lsb_rms * self.rng.standard_normal()
+        return int(clamp(round(code), 0, params.max_code))

@@ -107,9 +107,20 @@ class Hand:
         A new command preempts any movement in flight, starting from the
         current (possibly mid-flight) position — which is how humans chain
         corrective submovements.
+
+        Raises
+        ------
+        ValueError
+            If ``target_cm`` is not finite, or ``duration_s`` is not a
+            finite positive number.  A NaN target would otherwise reach
+            the board pose and only fail later, inside a firmware tick.
         """
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
+        if not math.isfinite(target_cm):
+            raise ValueError(f"target must be finite, got {target_cm}")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(
+                f"duration must be finite and positive, got {duration_s}"
+            )
         self._move_from = self.position(include_tremor=False)
         self._move_to = float(target_cm)
         self._move_start = self._sim.now
@@ -162,12 +173,15 @@ class Hand:
             return
         # A noisy oscillator: sinusoid with phase-jittered frequency plus
         # a small broadband component — matches the 6–12 Hz tremor band.
+        # ``0.0 + s * standard_normal()`` is ``rng.normal(0.0, s)``'s own
+        # sum on the same draw, without its per-call argument handling.
+        gauss = self._rng.standard_normal
         dt = self._update_period
         self._tremor_phase += (
-            2.0 * math.pi * self.tremor_hz * dt * (1.0 + self._rng.normal(0.0, 0.1))
+            2.0 * math.pi * self.tremor_hz * dt * (1.0 + (0.0 + 0.1 * gauss()))
         )
         periodic = math.sin(self._tremor_phase)
-        broadband = self._rng.normal(0.0, 0.6)
+        broadband = 0.0 + 0.6 * gauss()
         self._tremor_state = self.tremor_rms_cm * (
             0.8 * periodic + 0.45 * broadband
         )

@@ -34,7 +34,7 @@ existing trace-determinism tests cover them too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.sim import channels
 from repro.sim.trace import Tracer
@@ -180,41 +180,67 @@ class Recorder:
             _clean_attrs(attrs),
         )
 
-    def emit_span_static(
+    def emit_span_sequence(
         self,
         name: str,
         start: float,
-        end: float,
         attrs: dict[str, Any],
         attr_items: tuple[tuple[str, Any], ...],
+        children: Sequence[
+            tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]]
+        ],
     ) -> None:
-        """Like :meth:`emit_span` for precomputed instrumentation plans.
+        """Record a span and its back-to-back children in one call.
 
-        The caller supplies ``attrs`` already key-sorted plus its
-        ``tuple(sorted(attrs.items()))`` form, and promises never to
-        mutate either — the same objects are stored by reference on
-        every call, skipping the per-span dict copy and sort that
-        :meth:`emit_span` pays.  Output is byte-identical to
-        ``emit_span(name, start, end, attrs)``.
+        ``children`` rows are ``(name, duration, attrs, attr_items)``;
+        child ``i`` starts where child ``i - 1`` ended (the first at
+        ``start``) and the parent ends where the last child does.  This
+        is the per-tick path of a precomputed instrumentation plan: the
+        caller supplies each ``attrs`` already key-sorted plus its
+        ``tuple(sorted(attrs.items()))`` form and promises never to
+        mutate either, so the same objects are stored by reference on
+        every call instead of copied and sorted per span.  Spans,
+        tracer records and their order are byte-identical to
+        ``begin_span(name, start)``, one :meth:`emit_span` per child,
+        then ``end_span(end, attrs)``.
         """
-        if end < start:
-            raise ValueError(
-                f"span {name!r} ends before it starts ({end} < {start})"
-            )
+        start = float(start)
         depth = len(self._stack)
-        self.spans.append(
+        spans = self.spans
+        times: list[float] = []
+        values: list[tuple[str, float, int, tuple[tuple[str, Any], ...]]] = []
+        cursor = start
+        for child, duration, child_attrs, child_items in children:
+            end = cursor + duration
+            if end < cursor:
+                raise ValueError(
+                    f"span {child!r} ends before it starts ({end} < {cursor})"
+                )
+            spans.append(
+                {
+                    "name": child,
+                    "start": cursor,
+                    "end": end,
+                    "depth": depth + 1,
+                    "attrs": child_attrs,
+                }
+            )
+            times.append(cursor)
+            values.append((child, end, depth + 1, child_items))
+            cursor = end
+        spans.append(
             {
                 "name": name,
                 "start": start,
-                "end": end,
+                "end": cursor,
                 "depth": depth,
                 "attrs": attrs,
             }
         )
         if self._tracer is not None:
-            self._tracer.record(
-                channels.SPANS, start, (name, end, depth, attr_items)
-            )
+            times.append(start)
+            values.append((name, cursor, depth, attr_items))
+            self._tracer.record_many(channels.SPANS, times, values)
 
     def _finish(
         self,
@@ -331,13 +357,15 @@ class NullRecorder:
     ) -> None:
         """No-op."""
 
-    def emit_span_static(
+    def emit_span_sequence(
         self,
         name: str,
         start: float,
-        end: float,
         attrs: dict[str, Any],
         attr_items: tuple[tuple[str, Any], ...],
+        children: Sequence[
+            tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]]
+        ],
     ) -> None:
         """No-op."""
 

@@ -273,8 +273,9 @@ def _device_second_batched(quick: bool) -> Callable[[], int]:
 
     The fleet is built once in the factory (construction is island-map
     bound and amortizes over any real run); each round re-arms the same
-    batch via ``reset()``, which rebuilds every RNG stream and state
-    array so rounds are identical work.
+    batch via ``reset()``, which drops every RNG stream (each is rebuilt
+    from the seed on its first draw) and state array so rounds are
+    identical work.
     """
     from repro.core.batch import DeviceBatch, derive_device_spec
     from repro.sim.kernel import BatchTask, Simulator

@@ -32,6 +32,11 @@ class TraceChannel:
         self._times.append(time)
         self._values.append(value)
 
+    def extend(self, times: list[float], values: list[Any]) -> None:
+        """Record ``times[i], values[i]`` for every ``i``, in order."""
+        self._times.extend(times)
+        self._values.extend(values)
+
     def __len__(self) -> int:
         return len(self._times)
 
@@ -110,6 +115,21 @@ class Tracer:
             self.channel(name).append(time, value)
         for callback in self._subscribers.get(name, ()):
             callback(time, value)
+
+    def record_many(
+        self, name: str, times: list[float], values: list[Any]
+    ) -> None:
+        """:meth:`record` each ``(times[i], values[i])`` in order.
+
+        Channel contents and subscriber callbacks are exactly those of
+        the one-by-one calls; without subscribers the records go onto
+        the channel in one extend.
+        """
+        if self._subscribers.get(name):
+            for time, value in zip(times, values):
+                self.record(name, time, value)
+        elif self.enabled:
+            self.channel(name).extend(times, values)
 
     def subscribe(self, name: str, callback: Callable[[float, Any], None]) -> None:
         """Register a live callback for a channel."""

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import (
+    _POOL,
     DeviceBatch,
     ScalarDeviceEngine,
     derive_device_spec,
@@ -119,6 +120,16 @@ class TestScalarVsBatchedEquality:
         packed, _ = run_both(seed, range(offset, offset + 6), 60)
         assert packed.state(3) == lone.state(0)
         assert packed.counters(3) == lone.counters(0)
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_long_run_crosses_pool_refills(self, seed):
+        """Past several pool depths: every stream refills mid-run."""
+        ticks = 3 * _POOL
+        batch, scalars = run_both(
+            seed, range(6), ticks, fault_every=2, duration_hint_s=ticks * TICK
+        )
+        assert_bit_equal(batch, scalars)
+        assert min(batch.fresh) > _POOL  # the gate pools refilled too
 
     def test_reset_replays_identically(self):
         batch, scalars = run_both(7, range(8), 100, fault_every=4)

@@ -116,6 +116,27 @@ class TestHand:
         with pytest.raises(ValueError):
             hand.move_to(10.0, 0.0)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_target_rejected(self, target):
+        sim = Simulator(seed=0)
+        positions = []
+        hand = Hand(sim, positions.append, start_cm=15.0, rng=None)
+        with pytest.raises(ValueError, match="target must be finite"):
+            hand.move_to(target, 0.4)
+        # The rejected command left the plant untouched.
+        sim.run_until(0.5)
+        assert hand.target_cm == 15.0
+        assert all(p == 15.0 for p in positions)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_nonfinite_duration_rejected(self, duration):
+        sim = Simulator(seed=0)
+        hand = Hand(sim, lambda d: None, start_cm=15.0, rng=None)
+        with pytest.raises(ValueError, match="duration must be finite"):
+            hand.move_to(10.0, duration)
+        assert hand.target_cm == 15.0
+        assert not hand.is_moving
+
     def test_never_writes_nonpositive_distance(self):
         sim = Simulator(seed=0)
         positions = []

@@ -237,6 +237,64 @@ class TestRecorder:
         assert time_s == 0.25
         assert value == ("s", 0.75, 0, (("a", 1),))
 
+    def _sequence_pair(self, subscribe: bool):
+        """The same tick emitted fused and span by span, each traced."""
+        stages = [
+            ("tick.buttons", 1.25e-5, {"cycles": 75}),
+            ("tick.adc", 3.0e-5, {"cycles": 180}),
+            ("tick.filter", 0.1 / 3.0, {"cycles": 200, "window": 5}),
+        ]
+        children = [
+            (name, duration, attrs, tuple(sorted(attrs.items())))
+            for name, duration, attrs in stages
+        ]
+        tick_attrs = {"cycles": 455}
+        runs = []
+        for fused in (True, False):
+            tracer = Tracer()
+            seen: list = []
+            if subscribe:
+                tracer.subscribe(
+                    channels.SPANS,
+                    lambda t, v, seen=seen, tracer=tracer: seen.append(
+                        (t, v, len(tracer.channel(channels.SPANS)))
+                    ),
+                )
+            recorder = Recorder(tracer=tracer)
+            recorder.begin_span("outer", 0.0)
+            for now in (0.02, 0.04, 0.06):
+                if fused:
+                    recorder.emit_span_sequence(
+                        "tick", now, tick_attrs,
+                        tuple(sorted(tick_attrs.items())), children,
+                    )
+                    continue
+                recorder.begin_span("tick", now)
+                cursor = now
+                for name, duration, attrs in stages:
+                    recorder.emit_span(name, cursor, cursor + duration, attrs)
+                    cursor += duration
+                recorder.end_span(cursor, tick_attrs)
+            recorder.end_span(1.0)
+            runs.append((recorder.spans, tracer.serialize(), seen))
+        return runs
+
+    @pytest.mark.parametrize("subscribe", [False, True])
+    def test_span_sequence_matches_span_by_span(self, subscribe):
+        (fused_spans, fused_bytes, fused_seen), (spans, trace, seen) = (
+            self._sequence_pair(subscribe)
+        )
+        assert fused_spans == spans
+        assert fused_bytes == trace
+        assert fused_seen == seen
+        assert [s["depth"] for s in spans[:4]] == [2, 2, 2, 1]
+
+    def test_span_sequence_rejects_negative_duration(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            Recorder().emit_span_sequence(
+                "tick", 0.0, {}, (), [("stage", -1.0, {}, ())]
+            )
+
     def test_record_snapshot_publishes_metrics_channel(self):
         tracer = Tracer()
         recorder = Recorder()
@@ -297,6 +355,7 @@ class TestActiveRecorder:
         NULL_RECORDER.begin_span("s", 0.0)
         NULL_RECORDER.end_span(1.0)
         NULL_RECORDER.emit_span("s", 0.0, 1.0)
+        NULL_RECORDER.emit_span_sequence("s", 0.0, {}, (), [("c", 1.0, {}, ())])
         NULL_RECORDER.record_snapshot(Tracer(), 0.0)
         assert NULL_RECORDER.spans == []
 

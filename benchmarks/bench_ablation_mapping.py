@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_ablation_mapping
+from repro.experiments.ablation_mapping import run_ablation_mapping
 
 
 def test_bench_ablation_mapping(benchmark, report):

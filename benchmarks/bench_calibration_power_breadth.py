@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_breadth, run_calibration_ablation, run_power
+from repro.experiments.breadth import run_breadth
+from repro.experiments.calibration_ablation import run_calibration_ablation
+from repro.experiments.power import run_power
 
 
 def test_bench_calibration_ablation(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_direction
+from repro.experiments.direction import run_direction
 
 
 def test_bench_direction(benchmark, report):

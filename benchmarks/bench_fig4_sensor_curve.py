@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_fig4
+from repro.experiments.fig4 import run_fig4
 
 
 def test_bench_fig4(benchmark, report):

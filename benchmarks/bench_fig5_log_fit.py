@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_fig5
+from repro.experiments.fig5 import run_fig5
 
 
 def test_bench_fig5(benchmark, report):

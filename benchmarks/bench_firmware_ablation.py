@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_firmware_ablation
+from repro.experiments.firmware_ablation import run_firmware_ablation
 
 
 def test_bench_firmware_ablation(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_foldback
+from repro.experiments.foldback import run_foldback
 
 
 def test_bench_foldback(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_fusion
+from repro.experiments.fusion import run_fusion
 
 
 def test_bench_fusion(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_gloves_bench, run_stocktaking_by_glove
+from repro.experiments.gloves_bench import run_gloves_bench, run_stocktaking_by_glove
 
 
 def test_bench_gloves_matrix(benchmark, report):

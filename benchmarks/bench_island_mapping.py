@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_island_mapping
+from repro.experiments.island_mapping import run_island_mapping
 
 
 def test_bench_island_mapping(benchmark, report):

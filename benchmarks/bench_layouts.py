@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_layouts
+from repro.experiments.layouts import run_layouts
 
 
 def test_bench_layouts(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import max_flat_entries, run_long_menus
+from repro.experiments.long_menus import max_flat_entries, run_long_menus
 
 
 def test_bench_long_menus(benchmark, report):

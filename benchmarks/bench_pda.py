@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_pda
+from repro.experiments.pda import run_pda
 
 
 def test_bench_pda(benchmark, report):

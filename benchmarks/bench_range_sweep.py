@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_range_sweep
+from repro.experiments.range_sweep import run_range_sweep
 
 
 def test_bench_range_sweep(benchmark, report):

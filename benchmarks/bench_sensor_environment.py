@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_sensor_env
+from repro.experiments.sensor_env import run_sensor_env
 
 
 def test_bench_sensor_environment(benchmark, report):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_distance_profile, run_speed_comparison
+from repro.experiments.speed_comparison import (
+    run_distance_profile,
+    run_speed_comparison,
+)
 
 
 def test_bench_speed_comparison(benchmark, report):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments import run_user_study
+from repro.experiments.user_study import run_user_study
 
 
 def test_bench_user_study(benchmark, report):

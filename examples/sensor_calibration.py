@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from repro.experiments import run_fig4
+from repro.experiments.fig4 import run_fig4
 
 
 def ascii_plot(xs, ys, fit_ys, width=60, height=16, logx=False, logy=False):

@@ -16,29 +16,34 @@ Quickstart
 'Camera'
 """
 
-from repro.core import (
-    DeviceConfig,
-    DistScroll,
-    MenuCursor,
-    MenuEntry,
-    Placement,
-    ScrollDirection,
-    build_menu,
-    flatten_paths,
-)
-from repro.sim import Simulator
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DeviceConfig",
-    "DistScroll",
-    "MenuCursor",
-    "MenuEntry",
-    "Placement",
-    "ScrollDirection",
-    "build_menu",
-    "flatten_paths",
-    "Simulator",
-    "__version__",
-]
+#: Quickstart name -> defining module, imported on first attribute access
+#: (PEP 562) so ``import repro`` alone loads none of the device stack.
+_EXPORTS = {
+    "DeviceConfig": "repro.core.config",
+    "ScrollDirection": "repro.core.config",
+    "DistScroll": "repro.core.device",
+    "MenuCursor": "repro.core.menu",
+    "MenuEntry": "repro.core.menu",
+    "build_menu": "repro.core.menu",
+    "flatten_paths": "repro.core.menu",
+    "Placement": "repro.core.islands",
+    "Simulator": "repro.sim.kernel",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -1,28 +1,8 @@
 """Statistics helpers shared by experiments and benchmarks.
 
-Two layers live here: the classic batch helpers (``summarize``,
-``bootstrap_ci``, ``linear_regression``) and the streaming aggregates
-(``StreamingMoments``, ``QuantileSketch``, ``CellCounter``) that give
-the population-scale user studies O(1)-memory, exactly-mergeable
-statistics.
+Two layers live in :mod:`repro.analysis.stats`: the classic batch
+helpers (``summarize``, ``bootstrap_ci``, ``linear_regression``) and
+the streaming aggregates (``StreamingMoments``, ``QuantileSketch``,
+``CellCounter``) that give the population-scale user studies
+O(1)-memory, exactly-mergeable statistics.
 """
-
-from repro.analysis.stats import (
-    CellCounter,
-    QuantileSketch,
-    StreamingMoments,
-    Summary,
-    bootstrap_ci,
-    linear_regression,
-    summarize,
-)
-
-__all__ = [
-    "CellCounter",
-    "QuantileSketch",
-    "StreamingMoments",
-    "Summary",
-    "bootstrap_ci",
-    "linear_regression",
-    "summarize",
-]

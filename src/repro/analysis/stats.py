@@ -171,8 +171,9 @@ class StreamingMoments:
     def add(self, value: float) -> None:
         """Fold one observation into the running moments."""
         value = float(value)
-        if value != value:
-            raise ValueError("StreamingMoments: NaN observation")
+        if not math.isfinite(value):
+            kind = "NaN" if value != value else "infinite"
+            raise ValueError(f"StreamingMoments: {kind} observation")
         numerator, denominator = value.as_integer_ratio()
         scale = denominator.bit_length() - 1
         self.count += 1
@@ -342,8 +343,9 @@ class QuantileSketch:
     def add(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        if value != value:
-            raise ValueError("QuantileSketch: NaN observation")
+        if not math.isfinite(value):
+            kind = "NaN" if value != value else "infinite"
+            raise ValueError(f"QuantileSketch: {kind} observation")
         self.counts[bisect.bisect_right(self._edges, value)] += 1
         self.count += 1
         # min()/max() keep the incumbent on ties; so do these tests.

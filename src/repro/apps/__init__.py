@@ -1,28 +1,1 @@
 """Application layer: the paper's three application areas (§5.2)."""
-
-from repro.apps.arctic import ArcticSession, SUIT_MENU_SPEC, build_suit_menu
-from repro.apps.game import AltitudeGame, GameConfig, GameState, ReactivePilot
-from repro.apps.phonemenu import PHONE_MENU_SPEC, PhoneApp, build_phone_menu
-from repro.apps.stocktaking import (
-    ITEM_CATEGORIES,
-    ItemRecord,
-    StocktakingSession,
-    build_inventory_menu,
-)
-
-__all__ = [
-    "ArcticSession",
-    "SUIT_MENU_SPEC",
-    "build_suit_menu",
-    "AltitudeGame",
-    "GameConfig",
-    "GameState",
-    "ReactivePilot",
-    "PHONE_MENU_SPEC",
-    "PhoneApp",
-    "build_phone_menu",
-    "ITEM_CATEGORIES",
-    "ItemRecord",
-    "StocktakingSession",
-    "build_inventory_menu",
-]

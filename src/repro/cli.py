@@ -78,7 +78,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.experiments import ExperimentResult
+from repro.experiments.harness import ExperimentResult
 from repro.runner.registry import REGISTRY, build_runner
 
 __all__ = ["main", "EXPERIMENT_RUNNERS"]
@@ -440,7 +440,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fig4
+    from repro.experiments.fig4 import run_fig4
 
     result, calibration = run_fig4(seed=args.seed)
     print(result.table())

@@ -1,42 +1,1 @@
 """Core DistScroll contribution: islands, menus, firmware, device facade."""
-
-from repro.core.config import DeviceConfig, ScrollDirection
-from repro.core.device import DistScroll
-from repro.core.events import (
-    ButtonEvent,
-    ChunkChanged,
-    EntryActivated,
-    FastScroll,
-    HighlightChanged,
-    InteractionEvent,
-    SubmenuEntered,
-    SubmenuLeft,
-    decode_event,
-)
-from repro.core.firmware import Firmware
-from repro.core.islands import Island, IslandMap, Placement, build_island_map
-from repro.core.menu import MenuCursor, MenuEntry, build_menu, flatten_paths
-
-__all__ = [
-    "DeviceConfig",
-    "ScrollDirection",
-    "DistScroll",
-    "ButtonEvent",
-    "ChunkChanged",
-    "EntryActivated",
-    "FastScroll",
-    "HighlightChanged",
-    "InteractionEvent",
-    "SubmenuEntered",
-    "SubmenuLeft",
-    "decode_event",
-    "Firmware",
-    "Island",
-    "IslandMap",
-    "Placement",
-    "build_island_map",
-    "MenuCursor",
-    "MenuEntry",
-    "build_menu",
-    "flatten_paths",
-]

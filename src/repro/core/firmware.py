@@ -90,7 +90,7 @@ class Firmware:
     Parameters
     ----------
     board:
-        Assembled hardware (see :func:`repro.hardware.build_distscroll_board`).
+        Assembled hardware (see :func:`repro.hardware.board.build_distscroll_board`).
     menu:
         The menu tree to navigate.
     config:

@@ -27,12 +27,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.hardware.adc import ADC
-from repro.sensors.gp2d120 import GP2D120
+if TYPE_CHECKING:
+    from repro.hardware.adc import ADC
+    from repro.sensors.gp2d120 import GP2D120
 
 __all__ = ["Placement", "Island", "IslandMap", "build_island_map"]
 

@@ -1,58 +1,1 @@
 """Experiment harness: one module per DESIGN.md experiment id."""
-
-from repro.experiments.ablation_mapping import run_ablation_mapping
-from repro.experiments.arena import run_arena
-from repro.experiments.breadth import build_uniform_tree, run_breadth
-from repro.experiments.calibration_ablation import run_calibration_ablation
-from repro.experiments.direction import run_direction
-from repro.experiments.fault_sweep import run_fault_sweep
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.firmware_ablation import run_firmware_ablation
-from repro.experiments.fleet import run_fleet
-from repro.experiments.foldback import run_foldback
-from repro.experiments.fusion import run_fusion
-from repro.experiments.gloves_bench import run_gloves_bench, run_stocktaking_by_glove
-from repro.experiments.harness import ExperimentResult
-from repro.experiments.island_mapping import run_island_mapping
-from repro.experiments.layouts import run_layouts
-from repro.experiments.long_menus import max_flat_entries, run_long_menus
-from repro.experiments.pda import run_pda
-from repro.experiments.power import run_power
-from repro.experiments.range_sweep import run_range_sweep
-from repro.experiments.sensor_env import run_sensor_env
-from repro.experiments.speed_comparison import (
-    run_distance_profile,
-    run_speed_comparison,
-)
-from repro.experiments.user_study import run_user_study
-
-__all__ = [
-    "ExperimentResult",
-    "run_ablation_mapping",
-    "run_arena",
-    "build_uniform_tree",
-    "run_breadth",
-    "run_calibration_ablation",
-    "run_direction",
-    "run_fault_sweep",
-    "run_fig4",
-    "run_fig5",
-    "run_firmware_ablation",
-    "run_fleet",
-    "run_foldback",
-    "run_fusion",
-    "run_gloves_bench",
-    "run_stocktaking_by_glove",
-    "run_island_mapping",
-    "run_layouts",
-    "max_flat_entries",
-    "run_long_menus",
-    "run_pda",
-    "run_power",
-    "run_range_sweep",
-    "run_sensor_env",
-    "run_distance_profile",
-    "run_speed_comparison",
-    "run_user_study",
-]

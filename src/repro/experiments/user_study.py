@@ -45,8 +45,6 @@ import numpy as np
 
 from repro.analysis.stats import CellCounter, QuantileSketch, StreamingMoments
 from repro.core.config import DeviceConfig
-from repro.core.device import DistScroll
-from repro.core.menu import build_menu
 from repro.experiments.harness import ExperimentResult
 from repro.interaction.personas import (
     Persona,
@@ -136,6 +134,9 @@ def run_single_user(
     profile is drawn from the base population (the committed STUDY1
     numbers).
     """
+    from repro.core.device import DistScroll
+    from repro.core.menu import build_menu
+
     rng = np.random.default_rng(user_seed)
     device = DistScroll(
         build_menu(STUDY_MENU_LABELS), config=config, seed=user_seed

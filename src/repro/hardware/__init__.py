@@ -1,67 +1,1 @@
 """Smart-Its hardware platform simulation (base board + add-on board)."""
-
-from repro.hardware.adc import ADC, ADCParams
-from repro.hardware.battery import Battery, BatteryParams
-from repro.hardware.board import (
-    ADC_CHANNEL_ACCEL_X,
-    ADC_CHANNEL_ACCEL_Y,
-    ADC_CHANNEL_DISTANCE,
-    ADC_CHANNEL_DISTANCE_SPARE,
-    I2C_ADDR_DISPLAY_BOTTOM,
-    I2C_ADDR_DISPLAY_TOP,
-    DistScrollBoard,
-    build_distscroll_board,
-)
-from repro.hardware.buttons import (
-    Button,
-    ButtonLayout,
-    ButtonPosition,
-    ButtonSpec,
-    DebouncedButton,
-    RIGHT_HANDED_LAYOUT,
-    SINGLE_LARGE_BUTTON_LAYOUT,
-    TWO_BUTTON_SLIDABLE_LAYOUT,
-)
-from repro.hardware.display import BT96040, DisplayGeometry, TEXT_COLUMNS, TEXT_LINES
-from repro.hardware.i2c import I2CBus, I2CDevice, I2CError, TransferResult
-from repro.hardware.mcu import MCUParams, MemoryBudgetError, PIC18F452
-from repro.hardware.potentiometer import Potentiometer
-from repro.hardware.rf import Packet, RFEndpoint, RFLink
-
-__all__ = [
-    "ADC",
-    "ADCParams",
-    "Battery",
-    "BatteryParams",
-    "ADC_CHANNEL_ACCEL_X",
-    "ADC_CHANNEL_ACCEL_Y",
-    "ADC_CHANNEL_DISTANCE",
-    "ADC_CHANNEL_DISTANCE_SPARE",
-    "I2C_ADDR_DISPLAY_BOTTOM",
-    "I2C_ADDR_DISPLAY_TOP",
-    "DistScrollBoard",
-    "build_distscroll_board",
-    "Button",
-    "ButtonLayout",
-    "ButtonPosition",
-    "ButtonSpec",
-    "DebouncedButton",
-    "RIGHT_HANDED_LAYOUT",
-    "SINGLE_LARGE_BUTTON_LAYOUT",
-    "TWO_BUTTON_SLIDABLE_LAYOUT",
-    "BT96040",
-    "DisplayGeometry",
-    "TEXT_COLUMNS",
-    "TEXT_LINES",
-    "I2CBus",
-    "I2CDevice",
-    "I2CError",
-    "TransferResult",
-    "MCUParams",
-    "MemoryBudgetError",
-    "PIC18F452",
-    "Potentiometer",
-    "Packet",
-    "RFEndpoint",
-    "RFLink",
-]

@@ -1,53 +1,2 @@
 """Simulated humans: hand motor model, gloves, Fitts's law, users,
 tasks, and the seeded persona engine for population-scale studies."""
-
-from repro.interaction.fitts import (
-    FittsFit,
-    fit_fitts,
-    index_of_difficulty,
-    movement_time,
-    throughput,
-)
-from repro.interaction.gloves import GLOVES, Glove, resolve_glove
-from repro.interaction.hand import Hand, minimum_jerk
-from repro.interaction.personas import (
-    Persona,
-    PersonaSpec,
-    parse_spec,
-    persona_for_user,
-    sample_personas,
-    user_rng,
-)
-from repro.interaction.tasks import fitts_ladder, hierarchical_tasks, random_targets
-from repro.interaction.user import (
-    DiscoveryResult,
-    MotorProfile,
-    SimulatedUser,
-    TrialResult,
-)
-
-__all__ = [
-    "FittsFit",
-    "fit_fitts",
-    "index_of_difficulty",
-    "movement_time",
-    "throughput",
-    "GLOVES",
-    "Glove",
-    "resolve_glove",
-    "Hand",
-    "minimum_jerk",
-    "Persona",
-    "PersonaSpec",
-    "parse_spec",
-    "persona_for_user",
-    "sample_personas",
-    "user_rng",
-    "fitts_ladder",
-    "hierarchical_tasks",
-    "random_targets",
-    "DiscoveryResult",
-    "MotorProfile",
-    "SimulatedUser",
-    "TrialResult",
-]

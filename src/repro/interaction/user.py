@@ -24,15 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.device import DistScroll
 from repro.interaction.fitts import movement_time
 from repro.interaction.gloves import GLOVES, Glove
 from repro.interaction.hand import Hand
 from repro.signal.scalar import clamp
+
+if TYPE_CHECKING:
+    from repro.core.device import DistScroll
 
 __all__ = ["MotorProfile", "TrialResult", "DiscoveryResult", "SimulatedUser"]
 

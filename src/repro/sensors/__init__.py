@@ -1,42 +1,1 @@
 """Sensor physics models: Sharp GP2D120 IR ranger, ADXL311 accelerometer."""
-
-from repro.sensors.adxl311 import ADXL311, ADXL311Params
-from repro.sensors.calibration import (
-    CalibrationResult,
-    CalibrationSample,
-    calibrate,
-    sweep_environments,
-)
-from repro.sensors.gp2d120 import (
-    GP2D120,
-    GP2D120Params,
-    SENSOR_MAX_CM,
-    SENSOR_MIN_CM,
-)
-from repro.sensors.surfaces import (
-    AMBIENT_CONDITIONS,
-    CLOTHING,
-    REFERENCE_LIGHT,
-    REFERENCE_SURFACE,
-    AmbientLight,
-    Surface,
-)
-
-__all__ = [
-    "ADXL311",
-    "ADXL311Params",
-    "CalibrationResult",
-    "CalibrationSample",
-    "calibrate",
-    "sweep_environments",
-    "GP2D120",
-    "GP2D120Params",
-    "SENSOR_MAX_CM",
-    "SENSOR_MIN_CM",
-    "AMBIENT_CONDITIONS",
-    "CLOTHING",
-    "REFERENCE_LIGHT",
-    "REFERENCE_SURFACE",
-    "AmbientLight",
-    "Surface",
-]

@@ -1,29 +1,1 @@
 """Streaming filters and curve fitting shared across the library."""
-
-from repro.signal.filters import (
-    ExponentialMovingAverage,
-    HysteresisQuantizer,
-    MedianFilter,
-    MovingAverage,
-    RateLimiter,
-)
-from repro.signal.fitting import (
-    HyperbolicFit,
-    PowerLawFit,
-    fit_hyperbola,
-    fit_power_law,
-    r_squared,
-)
-
-__all__ = [
-    "ExponentialMovingAverage",
-    "HysteresisQuantizer",
-    "MedianFilter",
-    "MovingAverage",
-    "RateLimiter",
-    "HyperbolicFit",
-    "PowerLawFit",
-    "fit_hyperbola",
-    "fit_power_law",
-    "r_squared",
-]

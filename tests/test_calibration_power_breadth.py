@@ -8,12 +8,9 @@ import pytest
 from repro.core.config import DeviceConfig
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu, flatten_paths
-from repro.experiments import (
-    build_uniform_tree,
-    run_breadth,
-    run_calibration_ablation,
-    run_power,
-)
+from repro.experiments.breadth import build_uniform_tree, run_breadth
+from repro.experiments.calibration_ablation import run_calibration_ablation
+from repro.experiments.power import run_power
 from repro.interaction.user import SimulatedUser
 
 

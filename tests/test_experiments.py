@@ -12,22 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    max_flat_entries,
-    run_ablation_mapping,
-    run_direction,
-    run_fig4,
-    run_fig5,
-    run_foldback,
-    run_gloves_bench,
-    run_island_mapping,
-    run_long_menus,
-    run_range_sweep,
-    run_sensor_env,
-    run_speed_comparison,
-    run_stocktaking_by_glove,
-    run_user_study,
-)
+from repro.experiments.ablation_mapping import run_ablation_mapping
+from repro.experiments.direction import run_direction
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.foldback import run_foldback
+from repro.experiments.gloves_bench import run_gloves_bench, run_stocktaking_by_glove
+from repro.experiments.island_mapping import run_island_mapping
+from repro.experiments.long_menus import max_flat_entries, run_long_menus
+from repro.experiments.range_sweep import run_range_sweep
+from repro.experiments.sensor_env import run_sensor_env
+from repro.experiments.speed_comparison import run_speed_comparison
+from repro.experiments.user_study import run_user_study
 
 
 class TestFig4:

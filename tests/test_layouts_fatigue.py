@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
-from repro.experiments import run_layouts, run_range_sweep
+from repro.experiments.layouts import run_layouts
+from repro.experiments.range_sweep import run_range_sweep
 from repro.hardware.buttons import (
     RIGHT_HANDED_LAYOUT,
     SINGLE_LARGE_BUTTON_LAYOUT,

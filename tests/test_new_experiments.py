@@ -7,14 +7,12 @@ import math
 
 import pytest
 
-from repro.experiments import (
-    run_distance_profile,
-    run_firmware_ablation,
-    run_fusion,
-    run_layouts,
-    run_long_menus,
-    run_pda,
-)
+from repro.experiments.firmware_ablation import run_firmware_ablation
+from repro.experiments.fusion import run_fusion
+from repro.experiments.layouts import run_layouts
+from repro.experiments.long_menus import run_long_menus
+from repro.experiments.pda import run_pda
+from repro.experiments.speed_comparison import run_distance_profile
 
 
 class TestFusionExperiment:

@@ -14,7 +14,8 @@ import pytest
 from repro.cli import EXPERIMENT_RUNNERS
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
-from repro.experiments import run_fig4, run_island_mapping
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.island_mapping import run_island_mapping
 from repro.interaction.user import SimulatedUser
 
 

@@ -246,3 +246,18 @@ class TestRoundTrips:
         clone = CellCounter.from_snapshot(counter.snapshot())
         assert snapshot_bytes(clone) == snapshot_bytes(counter)
         assert clone.total() == len(keys)
+
+
+class TestNonFiniteObservations:
+    """±inf is refused like NaN, leaving the aggregate untouched."""
+
+    @pytest.mark.parametrize("cls", [StreamingMoments, QuantileSketch])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinity_rejected(self, cls, value):
+        stats = cls()
+        stats.add(2.5)
+        before = snapshot_bytes(stats)
+        with pytest.raises(ValueError, match="infinite observation"):
+            stats.add(value)
+        assert snapshot_bytes(stats) == before
+        json.dumps(stats.snapshot(), allow_nan=False)

@@ -4,8 +4,8 @@
 Run:  python scripts/generate_experiments_md.py          # rewrite
       python scripts/generate_experiments_md.py --check  # exit 1 if stale
 Writes the paper-vs-measured record for every figure and extension
-experiment into EXPERIMENTS.md (same parameters as the benchmarks).
-The ``--check`` mode backs the CI doc-drift gate: it re-runs every
+experiment into EXPERIMENTS.md, each at the parameters of its section
+below.  The ``--check`` mode backs the CI doc-drift gate: it re-runs every
 experiment (seeded, so the tables are reproducible) and fails if the
 committed file differs.
 """
@@ -44,12 +44,12 @@ from repro.experiments.user_study import run_user_study
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Every table below is regenerated by `pytest benchmarks/ --benchmark-only`
-(or by `python scripts/generate_experiments_md.py`, which produced this
-file).  Absolute numbers come from our simulator, not the 2005 hardware;
-the reproduction criterion is the *shape* — who wins, by what rough
-factor, where crossovers fall.  The paper-claim quoted with each
-experiment states what shape to check.
+Every table below is regenerated by
+`python scripts/generate_experiments_md.py`, which produced this file
+(its `--check` mode is CI's drift gate).  Absolute numbers come from
+our simulator, not the 2005 hardware; the reproduction criterion is the
+*shape* — who wins, by what rough factor, where crossovers fall.  The
+paper-claim quoted with each experiment states what shape to check.
 
 """
 

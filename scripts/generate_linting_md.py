@@ -85,9 +85,7 @@ def _scope_line(rule_cls: type) -> str:
         f"*scope:* {'per-file' if per_file else 'whole-project'}",
         f"*waivable:* {'yes' if getattr(rule_cls, 'supports_waiver', False) else 'no'}",
     ]
-    exempt = list(getattr(rule_cls, "exempt_paths", ())) + [
-        f"{prefix}/" for prefix in getattr(rule_cls, "exempt_prefixes", ())
-    ]
+    exempt = getattr(rule_cls, "exempt_paths", ())
     if exempt:
         parts.append(
             "*exempt:* " + ", ".join(f"`{path}`" for path in exempt)

@@ -8,14 +8,14 @@ calibration, or inspect an island-map configuration.
 Commands
 --------
 ``experiments``            list all experiment ids
-``run <id> [--seed N] [--csv PATH] [--jobs N] [--backend B]
+``run <id> [--seed N] [--csv PATH] [--jobs N]
           [--resume] [--speculate] [--manifest PATH]
           [--users N [--personas SPEC] [--battery NAME]]``
                            run one experiment and print its table;
-                           ``--jobs N`` shards it across N worker
-                           processes via the parallel runner and
-                           ``--backend`` picks the executor (inline,
-                           pool, workqueue).  For STUDY1, ``--users N``
+                           ``--jobs N`` shards it through the parallel
+                           runner: inline for 1, across N work-queue
+                           worker processes for N >= 2.  For STUDY1,
+                           ``--users N``
                            switches to the population-scale persona
                            study (streaming aggregation, O(1) memory,
                            byte-identical for any job count); for
@@ -29,7 +29,7 @@ Commands
                            ``--speculate`` re-executes stragglers on
                            idle workers (first result wins, digests
                            asserted equal)
-``run-all [--jobs N] [--backend B] [--resume] [--speculate]
+``run-all [--jobs N] [--resume] [--speculate]
           [--manifest PATH] [--no-cache] [--only ID,ID] [--seed N]
           [--csv-dir DIR] [--cache-dir DIR] [--bench PATH]``
                            run the whole suite through the parallel
@@ -141,32 +141,21 @@ def _runner_options(
 ) -> Optional[dict[str, object]]:
     """Validate the shared runner-v2 flags into run_experiments kwargs.
 
-    Returns ``None`` (after printing to stderr) on misuse — crash
-    injection off the workqueue backend, or an unknown backend name —
-    so both ``run`` and ``run-all`` exit 2 instead of tracebacking.
+    Returns ``None`` (after printing to stderr) on misuse — a malformed
+    ``--inject-crash``, or one without worker processes to kill — so
+    both ``run`` and ``run-all`` exit 2 instead of tracebacking.
     """
-    from repro.runner import BACKENDS
-
-    backend = getattr(args, "backend", None)
-    if backend is not None and backend not in BACKENDS:
-        print(
-            f"unknown backend {backend!r}; choose from"
-            f" {', '.join(BACKENDS)}",
-            file=sys.stderr,
-        )
-        return None
     crash_plan = _parse_crash_plan(getattr(args, "inject_crash", None) or [])
     if crash_plan is None:
         return None
-    if crash_plan and backend != "workqueue":
+    if crash_plan and (args.jobs or 1) < 2:
         print(
-            "--inject-crash requires --backend workqueue (the other"
-            " backends cannot survive a worker loss)",
+            "--inject-crash requires --jobs >= 2 (it kills worker"
+            " processes, and --jobs 1 runs inline)",
             file=sys.stderr,
         )
         return None
     return {
-        "backend": backend,
         "resume": bool(getattr(args, "resume", False)),
         "speculate": bool(getattr(args, "speculate", False)),
         "manifest_path": getattr(args, "manifest", None),
@@ -206,7 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if options is None:
         return 2
     # Any runner-v2 flag forces the sharded path: the serial runner has
-    # no backend, no shard cache and no manifest.
+    # no executor, no shard cache and no manifest.
     sharded = any(value for value in options.values())
     cache = None
     if options["resume"]:
@@ -222,6 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 / "manifests"
                 / f"{experiment_id}-seed{args.seed}.json"
             )
+    overrides = None
     if population:
         if experiment_id not in ("STUDY1", "ARENA"):
             print(
@@ -229,7 +219,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.runner import run_experiments
         from repro.runner.registry import arena_spec, scaled_user_study_spec
 
         if experiment_id == "ARENA":
@@ -245,32 +234,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 personas=personas or "full",
                 battery=battery_name or "scrolltest",
             )
-        results, _bench = run_experiments(
-            [experiment_id],
-            seed=args.seed,
-            jobs=max(1, args.jobs or 1),
-            cache=cache,
-            observe=trace_out is not None,
-            overrides={experiment_id: spec},
-            **options,
-        )
-        result = results[experiment_id]
-    elif args.jobs is None and trace_out is None and not sharded:
+        overrides = {experiment_id: spec}
+    if args.jobs is None and trace_out is None and not (population or sharded):
         result = runner(args.seed)
     else:
         # --trace-out always routes through the sharded runner (even for
         # --jobs 1) so the observed payload takes the identical
         # shard/merge path for every job count.
-        from repro.runner import run_experiments
+        from repro.runner.pool import CrashPlanError, run_experiments
 
-        results, _bench = run_experiments(
-            [experiment_id],
-            seed=args.seed,
-            jobs=max(1, args.jobs or 1),
-            cache=cache,
-            observe=trace_out is not None,
-            **options,
-        )
+        try:
+            results, _bench = run_experiments(
+                [experiment_id],
+                seed=args.seed,
+                jobs=args.jobs or 1,
+                cache=cache,
+                observe=trace_out is not None,
+                overrides=overrides,
+                **options,
+            )
+        except CrashPlanError as error:
+            print(f"--inject-crash: {error}", file=sys.stderr)
+            return 2
         result = results[experiment_id]
     print(result.table())
     if args.csv:
@@ -304,7 +289,7 @@ def _observed_result(
         )
         return None
     results, _bench = run_experiments(
-        [experiment_id], seed=seed, jobs=max(1, jobs), observe=True
+        [experiment_id], seed=seed, jobs=jobs, observe=True
     )
     return results[experiment_id]
 
@@ -377,14 +362,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    from repro.runner import ResultCache, run_experiments
+    from repro.runner import ResultCache
+    from repro.runner.pool import CrashPlanError, run_experiments
 
-    if args.only:
+    if args.only is not None:
         experiment_ids = [
             token.strip().upper()
             for token in args.only.split(",")
             if token.strip()
         ]
+        if not experiment_ids:
+            print(f"--only {args.only!r} selects no experiment", file=sys.stderr)
+            return 2
         unknown = [i for i in experiment_ids if i not in EXPERIMENT_RUNNERS]
         if unknown:
             print(
@@ -415,23 +404,27 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         options["manifest_path"] = (
             cache.root / "manifests" / f"run-all-seed{args.seed}.json"
         )
-    _results, bench = run_experiments(
-        experiment_ids,
-        seed=args.seed,
-        jobs=max(1, args.jobs),
-        cache=cache,
-        csv_dir=args.csv_dir,
-        bench_path=args.bench,
-        echo=print,
-        **options,
-    )
+    try:
+        _results, bench = run_experiments(
+            experiment_ids,
+            seed=args.seed,
+            jobs=args.jobs,
+            cache=cache,
+            csv_dir=args.csv_dir,
+            bench_path=args.bench,
+            echo=print,
+            **options,
+        )
+    except CrashPlanError as error:
+        print(f"--inject-crash: {error}", file=sys.stderr)
+        return 2
     print(
         f"\n{bench['experiment_count']} experiments "
         f"({bench['cached_count']} cached) in "
         f"{bench['total_wall_s']:.2f}s wall with --jobs {bench['jobs']} "
         f"({bench['backend']} backend); "
         f"serial-equivalent {bench['serial_equivalent_s']:.2f}s "
-        f"(speedup {bench['speedup_vs_serial']:.2f}x; computed-only "
+        f"(computed-only speedup "
         f"{bench['speedup_vs_serial_computed_only']:.2f}x)"
     )
     if args.bench:
@@ -799,15 +792,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_runner_v2_flags(parser: argparse.ArgumentParser) -> None:
-    """The executor/resume/speculation flags shared by run and run-all."""
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="executor backend: inline, pool (default for --jobs > 1) "
-        "or workqueue (long-lived workers over shared queues, survives "
-        "worker loss); any backend produces byte-identical CSVs",
-    )
+    """The resume/speculation/fault flags shared by run and run-all."""
     parser.add_argument(
         "--resume",
         action="store_true",
@@ -834,8 +819,29 @@ def _add_runner_v2_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="EXPID:SHARD[:COUNT]",
         help="kill the worker executing this shard mid-flight COUNT "
-        "times (workqueue backend only; CI/fault-injection machinery)",
+        "times (needs --jobs >= 2; CI/fault-injection machinery)",
     )
+
+
+def _bounded_int(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
+
+    return parse
+
+
+_jobs = _bounded_int(1)
+_seed = _bounded_int(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -852,13 +858,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment_id")
-    run_parser.add_argument("--seed", type=int, default=0)
+    run_parser.add_argument("--seed", type=_seed, default=0)
     run_parser.add_argument("--csv", default=None, help="also write CSV here")
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=None,
-        help="shard across N worker processes (same rows as serial)",
+        help="shard through the parallel runner: inline for 1, N "
+        "work-queue worker processes for N >= 2 (same rows as serial)",
     )
     _add_runner_v2_flags(run_parser)
     run_parser.add_argument(
@@ -898,9 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run-all",
         help="run the experiment suite in parallel with result caching",
     )
-    run_all_parser.add_argument("--seed", type=int, default=0)
+    run_all_parser.add_argument("--seed", type=_seed, default=0)
     run_all_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
     )
     _add_runner_v2_flags(run_all_parser)
     run_all_parser.add_argument(
@@ -934,11 +941,11 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate_parser = sub.add_parser(
         "calibrate", help="print the Figure-4 sensor sweep"
     )
-    calibrate_parser.add_argument("--seed", type=int, default=0)
+    calibrate_parser.add_argument("--seed", type=_seed, default=0)
     calibrate_parser.set_defaults(func=_cmd_calibrate)
 
     demo_parser = sub.add_parser("demo", help="scripted device walk-through")
-    demo_parser.add_argument("--seed", type=int, default=0)
+    demo_parser.add_argument("--seed", type=_seed, default=0)
     demo_parser.set_defaults(func=_cmd_demo)
 
     islands_parser = sub.add_parser(
@@ -1085,9 +1092,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment observed and summarize its sim-time spans",
     )
     trace_parser.add_argument("experiment_id")
-    trace_parser.add_argument("--seed", type=int, default=0)
+    trace_parser.add_argument("--seed", type=_seed, default=0)
     trace_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
     )
     trace_parser.add_argument(
         "--out", default=None, metavar="PATH", help="also write a trace file"
@@ -1110,9 +1117,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment id (omit for a scripted device session)",
     )
-    metrics_parser.add_argument("--seed", type=int, default=0)
+    metrics_parser.add_argument("--seed", type=_seed, default=0)
     metrics_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
+        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
     )
     metrics_parser.add_argument(
         "--no-histograms",

@@ -88,8 +88,6 @@ class Rule(ast.NodeVisitor):
     severity: ClassVar[Severity] = Severity.ERROR
     #: Exact relative paths the rule never applies to.
     exempt_paths: ClassVar[tuple[str, ...]] = ()
-    #: Path prefixes (top-level directories) the rule never applies to.
-    exempt_prefixes: ClassVar[tuple[str, ...]] = ()
     #: Why the invariant matters (rendered into docs/LINTING.md).
     rationale: ClassVar[str] = ""
     #: A minimal violating snippet (rendered into docs/LINTING.md).
@@ -113,12 +111,7 @@ class Rule(ast.NodeVisitor):
     @classmethod
     def applies_to(cls, path: str) -> bool:
         """Whether the rule runs on this relative path at all."""
-        if path in cls.exempt_paths:
-            return False
-        return not any(
-            path == prefix or path.startswith(prefix + "/")
-            for prefix in cls.exempt_prefixes
-        )
+        return path not in cls.exempt_paths
 
     def run(self, tree: ast.Module) -> list[Finding]:
         """Visit the whole module and return the findings."""

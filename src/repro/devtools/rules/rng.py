@@ -57,7 +57,6 @@ class SeededRngOnlyRule(Rule):
 
     rule_id = "REP002"
     title = "randomness must flow from a passed-in Generator/SeedSequence"
-    exempt_prefixes = ("benchmarks",)
     rationale = (
         "stdlib `random` and legacy `numpy.random` globals are"
         " process-wide state: one call anywhere couples unrelated"
@@ -69,8 +68,7 @@ class SeededRngOnlyRule(Rule):
     escape_hatch = (
         "`repro lint --fix` rewrites mechanical cases to"
         " `np.random.default_rng(0).<method>(...)` (review the seed!);"
-        " benchmark code under benchmarks/ is exempt; anything else is"
-        " baselined with a justification."
+        " anything else is baselined with a justification."
     )
 
     def visit_Import(self, node: ast.Import) -> None:

@@ -7,10 +7,10 @@ and a cached result indistinguishable from a fresh one.  Any
 into simulation or experiment code silently breaks that — results keep
 looking plausible while depending on the host's load.
 
-Benchmark harnesses legitimately measure wall time, so ``benchmarks/``
-trees and the runner's pool module (which reports suite wall-clock in
-``BENCH_runner.json``) are exempt.  Anything else intentionally reading
-the clock belongs in the committed baseline with a justification.
+The runner's pool module legitimately measures wall time (it reports
+suite wall-clock in ``BENCH_runner.json``), so it is exempt.  Anything
+else intentionally reading the clock belongs in the committed baseline
+with a justification.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class NoWallClockRule(Rule):
     rule_id = "REP001"
     title = "no wall-clock reads outside benchmark/runner timing code"
     exempt_paths = ("runner/pool.py",)
-    exempt_prefixes = ("benchmarks",)
     rationale = (
         "Simulated behaviour must depend only on sim time: a"
         " `time.time()`/`perf_counter()` read inside the simulation stack"
@@ -58,7 +57,7 @@ class NoWallClockRule(Rule):
     escape_hatch = (
         "Telemetry that genuinely measures wall time (runner/bench"
         " plumbing) is baselined in reprolint-baseline.json with a"
-        " justification; benchmark code under benchmarks/ is exempt."
+        " justification."
     )
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:

@@ -340,7 +340,7 @@ def _technique_arena(quick: bool) -> Callable[[], int]:
 
 
 def _runner_fanout(quick: bool) -> Callable[[], tuple[int, dict]]:
-    """Skewed shard fan-out through the work-queue runner backend.
+    """Skewed shard fan-out through the runner's work-queue executor.
 
     Runs the synthetic :mod:`repro.perf.fanout` experiment — one
     dominant straggler shard plus a tail of cheap ones — across four
@@ -363,14 +363,13 @@ def _runner_fanout(quick: bool) -> Callable[[], tuple[int, dict]]:
             ["FANOUT"],
             seed=0,
             jobs=workers,
-            backend="workqueue",
             overrides={"FANOUT": spec},
         )
         utilisation = bench["worker_utilisation"] or 0.0
         units = sum(SKEWED_COSTS) * scale
         return units, {
             "scheduler_efficiency": utilisation,
-            "backend": "workqueue",
+            "backend": bench["backend"],
             "workers": workers,
             "shards": len(SKEWED_COSTS),
         }

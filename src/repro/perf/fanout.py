@@ -11,7 +11,7 @@ order genuinely matters.
 
 The entry point is a normal ``param``-sharded experiment — it runs
 through :func:`repro.runner.pool.run_experiments` on the work-queue
-backend like any registry experiment — but it is synthetic on purpose:
+executor like any registry experiment — but it is synthetic on purpose:
 its rows carry a checksum of the busy-compute, not science, and it is
 not registered in the experiment registry.
 

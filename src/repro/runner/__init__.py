@@ -13,30 +13,30 @@ registry of experiment runners into:
   results; any single shard is derivable in O(1) via
   :func:`make_shard`, so workers never materialize a million-entry
   shard list to run one unit;
-* :mod:`repro.runner.executors` — pluggable backends behind one
-  submit/poll contract: ``inline`` (reference path), ``pool``
-  (``ProcessPoolExecutor``) and ``workqueue`` (long-lived mortal
-  workers over shared queues — the single-machine stand-in for a
-  distributed fleet, with crash detection and per-shard retry);
+* :mod:`repro.runner.executors` — the two executors behind one
+  submit/poll contract, picked by the job count alone: ``inline`` for
+  ``jobs == 1`` (the reference path) and ``workqueue`` for ``jobs >= 2``
+  (long-lived mortal workers over shared queues — the single-machine
+  stand-in for a distributed fleet, with crash detection and per-shard
+  retry);
 * :mod:`repro.runner.cache` — a content-addressed on-disk result cache
   keyed by experiment id, parameters, seed and a digest of the package
   sources, at both experiment and shard granularity;
 * :mod:`repro.runner.manifest` — the durable per-run progress ledger
   that makes interrupted population-scale runs resumable and resume
   behaviour assertable;
-* :mod:`repro.runner.pool` — the backend-agnostic scheduler: cost-aware
+* :mod:`repro.runner.pool` — the scheduler over either executor: cost-aware
   LPT ordering, as-completed collection with per-experiment incremental
   merge, first-error cancellation, straggler speculation, and the
   ``BENCH_runner.json`` timing report.
 
-The contract throughout: any backend, any job count, any crash/retry or
+The contract throughout: any job count, any crash/retry or
 speculation interleaving produces byte-identical merged CSVs, and a
 cache hit recomputes nothing.
 """
 
 from repro.runner.cache import ResultCache, source_digest
 from repro.runner.executors import (
-    BACKENDS,
     ShardExecutionError,
     ShardTask,
     make_executor,
@@ -63,7 +63,6 @@ __all__ = [
     "ResultCache",
     "source_digest",
     "run_experiments",
-    "BACKENDS",
     "ShardExecutionError",
     "ShardTask",
     "make_executor",

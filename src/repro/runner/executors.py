@@ -1,31 +1,29 @@
-"""Pluggable executor backends for the parallel runner.
+"""The two executors behind the parallel runner.
 
-The scheduler in :mod:`repro.runner.pool` is backend-agnostic: it
-submits :class:`ShardTask` work units, polls for :class:`Completion`
-events in whatever order shards actually finish, and asks the backend
-how much idle capacity it has (the signal that drives speculative
-re-execution of stragglers).  Three backends implement that contract:
+The scheduler in :mod:`repro.runner.pool` drives an executor through
+one contract: it submits :class:`ShardTask` work units, polls for
+:class:`Completion` events in whatever order shards actually finish,
+and asks how much idle capacity is left (the signal that drives
+speculative re-execution of stragglers).  The job count alone picks
+the executor (:func:`make_executor`):
 
-``inline``
+``inline`` (``jobs == 1``)
     No processes at all.  Tasks execute one per ``poll`` call inside
-    the driver, in submission order — the reference path that every
-    other backend must match byte-for-byte.
-``pool``
-    ``concurrent.futures.ProcessPoolExecutor`` fan-out.  Fast and
-    simple, but a dead worker poisons the whole pool, so crash
-    injection and granular retry live in the work-queue backend.
-``workqueue``
+    the driver, in submission order — the reference path that the
+    work queue must match byte-for-byte.
+``workqueue`` (``jobs >= 2``)
     Long-lived ``multiprocessing`` worker processes consuming a shared
     task queue and reporting on a result queue — the single-machine
     stand-in for a multi-machine fleet.  The driver sees ``start``
     events per attempt, detects worker death (by liveness, not by
     timeout), requeues the lost shard exactly once per crash, and
-    spawns a replacement worker to keep capacity constant.  Tests
-    inject deterministic crashes via ``crash_plan`` — the faults
-    subsystem's discipline (seeded, declarative failure windows)
-    applied to the runner's own workers: a planned crash makes the
-    victim ``os._exit`` mid-shard, and the merged CSV must still be
-    byte-identical to the inline run.
+    spawns a replacement worker to keep capacity constant.  A shard
+    that raises comes back as a :class:`ShardExecutionError` carrying
+    the worker's traceback.  Tests inject deterministic crashes via
+    ``crash_plan`` — the faults subsystem's discipline (seeded,
+    declarative failure windows) applied to the runner's own workers:
+    a planned crash makes the victim ``os._exit`` mid-shard, and the
+    merged CSV must still be byte-identical to the inline run.
 
 Work units are location-independent by construction — a task is
 ``(spec, seed, shard index, observe)`` and the shard is re-derived
@@ -47,8 +45,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol, runtime_checkable
 
@@ -56,23 +52,19 @@ from repro.runner.registry import ExperimentSpec
 from repro.runner.sharding import ShardResult, execute_shard, make_shard
 
 __all__ = [
-    "BACKENDS",
     "TaskKey",
     "ShardTask",
     "Completion",
     "Executor",
     "ShardExecutionError",
     "InlineExecutor",
-    "PoolExecutor",
     "WorkQueueExecutor",
+    "backend_for",
     "make_executor",
 ]
 
 #: ``(experiment_id, shard_index)`` — the identity of one work unit.
 TaskKey = tuple[str, int]
-
-#: Backend registry: name -> constructor.  ``make_executor`` resolves it.
-BACKENDS = ("inline", "pool", "workqueue")
 
 
 class ShardExecutionError(RuntimeError):
@@ -105,7 +97,7 @@ class Completion:
     key: TaskKey
     attempt: int
     result: Optional[ShardResult] = None
-    #: The original exception (inline/pool) — re-raised by the driver.
+    #: The original exception (inline) — re-raised by the driver.
     error: Optional[BaseException] = None
     #: Remote traceback text (workqueue) when ``error`` crossed a
     #: process boundary as a string.
@@ -114,15 +106,14 @@ class Completion:
 
 @runtime_checkable
 class Executor(Protocol):
-    """The backend contract the scheduler drives.
+    """The executor contract the scheduler drives.
 
     ``submit`` enqueues an attempt at a shard; ``poll`` blocks up to
     ``timeout`` seconds and returns whatever attempts finished, in
     completion order; ``running``/``queued``/``idle_capacity`` expose
     the occupancy signals that drive speculation; ``cancel_pending``
     abandons all outstanding work (first-error cancellation) and
-    ``close`` releases workers.  New backends (an actual multi-machine
-    fleet, say) implement exactly these seven methods.
+    ``close`` releases workers.
     """
 
     name: str
@@ -198,68 +189,6 @@ class InlineExecutor:
 
     def close(self) -> None:
         self._queue.clear()
-
-
-class PoolExecutor:
-    """``ProcessPoolExecutor`` fan-out with as-completed polling."""
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self._futures: dict[Future[ShardResult], tuple[TaskKey, int]] = {}
-
-    def submit(self, task: ShardTask, attempt: int = 0) -> None:
-        future = self._pool.submit(
-            run_shard_task, task.spec, task.seed, task.key[1], task.observe
-        )
-        self._futures[future] = (task.key, attempt)
-
-    def poll(self, timeout: float) -> list[Completion]:
-        if not self._futures:
-            return []
-        done, _pending = futures_wait(
-            self._futures, timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        completions: list[Completion] = []
-        for future in done:
-            key, attempt = self._futures.pop(future)
-            error = future.exception()
-            if error is not None:
-                completions.append(Completion(key, attempt, error=error))
-            else:
-                completions.append(
-                    Completion(key, attempt, result=future.result())
-                )
-        return completions
-
-    def running(self) -> set[TaskKey]:
-        return {
-            key
-            for future, (key, _attempt) in self._futures.items()
-            if future.running()
-        }
-
-    def queued(self) -> int:
-        return sum(
-            1
-            for future in self._futures
-            if not future.running() and not future.done()
-        )
-
-    def idle_capacity(self) -> int:
-        busy = sum(1 for future in self._futures if future.running())
-        return max(0, self.workers - busy)
-
-    def cancel_pending(self) -> None:
-        for future in self._futures:
-            future.cancel()
-
-    def close(self) -> None:
-        self.cancel_pending()
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._futures.clear()
 
 
 def _workqueue_worker(
@@ -477,28 +406,26 @@ class WorkQueueExecutor:
         self._results.close()
 
 
+def backend_for(jobs: int) -> str:
+    """The executor name for ``jobs`` workers: inline for 1, else workqueue."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1 (got {jobs})")
+    return InlineExecutor.name if jobs == 1 else WorkQueueExecutor.name
+
+
 def make_executor(
-    backend: str,
     jobs: int,
     crash_plan: Optional[dict[TaskKey, int]] = None,
 ) -> Executor:
-    """Construct the named backend.
+    """Inline for ``jobs == 1``, the work queue for ``jobs >= 2``.
 
-    ``crash_plan`` is only meaningful on the work-queue backend — the
-    other backends cannot survive a worker loss, so asking for an
-    injected crash there is a caller error, not a silent no-op.
+    ``crash_plan`` kills worker processes, so asking for an injected
+    crash inline is a caller error, not a silent no-op.
     """
-    if backend not in BACKENDS:
+    if backend_for(jobs) == WorkQueueExecutor.name:
+        return WorkQueueExecutor(jobs, crash_plan=crash_plan)
+    if crash_plan:
         raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(BACKENDS)}"
+            "crash injection needs worker processes: use jobs >= 2"
         )
-    if crash_plan and backend != "workqueue":
-        raise ValueError(
-            "crash injection requires the workqueue backend"
-            f" (got {backend!r})"
-        )
-    if backend == "inline":
-        return InlineExecutor()
-    if backend == "pool":
-        return PoolExecutor(jobs)
-    return WorkQueueExecutor(jobs, crash_plan=crash_plan)
+    return InlineExecutor()

@@ -1,14 +1,14 @@
 """The parallel experiment driver behind ``python -m repro run-all``.
 
-Runner v2: a backend-agnostic scheduler over the pluggable executors in
-:mod:`repro.runner.executors` (inline, process pool, work queue).  The
-driver derives every experiment's shard list, serves whole-experiment
-and **shard-level** cache hits, orders the remaining work
-longest-processing-time-first (cost-aware LPT, so stragglers start
-early), submits it all up front, and then collects strictly
-as-completed: each experiment merges the moment its own last shard
-lands — no submission-order waits, no cross-experiment barrier — and
-the first shard failure cancels all outstanding work and re-raises.
+Runner v2: one scheduler over the two executors in
+:mod:`repro.runner.executors` — inline for ``jobs == 1``, the work
+queue for ``jobs >= 2``.  The driver derives every experiment's shard
+list, serves whole-experiment and **shard-level** cache hits, orders
+the remaining work longest-processing-time-first (cost-aware LPT, so
+stragglers start early), submits it all up front, and then collects
+strictly as-completed: each experiment merges the moment its own last
+shard lands — no submission-order waits, no cross-experiment barrier —
+and the first shard failure cancels all outstanding work and re-raises.
 
 Resilience features, all proven byte-identical to the inline path:
 
@@ -17,9 +17,9 @@ Resilience features, all proven byte-identical to the inline path:
   :class:`~repro.runner.manifest.RunManifest`; an interrupted run
   re-invoked with ``resume=True`` recomputes only the missing shards
   (the manifest's per-session ``shard_cache_hits`` counter asserts it).
-* **Crash retry** (work-queue backend) — a worker that dies mid-shard
-  is detected by liveness, its shard requeued exactly once per loss,
-  and a replacement worker spawned.
+* **Crash retry** (work queue) — a worker that dies mid-shard is
+  detected by liveness, its shard requeued exactly once per loss, and
+  a replacement worker spawned.
 * **Speculative re-execution** — with ``speculate=True``, once the
   submit queue drains, idle workers are given duplicates of the
   costliest still-running shards.  First result wins; when both
@@ -29,9 +29,9 @@ Resilience features, all proven byte-identical to the inline path:
 
 Determinism: work units are fixed by ``(experiment id, seed, shard
 index)`` alone and merging sorts by shard index, so the merged rows —
-and therefore the CSV bytes — are identical for any backend, any jobs
-count, any completion order, any crash/retry interleaving, and
-speculation on or off.
+and therefore the CSV bytes — are identical for any jobs count, any
+completion order, any crash/retry interleaving, and speculation on or
+off.
 
 This module is the runner's one wall-clock site (REP001-exempt): all
 queue-wait/execute/merge spans and the worker-utilisation figure in
@@ -54,6 +54,7 @@ from repro.runner.executors import (
     ShardExecutionError,
     ShardTask,
     TaskKey,
+    backend_for,
     make_executor,
 )
 from repro.runner.manifest import RunManifest, run_key
@@ -63,10 +64,11 @@ from repro.runner.sharding import (
     estimate_shard_cost,
     make_shards,
     merge_shard_results,
+    n_shards,
     shard_result_digest,
 )
 
-__all__ = ["run_experiments"]
+__all__ = ["CrashPlanError", "run_experiments"]
 
 #: Poll interval for the as-completed collection loop (seconds).
 _POLL_S = 0.05
@@ -79,8 +81,8 @@ _STALL_POLLS = 100
 _SPECULATIVE_ATTEMPT = 1000
 
 
-def _default_backend(jobs: int) -> str:
-    return "inline" if jobs <= 1 else "pool"
+class CrashPlanError(ValueError):
+    """A crash-plan key names no shard of the run it was given to."""
 
 
 def run_experiments(
@@ -94,13 +96,12 @@ def run_experiments(
     observe: bool = False,
     overrides: Optional[dict[str, ExperimentSpec]] = None,
     *,
-    backend: Optional[str] = None,
     resume: bool = False,
     speculate: bool = False,
     manifest_path: Optional[Path | str] = None,
     crash_plan: Optional[dict[TaskKey, int]] = None,
 ) -> tuple[dict[str, ExperimentResult], dict]:
-    """Run experiments across a pluggable executor backend.
+    """Run experiments inline (``jobs == 1``) or on the work queue.
 
     Parameters
     ----------
@@ -110,7 +111,8 @@ def run_experiments(
     seed:
         Experiment seed (same meaning as ``repro run --seed``).
     jobs:
-        Worker processes; ``1`` defaults to the inline backend.
+        Worker processes, at least 1.  ``1`` runs every shard inline in
+        this process; more runs them on the work-queue executor.
     cache:
         Result cache, or ``None`` to bypass caching entirely.  When
         set, both whole-experiment entries and per-shard entries are
@@ -127,30 +129,26 @@ def run_experiments(
         Run every shard under a :class:`repro.obs.Recorder` and attach
         the merged observability payload to each result's ``obs``
         attribute.  Caching is bypassed (cached results carry no
-        payload), and the payload is deterministic across backends and
-        job counts.
+        payload), and the payload is deterministic across job counts.
     overrides:
         Specs that replace (or extend) the registry per experiment id —
         how the CLI injects a dynamic ``--users N`` population spec.
-    backend:
-        ``"inline"``, ``"pool"`` or ``"workqueue"``; default inline for
-        ``jobs <= 1``, pool otherwise.
     resume:
         Reuse an existing manifest at ``manifest_path`` (must carry the
         same run key) instead of superseding it.  Shard-cache reads do
         the actual resuming; this flag makes the continuation explicit
         and refuses mismatched manifests.
     speculate:
-        Enable straggler speculation (parallel backends only; the
-        inline backend reports no idle capacity, so it never
-        speculates).
+        Enable straggler speculation (``jobs >= 2`` only; the inline
+        executor reports no idle capacity, so it never speculates).
     manifest_path:
         Where to persist the :class:`RunManifest`; ``None`` disables
         manifest bookkeeping.
     crash_plan:
         ``{(experiment_id, shard_index): n_crashes}`` fault injection
-        for the work-queue backend — each counted execution of that
-        shard is killed mid-flight.  Test/CI machinery.
+        for ``jobs >= 2`` — each counted execution of that shard is
+        killed mid-flight.  A key that names no shard of this run
+        raises :class:`CrashPlanError`.  Test/CI machinery.
 
     Returns
     -------
@@ -160,11 +158,23 @@ def run_experiments(
     say = echo or (lambda _line: None)
     if observe:
         cache = None  # cached results carry no observability payload
-    backend_name = backend or _default_backend(jobs)
+    backend_name = backend_for(jobs)
     specs = {**REGISTRY, **(overrides or {})}
     unknown = [i for i in experiment_ids if i not in specs]
     if unknown:
         raise KeyError(f"unknown experiment ids: {', '.join(unknown)}")
+    for experiment_id, index in crash_plan or {}:
+        if experiment_id not in experiment_ids:
+            raise CrashPlanError(
+                f"crash plan names {experiment_id!r}, which is not in"
+                " this run"
+            )
+        count = n_shards(specs[experiment_id], seed)
+        if not 0 <= index < count:
+            raise CrashPlanError(
+                f"crash plan names shard {index} of {experiment_id},"
+                f" which has {count} shard(s)"
+            )
 
     started = time.perf_counter()
     manifest: Optional[RunManifest] = None
@@ -307,7 +317,7 @@ def run_experiments(
     fanout_wall_s = 0.0
     executed_wall_s = 0.0
     if tasks:
-        executor = make_executor(backend_name, jobs, crash_plan)
+        executor = make_executor(jobs, crash_plan)
         tasks_by_key = {task.key: task for task in tasks}
         submit_times: dict[TaskKey, float] = {}
         digests: dict[TaskKey, str] = {}
@@ -389,7 +399,6 @@ def run_experiments(
     serial_equivalent_s = sum(
         entry["compute_wall_s"] for entry in per_experiment.values()
     )
-    workers = 1 if backend_name == "inline" else max(1, jobs)
     bench = {
         "generated_by": "python -m repro run-all",
         "jobs": jobs,
@@ -402,14 +411,6 @@ def run_experiments(
         "total_wall_s": total_wall_s,
         "computed_wall_s": computed_wall_s,
         "serial_equivalent_s": serial_equivalent_s,
-        # Headline including cache-served work: the serial-equivalent
-        # numerator counts every experiment's original compute cost, so
-        # cache hits (near-zero wall, full numerator credit) inflate it.
-        # Useful as "time saved vs computing everything serially", but
-        # not a scheduler figure — see the *_computed_only key.
-        "speedup_vs_serial": (
-            serial_equivalent_s / total_wall_s if total_wall_s > 0 else 0.0
-        ),
         # Scheduler-honest speedup: only shards actually computed this
         # run enter the numerator, so a fully cached run reports ~0
         # rather than a fantasy parallel speedup.
@@ -418,7 +419,7 @@ def run_experiments(
         ),
         "fanout_wall_s": fanout_wall_s,
         "worker_utilisation": (
-            executed_wall_s / (workers * fanout_wall_s)
+            executed_wall_s / (jobs * fanout_wall_s)
             if fanout_wall_s > 0
             else None
         ),

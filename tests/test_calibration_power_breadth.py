@@ -65,6 +65,14 @@ class TestFactoryCalibration:
         mappings = set(result.column("mapping"))
         assert mappings == {"calibrated", "datasheet"}
 
+    def test_calibration_cuts_corrections_at_ten_entries(self):
+        result = run_calibration_ablation(seed=2, n_specimens=4, n_trials=6)
+        by_key = {(r[0], r[1]): r for r in result.rows}
+        # Per-unit calibration reduces corrective submovements at 10 entries.
+        assert by_key[(10, "calibrated")][3] <= by_key[(10, "datasheet")][3]
+        # And users always recover via display feedback.
+        assert all(r[4] >= 0.8 for r in result.rows)
+
 
 class TestPower:
     def test_all_workloads_reported(self):
@@ -82,6 +90,18 @@ class TestPower:
             zip(result.column("workload"), result.column("rf_packets_per_min"))
         )
         assert packets["browsing"] > 10.0
+
+    def test_battery_lasts_a_study_day_over_a_minute(self):
+        result = run_power(seed=1, window_s=60.0)
+        life = dict(
+            zip(result.column("workload"), result.column("battery_life_h"))
+        )
+        # A 9 V block lasts a full study day on every workload.
+        assert all(hours > 8.0 for hours in life.values())
+        packets = dict(
+            zip(result.column("workload"), result.column("rf_packets_per_min"))
+        )
+        assert packets["browsing"] > packets["idle"]
 
 
 class TestBreadth:
@@ -106,3 +126,10 @@ class TestBreadth:
         rows = {r[0]: r for r in result.rows}
         # Two levels need two full select cycles: slower than one.
         assert rows["deep"][2] > rows["flat"][2]
+
+    def test_64_leaves_deep_against_square(self):
+        result = run_breadth(seed=1, n_tasks=5, n_users=2)
+        rows = {r[0]: r for r in result.rows}
+        # Depth is the expensive axis: 3 levels cost more than 1 split.
+        assert rows["64 deep (4^3)"][2] > rows["64 square (8^2)"][2] * 0.9
+        assert all(r[4] >= 0.8 for r in result.rows)

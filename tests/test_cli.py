@@ -75,3 +75,34 @@ class TestCLI:
         """The registry must not contain stale ids (import-time check)."""
         for experiment_id, runner in EXPERIMENT_RUNNERS.items():
             assert callable(runner), experiment_id
+
+
+class TestParseTimeValidation:
+    """Out-of-range numbers are usage errors (exit 2), never clamped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "FIG4", "--jobs", "0"],
+            ["run", "FIG4", "--jobs", "-2"],
+            ["run-all", "--only", "FIG4", "--jobs", "0"],
+            ["trace", "FIG4", "--jobs", "0"],
+            ["metrics", "FIG4", "--jobs", "-1"],
+            ["run", "FIG4", "--seed", "-1"],
+            ["run-all", "--only", "FIG4", "--seed", "-1"],
+            ["calibrate", "--seed", "-3"],
+            ["run", "FIG4", "--jobs", "two"],
+        ],
+    )
+    def test_out_of_range_number_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err or "--seed" in err
+
+    def test_empty_only_selection_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run-all", "--only", ","]) == 2
+        assert "selects no experiment" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_runner.json").exists()

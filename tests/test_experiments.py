@@ -1,8 +1,8 @@
 """Integration tests: every DESIGN.md experiment reproduces its shape.
 
-These run the actual benchmark harnesses at reduced sizes and assert on
-the *qualitative* claims of the paper (who wins, what is flat, what
-explodes) rather than absolute numbers.
+These run the experiment entry points, mostly at reduced sizes, and
+assert on the *qualitative* claims of the paper (who wins, what is
+flat, what explodes) rather than absolute numbers.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class TestFig4:
         _, calibration = run_fig4(seed=0, readings_per_point=8)
         assert calibration.hyperbola.r2 > 0.999
 
+    def test_fit_at_sixteen_readings_per_point(self):
+        _, calibration = run_fig4(seed=0, readings_per_point=16)
+        assert calibration.hyperbola.r2 > 0.999
+
     def test_datasheet_anchors(self):
         result, _ = run_fig4(seed=0, readings_per_point=8)
         voltages = result.column("measured_V")
@@ -54,6 +58,11 @@ class TestFig5:
         result = run_fig5(seed=0, readings_per_point=8)
         note = result.notes[0]
         r2 = float(note.split("R^2 = ")[1].rstrip(")"))
+        assert r2 > 0.99
+
+    def test_log_fit_at_sixteen_readings_per_point(self):
+        result = run_fig5(seed=0, readings_per_point=16)
+        r2 = float(result.notes[0].split("R^2 = ")[1].rstrip(")"))
         assert r2 > 0.99
 
     def test_log_rows_linear(self):
@@ -77,6 +86,17 @@ class TestSensorEnv:
         )
         assert devs["black_jacket"] < 12.0
         assert devs["mirror_patchwork"] > 40.0
+
+    def test_benign_surfaces_within_15_percent(self):
+        result = run_sensor_env(seed=0, readings_per_point=8)
+        surfaces = result.column("surface")
+        devs = result.column("max_dev_vs_ref_pct")
+        benign = [
+            d
+            for s, d in zip(surfaces, devs)
+            if "mirror" not in s and "vest" not in s
+        ]
+        assert max(benign) < 15.0
 
     def test_sunlight_only_adds_noise(self):
         result = run_sensor_env(
@@ -111,6 +131,11 @@ class TestIslandMapping:
         assert max(result.column("flicker_gap_hz")) <= 0.5
         assert all(0.4 < c < 1.0 for c in result.column("coverage"))
 
+    def test_gap_flicker_over_a_four_second_hold(self):
+        result = run_island_mapping(seed=1, hold_time_s=4.0)
+        assert max(result.column("spacing_cv")) < 1e-6
+        assert max(result.column("flicker_gap_hz")) <= 0.5
+
 
 class TestUserStudy:
     def test_prompt_discovery_and_low_errors(self):
@@ -120,6 +145,13 @@ class TestUserStudy:
         assert "4/4 users" in result.notes[0]
         late_error_rates = result.column("error_rate")[1:]
         assert all(rate < 0.25 for rate in late_error_rates)
+
+    def test_nearly_errorless_once_learned(self):
+        """§6: "nearly errorless" after the first block, 12 users."""
+        result = run_user_study(
+            seed=0, n_users=12, n_blocks=4, trials_per_block=8
+        )
+        assert all(rate < 0.2 for rate in result.column("error_rate")[1:])
 
     def test_trials_get_no_slower_with_practice(self):
         result = run_user_study(
@@ -143,6 +175,12 @@ class TestSpeedComparison:
         button_growth = rows[("buttons", 18)] / rows[("buttons", 6)]
         dist_growth = rows[("distscroll", 18)] / rows[("distscroll", 6)]
         assert dist_growth < button_growth
+
+    def test_six_techniques_at_two_menu_lengths(self):
+        comparison, _fitts = run_speed_comparison(
+            seed=1, menu_lengths=(8, 20), repetitions=4
+        )
+        assert len(comparison.rows) == 12  # 6 techniques x 2 lengths
 
     def test_fitts_holds_for_distscroll(self):
         _, fitts = run_speed_comparison(
@@ -183,11 +221,24 @@ class TestRangeSweep:
         excursions = result.column("mean_excursion_cm")
         assert excursions[1] > excursions[0]
 
+    def test_default_ranges_change_the_excursion(self):
+        result = run_range_sweep(
+            seed=1, n_entries=10, n_trials=8, n_users=3
+        )
+        excursions = result.column("mean_excursion_cm")
+        assert excursions[-1] != excursions[0]
+
 
 class TestLongMenus:
     def test_flat_limit_exists(self):
         limit = max_flat_entries()
         assert 20 < limit < 120
+
+    def test_four_lengths_by_three_modes(self):
+        result = run_long_menus(
+            seed=1, menu_lengths=(10, 20, 40, 60), n_trials=6, n_users=2
+        )
+        assert len(result.rows) == 12  # 4 lengths x 3 modes
 
     def test_chunked_beats_flat_for_long_menus(self):
         result = run_long_menus(
@@ -210,6 +261,10 @@ class TestDirection:
         total_wrong = sum(r[4] for r in result.rows)
         assert total_wrong >= 1  # somebody reached the wrong way
 
+    def test_one_row_per_polarity_at_ten_users(self):
+        result = run_direction(seed=2, n_users=10, n_trials=10, n_entries=10)
+        assert len(result.rows) == 2
+
 
 class TestAblationMapping:
     def test_paper_design_wins(self):
@@ -225,6 +280,14 @@ class TestAblationMapping:
         assert naive[1] > 0.3
         # Boundary flicker: gaps suppress it.
         assert paper[2] <= nogaps[2] + 0.5
+
+    def test_paper_vs_naive_spacing_at_three_users(self):
+        result = run_ablation_mapping(
+            seed=1, n_entries=12, n_trials=6, n_users=3
+        )
+        by_variant = {r[0]: r for r in result.rows}
+        assert by_variant["paper (equal-dist + gaps)"][1] < 0.01
+        assert by_variant["naive (equal-code + gaps)"][1] > 0.3
 
 
 class TestGloves:
@@ -247,3 +310,12 @@ class TestGloves:
         )
         rates = result.column("items_per_minute")
         assert all(rate > 2.0 for rate in rates)
+
+    def test_arctic_slowdown_over_the_full_matrix(self):
+        result = run_gloves_bench(seed=1, n_entries=12, n_trials=8)
+        slowdown = {(r[0], r[1]): r[4] for r in result.rows}
+        assert slowdown[("arctic", "distscroll")] < slowdown[("arctic", "touch")]
+
+    def test_stocktaking_in_every_glove(self):
+        result = run_stocktaking_by_glove(seed=2, n_items=4)
+        assert all(rate > 2.0 for rate in result.column("items_per_minute"))

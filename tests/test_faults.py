@@ -347,3 +347,9 @@ class TestFaultSweepExperiment:
         assert all(v == 0 for v in result.column("unpaired_faults"))
         injected = result.column("faults_injected")
         assert injected[0] == 0 and injected[-1] > 0
+
+    def test_two_point_sweep_at_eight_trials(self):
+        result = run_fault_sweep(seed=0, intensities=(0.0, 0.6), trials=8)
+        rates = result.column("error_rate")
+        assert rates[-1] >= rates[0]
+        assert all(v == 0 for v in result.column("unpaired_faults"))

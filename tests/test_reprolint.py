@@ -104,13 +104,6 @@ class TestNoWallClock:
         assert lint(source, path="runner/pool.py", rules=[NoWallClockRule]) == []
         assert lint(source, path="sim/kernel.py", rules=[NoWallClockRule]) != []
 
-    def test_benchmarks_prefix_exempt(self):
-        source = "import time\nx = time.monotonic()\n"
-        findings = lint(
-            source, path="benchmarks/bench_x.py", rules=[NoWallClockRule]
-        )
-        assert findings == []
-
 
 # ---------------------------------------------------------------------------
 # REP002 — seeded RNG only

@@ -158,7 +158,7 @@ class TestBenchReport:
         assert entry["events"] > 0
         assert entry["events_per_s"] > 0
         assert entry["cached"] is False
-        assert on_disk["speedup_vs_serial"] > 0
+        assert on_disk["speedup_vs_serial_computed_only"] > 0
 
     def test_cached_run_reports_original_cost(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

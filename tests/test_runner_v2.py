@@ -1,8 +1,8 @@
 """Runner v2: executors, shard cache, manifests, retry and speculation.
 
 The contract under test throughout: the merged CSV bytes are identical
-for any backend, any job count, any crash/retry interleaving, any
-cache/resume split, and speculation on or off.
+for any job count (inline at 1, the work queue above), any crash/retry
+interleaving, any cache/resume split, and speculation on or off.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from repro.cli import main
 from repro.perf.fanout import fanout_spec
 from repro.runner import (
-    BACKENDS,
     REGISTRY,
     ResultCache,
     RunManifest,
@@ -29,8 +28,12 @@ from repro.runner import (
     run_key,
     shard_result_digest,
 )
-from repro.runner.executors import Completion, InlineExecutor
-from repro.runner.pool import _handle_completion
+from repro.runner.executors import (
+    Completion,
+    InlineExecutor,
+    WorkQueueExecutor,
+)
+from repro.runner.pool import CrashPlanError, _handle_completion
 from repro.runner.sharding import ShardResult
 
 #: A fast skewed workload: one straggler, a tail of cheap shards.
@@ -97,27 +100,40 @@ class TestShardDerivation:
 
 class TestBackendParity:
     def test_all_backends_produce_identical_csv_bytes(self, tmp_path):
-        reference, _bench = _run_csv(tmp_path, "inline", jobs=1)
-        for backend in BACKENDS:
-            data, bench = _run_csv(
-                tmp_path, f"b-{backend}", jobs=2, backend=backend
-            )
-            assert data == reference, backend
-            assert bench["backend"] == backend
-
-    def test_default_backend_selection(self, tmp_path):
-        _data, bench = _run_csv(tmp_path, "dflt1", jobs=1)
+        reference, bench = _run_csv(tmp_path, "inline", jobs=1)
         assert bench["backend"] == "inline"
-        _data, bench = _run_csv(tmp_path, "dflt2", jobs=2)
-        assert bench["backend"] == "pool"
+        for jobs in (2, 3):
+            data, bench = _run_csv(tmp_path, f"wq-{jobs}", jobs=jobs)
+            assert data == reference, jobs
+            assert bench["backend"] == "workqueue"
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_executor("carrier-pigeon", 2)
+    def test_default_backend_selection(self):
+        assert isinstance(make_executor(1), InlineExecutor)
+        executor = make_executor(2)
+        try:
+            assert isinstance(executor, WorkQueueExecutor)
+        finally:
+            executor.close()
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            make_executor(0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiments(["FANOUT"], jobs=0, overrides={"FANOUT": FAST_SPEC})
 
     def test_crash_plan_rejected_off_workqueue(self):
-        with pytest.raises(ValueError, match="workqueue"):
-            make_executor("pool", 2, crash_plan={("FANOUT", 0): 1})
+        with pytest.raises(ValueError, match="jobs >= 2"):
+            make_executor(1, crash_plan={("FANOUT", 0): 1})
+
+    def test_crash_plan_must_name_a_shard_of_the_run(self):
+        for plan in ({("NOPE", 0): 1}, {("FANOUT", 4): 1}):
+            with pytest.raises(CrashPlanError):
+                run_experiments(
+                    ["FANOUT"],
+                    jobs=2,
+                    overrides={"FANOUT": FAST_SPEC},
+                    crash_plan=plan,
+                )
 
 
 class TestErrorPropagation:
@@ -127,21 +143,12 @@ class TestErrorPropagation:
         with pytest.raises(ValueError, match="non-negative"):
             run_experiments(["FANOUT"], overrides={"FANOUT": self.BAD})
 
-    def test_pool_raises_original_error(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            run_experiments(
-                ["FANOUT"],
-                jobs=2,
-                backend="pool",
-                overrides={"FANOUT": self.BAD},
-            )
-
     def test_workqueue_raises_with_remote_traceback(self):
+        """What a failing shard looks like under ``--jobs >= 2``."""
         with pytest.raises(ShardExecutionError, match="non-negative"):
             run_experiments(
                 ["FANOUT"],
                 jobs=2,
-                backend="workqueue",
                 overrides={"FANOUT": self.BAD},
             )
 
@@ -154,7 +161,6 @@ class TestCrashRetry:
             tmp_path,
             "crash",
             jobs=2,
-            backend="workqueue",
             crash_plan={("FANOUT", 0): 1},
             manifest_path=manifest_path,
         )
@@ -173,7 +179,6 @@ class TestCrashRetry:
             tmp_path,
             "crash2",
             jobs=2,
-            backend="workqueue",
             crash_plan={("FANOUT", 0): 2, ("FANOUT", 2): 1},
         )
         assert crashed == reference
@@ -190,7 +195,6 @@ class TestSpeculation:
             "spec",
             spec=SLOW_STRAGGLER_SPEC,
             jobs=2,
-            backend="workqueue",
             speculate=True,
             manifest_path=manifest_path,
         )
@@ -330,15 +334,12 @@ class TestBenchReport:
         _data, cached = _run_csv(
             tmp_path, "hot", jobs=1, cache=ResultCache(cache_dir)
         )
-        # Everything served from cache: the headline speedup still
-        # credits the saved compute, the computed-only figure does not.
-        assert cached["speedup_vs_serial"] > 0
+        # Everything served from cache: nothing computed, no speedup.
+        assert "speedup_vs_serial" not in cached
         assert cached["speedup_vs_serial_computed_only"] == 0.0
 
     def test_bench_carries_scheduler_telemetry(self, tmp_path):
-        _data, bench = _run_csv(
-            tmp_path, "tele", jobs=2, backend="workqueue"
-        )
+        _data, bench = _run_csv(tmp_path, "tele", jobs=2)
         assert bench["worker_utilisation"] is not None
         assert 0.0 < bench["worker_utilisation"] <= 1.0
         assert bench["fanout_wall_s"] > 0
@@ -367,23 +368,30 @@ class TestManifestUnit:
 
 class TestCLIRunnerV2:
     def test_inject_crash_requires_workqueue(self, capsys):
-        code = main(
-            ["run", "MAP-ISL", "--jobs", "2", "--inject-crash", "MAP-ISL:0"]
-        )
-        assert code == 2
-        assert "workqueue" in capsys.readouterr().err
+        for argv in (
+            ["run", "MAP-ISL", "--inject-crash", "MAP-ISL:0"],
+            ["run", "MAP-ISL", "--jobs", "1", "--inject-crash", "MAP-ISL:0"],
+        ):
+            assert main(argv) == 2
+            assert "--jobs >= 2" in capsys.readouterr().err
 
     def test_inject_crash_rejects_malformed_tokens(self, capsys):
-        assert main(["run", "MAP-ISL", "--backend", "workqueue",
+        assert main(["run", "MAP-ISL", "--jobs", "2",
                      "--inject-crash", "MAP-ISL"]) == 2
         assert "EXPID:SHARD" in capsys.readouterr().err
-        assert main(["run", "MAP-ISL", "--backend", "workqueue",
+        assert main(["run", "MAP-ISL", "--jobs", "2",
                      "--inject-crash", "MAP-ISL:x"]) == 2
         assert "integers" in capsys.readouterr().err
 
-    def test_unknown_backend_is_a_usage_error(self, capsys):
-        assert main(["run", "MAP-ISL", "--backend", "sneakernet"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+    def test_inject_crash_must_name_a_shard_of_the_run(self, capsys):
+        # FIG4 runs as one shard; NOPE is not an experiment of the run.
+        for token in ("FIG4:9", "NOPE:0"):
+            assert main(["run", "FIG4", "--jobs", "2",
+                         "--inject-crash", token]) == 2
+            assert "crash plan names" in capsys.readouterr().err
+        assert main(["run-all", "--only", "FIG4", "--no-cache", "--jobs",
+                     "2", "--inject-crash", "MAP-ISL:0"]) == 2
+        assert "not in this run" in capsys.readouterr().err
 
     def test_run_all_resume_conflicts_with_no_cache(self, capsys):
         code = main(["run-all", "--only", "FIG4", "--resume", "--no-cache"])
@@ -401,7 +409,7 @@ class TestCLIRunnerV2:
         assert main(serial) == 0
         fleet = [
             "run-all", "--only", "MAP-ISL", "--no-cache", "--jobs", "2",
-            "--backend", "workqueue", "--speculate",
+            "--speculate",
             "--inject-crash", "MAP-ISL:1",
             "--manifest", "manifest.json",
             "--csv-dir", "fleet", "--bench", "fleet.json",
@@ -453,6 +461,5 @@ class TestLPTOrdering:
             overrides={"FANOUT": cheap_first},
             csv_dir=csv_dir,
             jobs=2,
-            backend="pool",
         )
         assert (csv_dir / "FANOUT.csv").read_bytes() == reference

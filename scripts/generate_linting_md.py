@@ -36,30 +36,21 @@ scalar↔vectorized bit-equality.  The v2 engine lints in two phases:
    visitors with the project graph in context; project rules (REP009)
    run once over the whole phase-1 view, including the test tree.
 
-Findings are cached content-addressed: a file re-lints only when its
-own text, its import closure, the rule set, or the spawn-site
-resolution changes.  Useful invocations:
+Useful invocations:
 
 ```console
-repro lint                       # full tree, committed baseline applied
-repro lint --verbose             # show baselined findings + cache stats
-repro lint --changed             # only files changed per git + their dependents
+repro lint                       # full tree; exit 1 on any finding
 repro lint --rules REP006,REP007 # subset (unknown ids exit 2 with the valid list)
-repro lint --fix                 # auto-fix mechanical REP002/REP008 findings
-repro lint --cache-dir DIR       # persist the incremental cache
-repro lint --prune-baseline      # drop stale baseline entries
-repro lint --format json         # machine-readable report (version 2)
+repro lint --root DIR            # another tree (e.g. a fixture)
+repro lint --format json         # machine-readable report (version 3)
 ```
 
-Two escape hatches exist, both requiring a written reason:
-
-* **Inline waiver** — `# reprolint: allow REP00X (reason)` on the
-  flagged line or the line above.  Only rules marked *waivable* below
-  honour it; the reason is mandatory.
-* **Baseline** — an entry in `reprolint-baseline.json` keyed on
-  `(rule, path, stripped line, occurrence)` with a `justification`.
-  Stale entries are reported on every full run; prune them with
-  `repro lint --prune-baseline`.
+One escape hatch exists, honoured by every rule: an **inline waiver**
+`# reprolint: allow REP00X (reason)` on the flagged line or the line
+above.  The reason is mandatory — a bare allow is ignored — and should
+say why the code is right, or what a deliberate host-time read feeds.
+A file that is not valid UTF-8 or does not parse is reported as a
+`REP000` finding.
 
 """
 
@@ -72,9 +63,9 @@ Subclass `repro.devtools.base.Rule` (per-file) or `ProjectRule`
 them), register the class in `devtools/rules/__init__.py`, and add
 positive/negative tests plus — for CI-gated rules — a seeded fixture
 tree under `tests/data/reprolint_fixtures/` that yields exactly one
-finding.  The meta-test suite asserts the real tree stays clean, so a
-rule that fires on existing code ships with the fix, inline waivers, or
-justified baseline entries.
+finding.  The meta-test suite asserts the real tree stays clean and
+that every inline waiver still covers a finding, so a rule that fires on
+existing code ships with the fix or with reasoned inline waivers.
 """
 
 
@@ -83,7 +74,6 @@ def _scope_line(rule_cls: type) -> str:
     parts = [
         f"*Severity:* {rule_cls.severity.value}",
         f"*scope:* {'per-file' if per_file else 'whole-project'}",
-        f"*waivable:* {'yes' if getattr(rule_cls, 'supports_waiver', False) else 'no'}",
     ]
     exempt = getattr(rule_cls, "exempt_paths", ())
     if exempt:

@@ -42,18 +42,11 @@ Commands
           [--placement P]``
                            print the island table (slot centers, code
                            ranges, widths, coverage) for a configuration
-``lint [--root DIR] [--baseline PATH | --no-baseline]
-       [--format text|json] [--rules ID,ID] [--write-baseline]
-       [--changed] [--fix] [--prune-baseline] [--cache-dir DIR]``
+``lint [--root DIR] [--format text|json] [--rules ID,ID]``
                            run the reprolint invariant checks (REP001-
                            REP009) over the source tree; exits non-zero
-                           on any non-baselined finding.  ``--changed``
-                           lints only git-changed files plus their
-                           reverse import-dependents, ``--cache-dir``
-                           enables the content-addressed incremental
-                           cache, ``--fix`` applies mechanical rewrites
-                           (sorted() wraps, seeded-generator rewrites),
-                           ``--prune-baseline`` drops stale entries
+                           on any finding not waived inline with
+                           ``# reprolint: allow REP00X (reason)``
 ``bench [--quick] [--only NAME,NAME] [--output PATH]
         [--check BASELINE] [--threshold F] [--min-speedup F] [--list]``
                            run the headless perf suite, write
@@ -75,7 +68,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.harness import ExperimentResult
@@ -497,63 +489,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_paths(root: Path) -> Optional[list[str]]:
-    """Changed/untracked ``*.py`` files under ``root``, lint-root-relative.
-
-    Returns ``None`` when ``root`` is not inside a git work tree (the
-    caller turns that into a usage error).
-    """
-    import subprocess
-
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    root_resolved = Path(root).resolve()
-    changed: list[str] = []
-    for line in status.splitlines():
-        if len(line) < 4:
-            continue
-        path_part = line[3:].strip()
-        if " -> " in path_part:  # renames: lint the new name
-            path_part = path_part.split(" -> ")[-1]
-        path_part = path_part.strip('"')
-        absolute = (Path(top) / path_part).resolve()
-        try:
-            rel = absolute.relative_to(root_resolved)
-        except ValueError:
-            continue
-        if rel.suffix == ".py":
-            changed.append(rel.as_posix())
-    return changed
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.devtools import (
-        Baseline,
-        LintCache,
         LintEngine,
         default_project_rules,
         default_rules,
         format_json,
         format_text,
     )
-    from repro.devtools.baseline import discover_baseline
 
     if args.root is not None:
         root = Path(args.root)
@@ -597,131 +542,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         project_rules = tuple(
             r for r in project_rules if r.rule_id in wanted
         )
-    full_run = args.rules is None and not args.changed
-
-    cache = None
-    if args.cache_dir is not None:
-        cache = LintCache(Path(args.cache_dir))
-
-    only_paths = None
     engine = LintEngine(per_file_rules, project_rules)
-    if args.changed:
-        changed = _git_changed_paths(root)
-        if changed is None:
-            print(
-                f"--changed requires {root} to be inside a git work tree",
-                file=sys.stderr,
-            )
-            return 2
-        only_paths = engine.changed_selection(root, changed)
-        if not only_paths:
-            print("repro lint --changed: no changed files under "
-                  f"{root}; nothing to lint")
-            return 0
-
-    result = engine.lint_project(root, cache=cache, only_paths=only_paths)
-    if cache is not None:
-        cache.save()
-    findings = result.findings
-
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = discover_baseline(root)
-
-    if args.write_baseline:
-        target = baseline_path or root / "reprolint-baseline.json"
-        previous = Baseline.load_optional(baseline_path)
-        Baseline.from_findings(findings, previous=previous).save(target)
-        print(f"wrote baseline with {len(findings)} entr(ies) to {target}")
-        return 0
-
-    if (
-        args.baseline is not None
-        and baseline_path is not None
-        and not baseline_path.is_file()
-    ):
-        print(f"baseline {baseline_path} not found", file=sys.stderr)
-        return 2
-
-    baseline = Baseline.load_optional(baseline_path)
-    findings = baseline.apply(findings)
-
-    if args.fix:
-        from repro.devtools.fixer import fix_tree
-
-        fixable = sorted(
-            {
-                f.path
-                for f in findings
-                if not f.suppressed and f.rule in ("REP002", "REP008")
-            }
-        )
-        fixed = fix_tree(root, fixable)
-        if fixed.files_changed:
-            print(
-                f"repro lint --fix: applied {fixed.fixes} fix(es) in "
-                f"{len(fixed.files_changed)} file(s): "
-                f"{', '.join(fixed.files_changed)}"
-            )
-            # Re-lint so the report (and the exit code) reflect the
-            # fixed tree, not the findings that prompted the fixes.
-            result = engine.lint_project(
-                root, cache=cache, only_paths=only_paths
-            )
-            if cache is not None:
-                cache.save()
-            findings = baseline.apply(result.findings)
-        else:
-            print("repro lint --fix: nothing auto-fixable")
-
-    stale = baseline.unmatched_entries(findings) if full_run else []
-    if args.prune_baseline:
-        if not full_run:
-            print(
-                "--prune-baseline needs a full run (no --changed/--rules):"
-                " a partial run makes every unexecuted rule's entries look"
-                " stale",
-                file=sys.stderr,
-            )
-            return 2
-        if baseline_path is None:
-            print("--prune-baseline: no baseline in use", file=sys.stderr)
-            return 2
-        if stale:
-            baseline.without(stale).save(baseline_path)
-            print(
-                f"pruned {len(stale)} stale baseline entr(ies) from "
-                f"{baseline_path}"
-            )
-            stale = []
-        else:
-            print(f"no stale entries in {baseline_path}")
-
+    findings = engine.lint_project(root)
     if args.format == "json":
         print(format_json(findings, engine.rule_ids(), str(root)), end="")
     else:
-        print(
-            format_text(
-                findings, engine.rule_ids(), str(root), verbose=args.verbose
-            )
-        )
-        if args.verbose:
-            stats = result.stats
-            print(
-                f"stats: {stats.files} file(s), {stats.linted} linted, "
-                f"{stats.cache_hits} cache hit(s), {stats.parsed} parsed"
-            )
-        if stale:
-            print(
-                f"note: {len(stale)} stale baseline entr(ies) no longer "
-                "match any finding — run `repro lint --prune-baseline` "
-                f"to drop them from {baseline_path or 'the baseline'}"
-            )
-    reported = sum(1 for f in findings if not f.suppressed)
-    return 1 if reported else 0
+        print(format_text(findings, engine.rule_ids(), str(root)))
+    return 1 if findings else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -973,17 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tree to lint (default: the installed repro package)",
     )
     lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file (default: discover reprolint-baseline.json "
-        "above the lint root)",
-    )
-    lint_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding",
-    )
-    lint_parser.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
@@ -994,43 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ID,ID",
         help="comma-separated subset of rule ids to run",
-    )
-    lint_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also print baselined (suppressed) findings",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from current findings "
-        "(preserves existing justifications)",
-    )
-    lint_parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only git-changed files plus their reverse "
-        "import-dependents (requires a git work tree)",
-    )
-    lint_parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical fixes (wrap set iteration in sorted(), "
-        "rewrite legacy np.random calls to seeded generators) and "
-        "re-lint",
-    )
-    lint_parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries that no longer match any finding "
-        "(default behaviour only warns about them)",
-    )
-    lint_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="enable the content-addressed incremental cache in DIR "
-        "(warm re-lints skip unchanged files)",
     )
     lint_parser.set_defaults(func=_cmd_lint)
 

@@ -9,8 +9,8 @@ wall-clock time, float accumulation is exact, and every vectorized fast
 path keeps its scalar oracle.  This package enforces those conventions
 mechanically, with a two-phase engine: phase 1 builds a cross-module
 symbol/import graph over the whole tree, phase 2 runs per-file and
-whole-project rules on top of it, with content-addressed incremental
-caching.
+whole-project rules on top of it.  The one escape hatch is an inline
+``# reprolint: allow REP00X (reason)`` comment.
 
 Layout
 ------
@@ -19,31 +19,23 @@ Layout
                ancestor stack) and :class:`ProjectRule` (whole-project
                checks), plus the inline-waiver parsing.
 ``graph``      phase 1: :class:`FileFacts` extraction and the
-               :class:`ProjectGraph` (imports, symbols, spawn sites,
-               closures, digests).
+               :class:`ProjectGraph` (imports, symbols, spawn sites).
 ``dataflow``   intra-procedural helpers (assignment chains, RNG-draw
                and set-expression predicates).
-``engine``     :class:`LintEngine` — the two-phase run, occurrence
-               assignment, sorted findings.
-``cache``      :class:`LintCache` — content-addressed incremental
-               facts/findings store.
-``fixer``      ``repro lint --fix`` mechanical rewrites.
-``baseline``   committed grandfather file: load/match/write/prune.
+``engine``     :class:`LintEngine` — the two-phase run, waiver
+               filtering, sorted findings.
 ``report``     text and JSON rendering of a lint run.
 ``rules``      the shipped rule set (REP001–REP009).
 
 Entry point: ``repro lint`` in :mod:`repro.cli`, or programmatically::
 
     from repro.devtools import LintEngine
-    findings = LintEngine().lint_tree(Path("src/repro"))
+    findings = LintEngine().lint_project(Path("src/repro"))
 """
 
 from repro.devtools.base import LintContext, ProjectRule, Rule
-from repro.devtools.baseline import Baseline
-from repro.devtools.cache import LintCache
 from repro.devtools.engine import (
     LintEngine,
-    LintResult,
     default_project_rules,
     default_rules,
 )
@@ -51,12 +43,9 @@ from repro.devtools.findings import Finding, Severity
 from repro.devtools.report import format_json, format_text
 
 __all__ = [
-    "Baseline",
     "Finding",
-    "LintCache",
     "LintContext",
     "LintEngine",
-    "LintResult",
     "ProjectRule",
     "Rule",
     "Severity",

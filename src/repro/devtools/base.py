@@ -24,13 +24,13 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "attribute_chain",
+    "waived",
     "waiver_reason",
 ]
 
-#: Inline escape hatch for the flow rules (REP006–REP008): a trailing
-#: comment ``# reprolint: allow REP00X (reason)`` on the flagged line or
-#: the line directly above.  The reason is mandatory — a bare allow is
-#: ignored, mirroring the baseline's mandatory justifications.
+#: The one escape hatch, honoured by every rule: a comment
+#: ``# reprolint: allow REP00X (reason)`` on the flagged line or the line
+#: directly above.  The reason is mandatory — a bare allow is ignored.
 _WAIVER_RE = re.compile(
     r"#\s*reprolint:\s*allow\s+(REP\d{3})\b\s*[-—–:(]?\s*(.*?)\)?\s*$"
 )
@@ -43,6 +43,16 @@ def waiver_reason(line: str, rule_id: str) -> Optional[str]:
         return None
     reason = match.group(2).strip()
     return reason or None
+
+
+def waived(lines: Sequence[str], lineno: int, rule_id: str) -> bool:
+    """Whether a reasoned waiver for ``rule_id`` covers 1-based ``lineno``."""
+    for candidate in (lineno, lineno - 1):
+        if 1 <= candidate <= len(lines) and waiver_reason(
+            lines[candidate - 1], rule_id
+        ):
+            return True
+    return False
 
 
 @dataclass
@@ -94,11 +104,9 @@ class Rule(ast.NodeVisitor):
     example: ClassVar[str] = ""
     #: The approved escape hatch (rendered into docs/LINTING.md).
     escape_hatch: ClassVar[str] = (
-        "Baseline the finding in reprolint-baseline.json with a written"
-        " justification."
+        "Add `# reprolint: allow REP00X (reason)` on the flagged line or"
+        " the line above."
     )
-    #: Whether the inline ``# reprolint: allow`` comment is honoured.
-    supports_waiver: ClassVar[bool] = False
 
     def __init__(self, context: LintContext) -> None:
         self.context = context
@@ -135,24 +143,8 @@ class Rule(ast.NodeVisitor):
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def waived(self, node: ast.AST) -> bool:
-        """Whether an inline waiver covers the node (waiver rules only)."""
-        if not self.supports_waiver:
-            return False
-        lineno = getattr(node, "lineno", 0)
-        for candidate in (lineno, lineno - 1):
-            if 1 <= candidate <= len(self.context.lines):
-                reason = waiver_reason(
-                    self.context.lines[candidate - 1], self.rule_id
-                )
-                if reason is not None:
-                    return True
-        return False
-
     def report(self, node: ast.AST, message: str) -> None:
-        """Emit one finding anchored at ``node`` (unless waived inline)."""
-        if self.waived(node):
-            return
+        """Emit one finding anchored at ``node``."""
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         self.findings.append(
@@ -185,8 +177,8 @@ class ProjectRule:
     rationale: ClassVar[str] = ""
     example: ClassVar[str] = ""
     escape_hatch: ClassVar[str] = (
-        "Baseline the finding in reprolint-baseline.json with a written"
-        " justification."
+        "Add `# reprolint: allow REP00X (reason)` on the flagged line or"
+        " the line above."
     )
 
     def run_project(self, view: "ProjectView") -> list[Finding]:

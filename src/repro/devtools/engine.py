@@ -2,69 +2,46 @@
 
 Phase 1 parses every file once and extracts
 :class:`~repro.devtools.graph.FileFacts` (imports, symbols, spawn
-sites) — a pure function of each file's text, so facts are cached by
-source digest.  The facts link into a
+sites).  The facts link into a
 :class:`~repro.devtools.graph.ProjectGraph` giving the flow rules
-cross-module name resolution and import closures.
+cross-module name resolution.
 
 Phase 2 runs two rule kinds:
 
 * per-file :class:`~repro.devtools.base.Rule` visitors (REP001–REP008),
   each seeing the project graph through its
-  :class:`~repro.devtools.base.LintContext` — their findings are
-  cached per file, keyed on the file digest *plus* its import-closure
-  digest *plus* a global digest of the cross-cutting facts (spawn-site
-  resolutions and the stream registry), so a change anywhere that
-  could alter this file's findings invalidates exactly this key;
+  :class:`~repro.devtools.base.LintContext`;
 * whole-project :class:`~repro.devtools.base.ProjectRule` checks
-  (REP009), which run on every lint (they are cheap and depend on the
-  test tree, which is outside the per-file key space).
+  (REP009), which also see the test tree.
 
-After both phases the engine sorts findings and assigns each its
-``occurrence`` index — the 0-based rank among identical ``(rule, path,
-snippet)`` findings in line order — which makes baseline matching
-one-to-one even for byte-identical source lines.
+Finally the engine drops every finding covered by an inline
+``# reprolint: allow REP00X (reason)`` waiver — the one escape hatch,
+applied the same way to every rule — and sorts the rest.  A file that
+is not valid UTF-8 or does not parse becomes a ``REP000`` finding
+instead of stopping the run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Type
 
-from repro.devtools.base import LintContext, ProjectRule, Rule
-from repro.devtools.cache import LintCache
+from repro.devtools.base import LintContext, ProjectRule, Rule, waived
 from repro.devtools.findings import Finding, Severity
-from repro.devtools.graph import (
-    FileFacts,
-    ProjectGraph,
-    extract_facts,
-    resolve_spawn_sites,
-    source_digest,
-    spawn_digest,
-    stream_registry,
-)
+from repro.devtools.graph import FileFacts, ProjectGraph, extract_facts
 
 __all__ = [
-    "ENGINE_CACHE_VERSION",
     "LintEngine",
-    "LintResult",
-    "LintStats",
     "ProjectView",
     "default_project_rules",
     "default_rules",
 ]
 
-#: Bumped whenever rule logic changes in a way that must invalidate
-#: cached findings (it participates in every findings cache key).
-ENGINE_CACHE_VERSION = "reprolint-2.0"
-
 #: Directory names never descended into.
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".mypy_cache", ".reprolint_cache"}
-)
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache"})
 
 
 def default_rules() -> tuple[Type[Rule], ...]:
@@ -95,22 +72,26 @@ class ProjectView:
         return self.sources.get(path)
 
 
-@dataclass
-class LintStats:
-    """Counters for one lint run (surfaced by ``repro lint --verbose``)."""
-
-    files: int = 0
-    linted: int = 0
-    cache_hits: int = 0
-    parsed: int = 0
-
-
-@dataclass
-class LintResult:
-    """Findings plus run statistics."""
-
-    findings: list[Finding] = field(default_factory=list)
-    stats: LintStats = field(default_factory=LintStats)
+def _read_source(
+    file_path: Path, rel_path: str, errors: list[Finding]
+) -> Optional[str]:
+    """The file's text, or ``None`` plus a ``REP000`` finding if not UTF-8."""
+    try:
+        return file_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        data = file_path.read_bytes()
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        errors.append(
+            Finding(
+                rule="REP000",
+                path=rel_path,
+                line=data.count(b"\n", 0, exc.start) + 1,
+                col=exc.start - line_start,
+                message=f"not valid UTF-8: {exc.reason} at byte {exc.start}",
+                severity=Severity.ERROR,
+            )
+        )
+        return None
 
 
 class LintEngine:
@@ -149,79 +130,31 @@ class LintEngine:
         Single-file mode: the project graph contains just this file
         (imports resolve nowhere) and project rules are skipped.
         """
-        result = self._lint(
-            sources={path: source},
-            tests_texts=None,
-            run_project_rules=False,
-        )
-        return result.findings
-
-    def lint_file(self, file_path: Path, rel_path: str) -> list[Finding]:
-        """Lint one file on disk, reporting it as ``rel_path``."""
-        source = file_path.read_text(encoding="utf-8")
-        return self.lint_source(source, rel_path)
-
-    def lint_tree(self, root: Path) -> list[Finding]:
-        """Lint every ``*.py`` under ``root``; findings sorted stably."""
-        return self.lint_project(root).findings
+        return self._lint({path: source}, None, [])
 
     def lint_project(
-        self,
-        root: Path,
-        *,
-        cache: Optional[LintCache] = None,
-        only_paths: Optional[Iterable[str]] = None,
-        tests_root: Optional[Path] = None,
-    ) -> LintResult:
-        """Full two-phase lint of the tree under ``root``.
+        self, root: Path, *, tests_root: Optional[Path] = None
+    ) -> list[Finding]:
+        """Full two-phase lint of every ``*.py`` under ``root``.
 
-        ``only_paths`` restricts phase 2 (rule execution) to the given
-        relative paths — phase 1 still covers the whole tree so
-        cross-module resolution stays correct.  ``tests_root``
-        overrides test-tree discovery (``None`` = auto-discover next to
-        or above ``root``).
+        ``tests_root`` overrides test-tree discovery (``None`` =
+        auto-discover next to or above ``root``).  Findings are sorted
+        stably.
         """
         root = Path(root)
+        errors: list[Finding] = []
         sources: dict[str, str] = {}
         for file_path in sorted(root.rglob("*.py")):
             if _SKIP_DIRS.intersection(file_path.parts):
                 continue
             rel_path = file_path.relative_to(root).as_posix()
-            sources[rel_path] = file_path.read_text(encoding="utf-8")
+            source = _read_source(file_path, rel_path, errors)
+            if source is not None:
+                sources[rel_path] = source
         if tests_root is None:
             tests_root = self._discover_tests_root(root)
-        tests_texts = self._read_tests(tests_root)
-        selected = None if only_paths is None else set(only_paths)
-        return self._lint(
-            sources=sources,
-            tests_texts=tests_texts,
-            run_project_rules=True,
-            cache=cache,
-            selected=selected,
-        )
-
-    def changed_selection(
-        self, root: Path, changed: Iterable[str]
-    ) -> frozenset[str]:
-        """Relative paths to re-lint for a set of changed files.
-
-        A changed file re-lints itself plus every file whose import
-        closure contains it (flow findings there may have changed).
-        """
-        root = Path(root)
-        facts = []
-        for file_path in sorted(root.rglob("*.py")):
-            if _SKIP_DIRS.intersection(file_path.parts):
-                continue
-            rel_path = file_path.relative_to(root).as_posix()
-            source = file_path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=rel_path)
-            except SyntaxError:
-                continue
-            facts.append(extract_facts(rel_path, source, tree))
-        graph = ProjectGraph(facts)
-        return graph.dependents_of(changed)
+        tests_texts = self._read_tests(root, tests_root, errors)
+        return self._lint(sources, tests_texts, errors, run_project_rules=True)
 
     # ------------------------------------------------------------------
     # the two-phase core
@@ -230,101 +163,46 @@ class LintEngine:
         self,
         sources: Mapping[str, str],
         tests_texts: Optional[Mapping[str, str]],
-        run_project_rules: bool,
-        cache: Optional[LintCache] = None,
-        selected: Optional[set[str]] = None,
-    ) -> LintResult:
-        stats = LintStats(files=len(sources))
-        findings: list[Finding] = []
+        read_errors: Sequence[Finding],
+        run_project_rules: bool = False,
+    ) -> list[Finding]:
+        findings = list(read_errors)
 
         # --- phase 1: facts + graph ----------------------------------
         all_facts: list[FileFacts] = []
         trees: dict[str, ast.Module] = {}
-        digests: dict[str, str] = {}
         for path in sorted(sources):
             source = sources[path]
-            digest = source_digest(path, source)
-            digests[path] = digest
-            facts = cache.facts_for(digest) if cache is not None else None
-            if facts is None:
-                try:
-                    tree = ast.parse(source, filename=path)
-                except SyntaxError as exc:
-                    findings.append(
-                        Finding(
-                            rule="REP000",
-                            path=path,
-                            line=exc.lineno or 1,
-                            col=(exc.offset or 1) - 1,
-                            message=f"syntax error: {exc.msg}",
-                            severity=Severity.ERROR,
-                            snippet="",
-                        )
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                findings.append(
+                    Finding(
+                        rule="REP000",
+                        path=path,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1,
+                        message=f"syntax error: {exc.msg}",
+                        severity=Severity.ERROR,
+                        snippet="",
                     )
-                    continue
-                stats.parsed += 1
-                trees[path] = tree
-                facts = extract_facts(path, source, tree)
-                if cache is not None:
-                    cache.store_facts(digest, facts)
-            all_facts.append(facts)
+                )
+                continue
+            trees[path] = tree
+            all_facts.append(extract_facts(path, source, tree))
         graph = ProjectGraph(all_facts)
-
-        # Cross-cutting digest: spawn-site resolutions + stream registry.
-        registry = stream_registry(graph)
-        resolved_spawns = resolve_spawn_sites(graph, registry or {})
-        global_digest = hashlib.sha256(
-            "\x00".join(
-                [
-                    ENGINE_CACHE_VERSION,
-                    ",".join(self.rule_ids()),
-                    spawn_digest(resolved_spawns, registry),
-                ]
-            ).encode("utf-8")
-        ).hexdigest()
 
         # --- phase 2a: per-file rules --------------------------------
         for facts in all_facts:
             path = facts.path
-            if selected is not None and path not in selected:
-                continue
-            stats.linted += 1
-            key = hashlib.sha256(
-                "\x00".join(
-                    [
-                        global_digest,
-                        facts.digest,
-                        graph.closure_digest(path),
-                    ]
-                ).encode("utf-8")
-            ).hexdigest()
-            cached = (
-                cache.findings_for(key) if cache is not None else None
+            context = LintContext(
+                path=path, source=sources[path], project=graph, facts=facts
             )
-            if cached is not None:
-                stats.cache_hits += 1
-                findings.extend(cached)
-                continue
-            tree = trees.get(path)
-            if tree is None:
-                tree = ast.parse(sources[path], filename=path)
-                stats.parsed += 1
-            file_findings: list[Finding] = []
             for rule_cls in self.rules:
-                if not rule_cls.applies_to(path):
-                    continue
-                context = LintContext(
-                    path=path,
-                    source=sources[path],
-                    project=graph,
-                    facts=facts,
-                )
-                file_findings.extend(rule_cls(context).run(tree))
-            if cache is not None:
-                cache.store_findings(key, file_findings)
-            findings.extend(file_findings)
+                if rule_cls.applies_to(path):
+                    findings.extend(rule_cls(context).run(trees[path]))
 
-        # --- phase 2b: project rules (never cached) ------------------
+        # --- phase 2b: project rules ---------------------------------
         if run_project_rules and self.project_rules:
             view = ProjectView(
                 graph=graph, sources=sources, tests_texts=tests_texts
@@ -332,10 +210,18 @@ class LintEngine:
             for project_rule_cls in self.project_rules:
                 findings.extend(project_rule_cls().run_project(view))
 
-        return LintResult(
-            findings=self._assign_occurrences(self.sort(findings)),
-            stats=stats,
-        )
+        # --- inline waivers, one check for every rule ----------------
+        lines: dict[str, list[str]] = {}
+        kept = []
+        for finding in findings:
+            source = sources.get(finding.path)
+            if source is not None:
+                if finding.path not in lines:
+                    lines[finding.path] = source.splitlines()
+                if waived(lines[finding.path], finding.line, finding.rule):
+                    continue
+            kept.append(finding)
+        return self.sort(kept)
 
     # ------------------------------------------------------------------
     # helpers
@@ -352,38 +238,27 @@ class LintEngine:
         return None
 
     @staticmethod
-    def _read_tests(tests_root: Optional[Path]) -> Optional[dict[str, str]]:
+    def _read_tests(
+        root: Path, tests_root: Optional[Path], errors: list[Finding]
+    ) -> Optional[dict[str, str]]:
+        """Test-file texts keyed by ``tests_root``-relative name.
+
+        A test file that is not UTF-8 is reported relative to the lint
+        root (``../../tests/test_x.py`` for ``src/repro``) — once: one
+        under the lint root was already reported as a source file.
+        """
         if tests_root is None:
             return None
         texts: dict[str, str] = {}
         for test_file in sorted(tests_root.rglob("test_*.py")):
             if _SKIP_DIRS.intersection(test_file.parts):
                 continue
-            rel = test_file.relative_to(tests_root).as_posix()
-            texts[rel] = test_file.read_text(encoding="utf-8")
+            rel_path = Path(os.path.relpath(test_file, root)).as_posix()
+            sink = errors if rel_path.startswith("../") else []
+            text = _read_source(test_file, rel_path, sink)
+            if text is not None:
+                texts[test_file.relative_to(tests_root).as_posix()] = text
         return texts
-
-    @staticmethod
-    def _assign_occurrences(findings: Sequence[Finding]) -> list[Finding]:
-        """Occurrence = rank among identical (rule, path, snippet).
-
-        Findings arrive sorted by (path, line, col, rule), so the rank
-        is assigned in line order — the committed baseline's entries
-        stay pinned to *their* line even when a twin appears later in
-        the file.
-        """
-        counters: dict[tuple[str, str, str], int] = {}
-        out: list[Finding] = []
-        for finding in findings:
-            bucket = (finding.rule, finding.path, finding.snippet)
-            occurrence = counters.get(bucket, 0)
-            counters[bucket] = occurrence + 1
-            out.append(
-                finding
-                if finding.occurrence == occurrence
-                else finding.with_occurrence(occurrence)
-            )
-        return out
 
     @staticmethod
     def sort(findings: Sequence[Finding]) -> list[Finding]:

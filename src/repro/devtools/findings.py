@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 
 class Severity(enum.Enum):
@@ -30,20 +30,9 @@ class Finding:
     message:
         Human-readable description of the violation.
     severity:
-        :class:`Severity` — baselined or warning findings never fail.
+        :class:`Severity` of the violated rule.
     snippet:
-        The stripped source line.  Baseline matching keys on
-        ``(rule, path, snippet, occurrence)`` rather than the line
-        number, so a grandfathered finding survives unrelated edits
-        above it.
-    occurrence:
-        0-based index among findings of the same ``(rule, path,
-        snippet)`` within one run, assigned in line order by the
-        engine.  Disambiguates identical source lines (two
-        ``time.perf_counter()`` reads in one file) so baseline matching
-        is one-to-one instead of one-suppresses-all.
-    suppressed:
-        Set by the engine when a committed baseline entry matches.
+        The stripped source line.
     """
 
     rule: str
@@ -53,12 +42,6 @@ class Finding:
     message: str
     severity: Severity = Severity.ERROR
     snippet: str = ""
-    occurrence: int = 0
-    suppressed: bool = field(default=False, compare=False)
-
-    def key(self) -> tuple[str, str, str, int]:
-        """Identity used for baseline matching (line-number independent)."""
-        return (self.rule, self.path, self.snippet, self.occurrence)
 
     def location(self) -> str:
         """``path:line:col`` for terminal output."""
@@ -74,49 +57,4 @@ class Finding:
             "severity": self.severity.value,
             "message": self.message,
             "snippet": self.snippet,
-            "occurrence": self.occurrence,
-            "suppressed": self.suppressed,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            severity=Severity(data["severity"]),
-            snippet=str(data["snippet"]),
-            occurrence=int(data.get("occurrence", 0)),
-            suppressed=bool(data.get("suppressed", False)),
-        )
-
-    def with_suppressed(self, suppressed: bool) -> "Finding":
-        """Copy with the ``suppressed`` flag set (findings are frozen)."""
-        return Finding(
-            rule=self.rule,
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            message=self.message,
-            severity=self.severity,
-            snippet=self.snippet,
-            occurrence=self.occurrence,
-            suppressed=suppressed,
-        )
-
-    def with_occurrence(self, occurrence: int) -> "Finding":
-        """Copy with the occurrence index set (assigned by the engine)."""
-        return Finding(
-            rule=self.rule,
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            message=self.message,
-            severity=self.severity,
-            snippet=self.snippet,
-            occurrence=occurrence,
-            suppressed=self.suppressed,
-        )

@@ -8,15 +8,12 @@ vectorized half of this scalar API actually exported?".  This module
 builds the substrate those rules share:
 
 * :class:`FileFacts` — everything the graph needs to know about one
-  file, extracted by a **pure function of the source text** (so the
-  incremental cache can key it on the source digest alone): imports,
+  file, extracted by a pure function of the source text: imports,
   top-level symbols with literal constant values, ``__all__`` exports,
   and every ``SeedSequence(..., spawn_key=(...))`` call site.
 * :class:`ProjectGraph` — the linked view: dotted-import resolution by
   module-path suffix matching (works for ``src/repro`` and for fixture
-  trees alike), assignment-chain constant resolution across modules,
-  import closures, and content digests of those closures for the
-  incremental cache.
+  trees alike) and assignment-chain constant resolution across modules.
 
 Nothing here imports the linted code; everything is derived from the
 AST, so the linter can analyse trees that would not even import.
@@ -25,8 +22,6 @@ AST, so the linter can analyse trees that would not even import.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -64,23 +59,6 @@ class ImportRecord:
     asname: str
     lineno: int
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "module": self.module,
-            "name": self.name,
-            "asname": self.asname,
-            "lineno": self.lineno,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ImportRecord":
-        return cls(
-            module=str(data["module"]),
-            name=None if data["name"] is None else str(data["name"]),
-            asname=str(data["asname"]),
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class SymbolInfo:
@@ -96,25 +74,6 @@ class SymbolInfo:
     kind: str
     lineno: int
     value: ConstValue = None
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "SymbolInfo":
-        value = data["value"]
-        assert value is None or isinstance(value, (int, float, str, bool))
-        return cls(
-            name=str(data["name"]),
-            kind=str(data["kind"]),
-            lineno=int(data["lineno"]),  # type: ignore[arg-type]
-            value=value,
-        )
 
 
 @dataclass(frozen=True)
@@ -134,88 +93,17 @@ class SpawnSite:
     domain_value: Optional[int] = None
     domain_name: Optional[str] = None
 
-    def to_json(self) -> dict[str, object]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "snippet": self.snippet,
-            "domain_kind": self.domain_kind,
-            "domain_value": self.domain_value,
-            "domain_name": self.domain_name,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "SpawnSite":
-        value = data["domain_value"]
-        name = data["domain_name"]
-        return cls(
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            snippet=str(data["snippet"]),
-            domain_kind=str(data["domain_kind"]),
-            domain_value=None if value is None else int(value),  # type: ignore[arg-type]
-            domain_name=None if name is None else str(name),
-        )
-
 
 @dataclass(frozen=True)
 class FileFacts:
     """Phase-1 knowledge about one file — a pure function of its text."""
 
     path: str
-    digest: str
     parts: tuple[str, ...]
     imports: tuple[ImportRecord, ...]
     symbols: Mapping[str, SymbolInfo]
     exports: Optional[tuple[str, ...]]
     spawn_sites: tuple[SpawnSite, ...]
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "digest": self.digest,
-            "parts": list(self.parts),
-            "imports": [record.to_json() for record in self.imports],
-            "symbols": [
-                info.to_json()
-                for _name, info in sorted(self.symbols.items())
-            ],
-            "exports": None if self.exports is None else list(self.exports),
-            "spawn_sites": [site.to_json() for site in self.spawn_sites],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "FileFacts":
-        imports = data["imports"]
-        symbols = data["symbols"]
-        exports = data["exports"]
-        spawn_sites = data["spawn_sites"]
-        assert isinstance(imports, list)
-        assert isinstance(symbols, list)
-        assert isinstance(spawn_sites, list)
-        infos = [SymbolInfo.from_json(raw) for raw in symbols]
-        return cls(
-            path=str(data["path"]),
-            digest=str(data["digest"]),
-            parts=tuple(str(p) for p in data["parts"]),  # type: ignore[union-attr]
-            imports=tuple(ImportRecord.from_json(raw) for raw in imports),
-            symbols={info.name: info for info in infos},
-            exports=(
-                None
-                if exports is None
-                else tuple(str(e) for e in exports)  # type: ignore[union-attr]
-            ),
-            spawn_sites=tuple(SpawnSite.from_json(raw) for raw in spawn_sites),
-        )
-
-
-def source_digest(path: str, source: str) -> str:
-    """Content digest keying the facts cache (path + text)."""
-    hasher = hashlib.sha256()
-    hasher.update(path.encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(source.encode("utf-8"))
-    return hasher.hexdigest()
 
 
 def _module_parts(path: str) -> tuple[str, ...]:
@@ -390,7 +278,6 @@ def extract_facts(path: str, source: str, tree: ast.Module) -> FileFacts:
     collector.visit(tree)
     return FileFacts(
         path=path,
-        digest=source_digest(path, source),
         parts=_module_parts(path),
         imports=tuple(imports),
         symbols=symbols,
@@ -416,8 +303,6 @@ class ProjectGraph:
         for entry in facts:
             self.files[entry.path] = entry
             self._by_parts[entry.parts] = entry.path
-        self._edges: dict[str, frozenset[str]] = {}
-        self._closures: dict[str, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # module resolution
@@ -507,71 +392,9 @@ class ProjectGraph:
             return ResolvedConstant(facts.path, symbol)
         return None
 
-    # ------------------------------------------------------------------
-    # import closure + digests (the incremental-cache keys)
-    # ------------------------------------------------------------------
-    def _edges_of(self, path: str) -> frozenset[str]:
-        cached = self._edges.get(path)
-        if cached is not None:
-            return cached
-        facts = self.files[path]
-        edges = set()
-        for record in facts.imports:
-            target = self.resolve_module(record.module)
-            if target is None and record.name is not None:
-                target = self.resolve_module(
-                    record.module + "." + record.name
-                )
-            if target is not None and target.path != path:
-                edges.add(target.path)
-        frozen = frozenset(edges)
-        self._edges[path] = frozen
-        return frozen
-
-    def import_closure(self, path: str) -> frozenset[str]:
-        """All project files transitively imported by ``path`` (+self)."""
-        cached = self._closures.get(path)
-        if cached is not None:
-            return cached
-        seen = {path}
-        frontier = [path]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in self._edges_of(current):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        closure = frozenset(seen)
-        self._closures[path] = closure
-        return closure
-
-    def closure_digest(self, path: str) -> str:
-        """Digest of the file's import closure contents."""
-        hasher = hashlib.sha256()
-        for member in sorted(self.import_closure(path)):
-            hasher.update(member.encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(self.files[member].digest.encode("ascii"))
-            hasher.update(b"\x01")
-        return hasher.hexdigest()
-
-    def dependents_of(self, changed: Iterable[str]) -> frozenset[str]:
-        """Files whose import closure intersects ``changed`` (+changed).
-
-        This is the ``repro lint --changed`` selection: a change to
-        ``sim/streams.py`` re-lints every module that (transitively)
-        imports it, because flow findings there may have changed.
-        """
-        wanted = {p for p in changed if p in self.files}
-        selected = set(wanted)
-        for path in self.files:
-            if self.import_closure(path) & wanted:
-                selected.add(path)
-        return frozenset(selected)
-
 
 # ---------------------------------------------------------------------------
-# spawn-key analyses shared by the engine (cache keys) and REP006
+# spawn-key analyses (REP006)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ResolvedSpawnSite:
@@ -589,16 +412,6 @@ class ResolvedSpawnSite:
     status: str
     value: Optional[int]
     detail: str
-
-    def key_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "site": self.site.to_json(),
-            "status": self.status,
-            "value": self.value,
-            "detail": self.detail,
-        }
-
 
 #: Module-path suffix of the spawn-key registry.
 _REGISTRY_SUFFIX = ("sim", "streams")
@@ -636,12 +449,7 @@ def resolve_spawn_sites(
     graph: ProjectGraph,
     registry: Optional[Mapping[int, str]] = None,
 ) -> tuple[ResolvedSpawnSite, ...]:
-    """Resolve every spawn site in the project against the registry.
-
-    The result participates in the engine's global cache digest: any
-    edit that changes a resolution (a moved constant, a new call site, a
-    registry change) invalidates the cached findings of every file.
-    """
+    """Resolve every spawn site in the project against the registry."""
     if registry is None:
         registry = stream_registry(graph) or {}
     reg_path = registry_path(graph)
@@ -713,19 +521,3 @@ def _resolve_site(
     return ResolvedSpawnSite(
         facts.path, site, "ok", value, registry[value]
     )
-
-
-def spawn_digest(
-    resolved: Sequence[ResolvedSpawnSite],
-    registry: Optional[Mapping[int, str]],
-) -> str:
-    """Digest over all resolved spawn sites + the registry contents."""
-    payload = {
-        "registry": None
-        if registry is None
-        else sorted((v, n) for v, n in registry.items()),
-        "sites": [site.key_json() for site in resolved],
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()

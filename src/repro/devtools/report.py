@@ -1,16 +1,17 @@
 """Rendering a lint run: terminal text and machine-readable JSON.
 
 The JSON schema is part of the tool's contract (CI and editor tooling
-parse it) and is pinned by ``tests/test_reprolint.py``.  Version 2
-added the ``occurrence`` field to findings (the baseline
-disambiguation index)::
+parse it) and is pinned by ``tests/test_reprolint.py``.  Version 3
+dropped version 2's two baseline fields: inline waivers are the only
+suppression, and a waived finding is never emitted, so every finding in
+the report is a reported one::
 
     {
-      "version": 2,
+      "version": 3,
       "tool": "reprolint",
       "root": "<linted root>",
       "rules": ["REP001", ...],
-      "counts": {"total": N, "suppressed": M, "reported": K},
+      "counts": {"total": N, "reported": N},
       "findings": [ Finding.to_dict(), ... ]
     }
 """
@@ -24,40 +25,23 @@ from repro.devtools.findings import Finding
 
 __all__ = ["format_text", "format_json", "REPORT_VERSION"]
 
-REPORT_VERSION = 2
-
-
-def _counts(findings: Sequence[Finding]) -> dict[str, int]:
-    suppressed = sum(1 for f in findings if f.suppressed)
-    return {
-        "total": len(findings),
-        "suppressed": suppressed,
-        "reported": len(findings) - suppressed,
-    }
+REPORT_VERSION = 3
 
 
 def format_text(
-    findings: Sequence[Finding],
-    rules: Sequence[str],
-    root: str,
-    verbose: bool = False,
+    findings: Sequence[Finding], rules: Sequence[str], root: str
 ) -> str:
-    """One line per reported finding plus a summary."""
-    counts = _counts(findings)
+    """One line per finding plus a summary."""
     lines = []
     for finding in findings:
-        if finding.suppressed and not verbose:
-            continue
-        marker = " [baselined]" if finding.suppressed else ""
         lines.append(
             f"{finding.location()}: {finding.rule}"
-            f" [{finding.severity.value}]{marker} {finding.message}"
+            f" [{finding.severity.value}] {finding.message}"
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
     lines.append(
-        f"reprolint: {counts['reported']} finding(s)"
-        f" ({counts['suppressed']} baselined) over {root}"
+        f"reprolint: {len(findings)} finding(s) over {root}"
         f" [{', '.join(rules)}]"
     )
     return "\n".join(lines)
@@ -72,7 +56,7 @@ def format_json(
         "tool": "reprolint",
         "root": root,
         "rules": list(rules),
-        "counts": _counts(findings),
+        "counts": {"total": len(findings), "reported": len(findings)},
         "findings": [f.to_dict() for f in findings],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -46,8 +46,8 @@ class TraceChannelRegistryRule(Rule):
     example = 'tracer.record("event", payload)  # typo of "events"'
     escape_hatch = (
         "Declare the channel as a constant in `repro/sim/channels.py`"
-        " (and update consumers); test-only channels are baselined with a"
-        " justification."
+        " (and update consumers); a test-only channel takes"
+        " `# reprolint: allow REP003 (reason)` on the flagged line."
     )
 
     #: Override for tests (None -> load from ``repro.sim.channels``).

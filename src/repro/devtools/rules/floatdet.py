@@ -95,7 +95,6 @@ class FloatDeterminismRule(Rule):
     rule_id = "REP007"
     title = "float sums go through exact accumulators; fast-path pow stays per-element"
     exempt_paths = ("analysis/stats.py",)  # the exact accumulators themselves
-    supports_waiver = True
     rationale = (
         "`sum()` over floats is evaluation-order dependent, so shard merges"
         " stop being associative and `--jobs 1 != --jobs N` (the PR 6"

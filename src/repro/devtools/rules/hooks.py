@@ -97,8 +97,8 @@ class FaultHookGuardRule(Rule):
     example = "self._fault_hook.on_sample(value)  # hook may be None"
     escape_hatch = (
         "Guard with `if self._fault_hook is not None:` (or an early"
-        " return); call sites where the hook is provably always set are"
-        " baselined with a justification."
+        " return); a call site where the hook is provably always set"
+        " takes `# reprolint: allow REP005 (reason)` on the flagged line."
     )
 
     def visit_Call(self, node: ast.Call) -> None:

@@ -16,8 +16,7 @@ discipline relies on that — e.g. ``PERSONA_DIMENSIONS`` declaration
 order *is* the draw order.
 
 Escape hatch: ``# reprolint: allow REP008 (reason)`` on the flagged
-line or the line above — the reason is mandatory.  ``repro lint --fix``
-wraps flagged iterables in ``sorted(...)`` automatically.
+line or the line above — the reason is mandatory.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ _ORDER_INSENSITIVE_CONSUMERS = frozenset(
 def set_iteration_sites(tree: ast.Module) -> list[tuple[ast.AST, ast.expr]]:
     """All ``(anchor_node, iterable_expr)`` set-iteration sites in a module.
 
-    Shared by the rule (reporting) and the fixer (rewriting), so the two
-    can never disagree about what is flagged.  The anchor is the node
-    findings are reported at (the ``for`` statement / comprehension /
-    call); the iterable is the set expression to wrap in ``sorted()``.
+    The anchor is the node findings are reported at (the ``for``
+    statement / comprehension / call); the iterable is the set
+    expression to wrap in ``sorted()``.
     """
     module_flow = FunctionFlow(tree)
     sites: list[tuple[ast.AST, ast.expr]] = []
@@ -129,7 +127,6 @@ class IterationOrderRule(Rule):
 
     rule_id = "REP008"
     title = "set iteration must go through sorted() on result-producing paths"
-    supports_waiver = True
     rationale = (
         "Sets iterate in hash order, which varies with insertion history"
         " and across processes; any set iteration feeding traces, snapshots"
@@ -143,7 +140,7 @@ class IterationOrderRule(Rule):
         "    trace.register(channel)"
     )
     escape_hatch = (
-        "Wrap the iterable in `sorted(...)` (or run `repro lint --fix`);"
+        "Wrap the iterable in `sorted(...)`;"
         " for order-insensitive folds add"
         " `# reprolint: allow REP008 (reason)` on the flagged line."
     )
@@ -161,7 +158,7 @@ class IterationOrderRule(Rule):
             self.report(
                 anchor,
                 "iteration over a set is hash-ordered: wrap the iterable in"
-                " `sorted(...)` (auto-fixable via `repro lint --fix`) or"
+                " `sorted(...)` or"
                 " waive with a reason if the fold is order-insensitive",
             )
         return self.findings

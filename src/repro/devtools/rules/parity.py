@@ -19,7 +19,7 @@ the documentation of which fast paths carry oracles.
 
 Escape hatch: deleting a dual path legitimately (scalar path retired)
 means removing its registry line in the same commit; a transitional
-state can be baselined with a justification.
+state takes an inline ``# reprolint: allow REP009 (reason)`` waiver.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ class DualPathParityRule(ProjectRule):
     )
     escape_hatch = (
         "Retiring a dual path legitimately means deleting its"
-        " PARITY_PAIRS entry in the same commit; transitional states can"
-        " be baselined with a justification."
+        " PARITY_PAIRS entry in the same commit; a transitional state"
+        " takes `# reprolint: allow REP009 (reason)` on the flagged line"
+        " (the pair's definition in its module)."
     )
     #: The registry (overridable in tests / fixture runs).
     pairs: ClassVar[tuple[ParityPair, ...]] = PARITY_PAIRS

@@ -66,9 +66,9 @@ class SeededRngOnlyRule(Rule):
     )
     example = "values = np.random.rand(32)  # legacy global stream"
     escape_hatch = (
-        "`repro lint --fix` rewrites mechanical cases to"
-        " `np.random.default_rng(0).<method>(...)` (review the seed!);"
-        " anything else is baselined with a justification."
+        "Take a `numpy.random.Generator` (or spawn one from a"
+        " `SeedSequence`) from the caller instead; a deliberate exception"
+        " takes `# reprolint: allow REP002 (reason)` on the flagged line."
     )
 
     def visit_Import(self, node: ast.Import) -> None:

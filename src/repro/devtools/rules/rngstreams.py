@@ -56,7 +56,6 @@ class RngStreamCollisionRule(Rule):
 
     rule_id = "REP006"
     title = "SeedSequence spawn-key domains must come from the sim/streams registry"
-    supports_waiver = True
     rationale = (
         "Spawn keys are plain tuples: two modules picking the same first"
         " element with overlapping trailing elements silently share RNG bit"

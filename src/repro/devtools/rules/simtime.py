@@ -88,8 +88,9 @@ class SimTimeDisciplineRule(Rule):
     example = "if event.time == deadline:  # float equality on sim time"
     escape_hatch = (
         "Compare with explicit tolerances or ordering (`<=`), and"
-        " validate delays at the call site; deliberate exact comparisons"
-        " (e.g. against a sentinel) are baselined with a justification."
+        " validate delays at the call site; a deliberate exact comparison"
+        " (e.g. against a sentinel) takes"
+        " `# reprolint: allow REP004 (reason)` on the flagged line."
     )
 
     def visit_Compare(self, node: ast.Compare) -> None:

@@ -264,6 +264,7 @@ def execute_shard(
     any job count.
     """
     events_before = kernel.global_events_processed()
+    # reprolint: allow REP001 (shard wall time for `repro run-all`'s timing report; read around the shard, never inside the sim)
     start = time.perf_counter()
     obs_payload: Optional[dict[str, Any]] = None
     if observe:
@@ -280,6 +281,7 @@ def execute_shard(
     else:
         data = _dispatch_shard(spec, seed, shard)
         events = kernel.global_events_processed() - events_before
+    # reprolint: allow REP001 (shard wall time for `repro run-all`'s timing report; read around the shard, never inside the sim)
     wall_s = time.perf_counter() - start
     return ShardResult(
         spec.experiment_id, shard.index, data, events, wall_s, obs_payload

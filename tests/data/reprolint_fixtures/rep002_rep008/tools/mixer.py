@@ -1,7 +1,7 @@
-"""``--fix`` fixture: one REP008 and one REP002 mechanical fix.
+"""Determinism fixture: one REP008 and one REP002 finding.
 
-``repro lint --fix`` must leave this tree re-linting clean, and a
-second ``--fix`` run must be byte-stable (no further edits).
+The engine-determinism property test lints this file among others; it
+must yield exactly these two findings on every run, in any tree.
 """
 
 import numpy as np

@@ -1,15 +1,19 @@
 """Tests for the reprolint static-analysis framework (repro.devtools).
 
-Per-rule fixture snippets (positive and negative), baseline round-trip,
-the pinned JSON report schema, CLI exit codes, and the meta-test: the
-real ``src/repro`` tree must lint clean against the committed baseline.
+Per-rule fixture snippets (positive and negative), the pinned JSON
+report schema, CLI exit codes, and the meta-tests: the real
+``src/repro`` tree must lint clean, and every inline waiver in it must
+still cover a real finding.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import textwrap
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -17,14 +21,14 @@ import pytest
 import repro
 from repro.cli import main
 from repro.devtools import (
-    Baseline,
     LintEngine,
     Severity,
     default_rules,
     format_json,
     format_text,
 )
-from repro.devtools.baseline import BaselineEntry, discover_baseline
+from repro.devtools import engine as engine_module
+from repro.devtools.base import waiver_reason
 from repro.devtools.rules import (
     ALL_RULES,
     FaultHookGuardRule,
@@ -35,7 +39,6 @@ from repro.devtools.rules import (
 )
 from repro.sim.channels import CHANNELS, EVENTS, FAULT_RECOVERY, FAULTS
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = Path(repro.__file__).parent
 
 
@@ -429,7 +432,33 @@ class TestEngine:
         cache = tmp_path / "__pycache__"
         cache.mkdir()
         (cache / "junk.py").write_text("import random\n")
-        assert LintEngine().lint_tree(tmp_path) == []
+        assert LintEngine().lint_project(tmp_path) == []
+
+    def test_non_utf8_source_becomes_finding(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "ok.py").write_text("x = 1\n")
+        (sim / "bin.py").write_bytes(b"\xff\xfe")
+        (finding,) = LintEngine().lint_project(tmp_path)
+        assert (finding.rule, finding.path) == ("REP000", "sim/bin.py")
+        assert (finding.line, finding.col) == (1, 0)
+        assert "UTF-8" in finding.message
+        # the CLI reports it like any finding instead of a traceback
+        assert main(["lint", "--root", str(tmp_path)]) == 1
+        assert "sim/bin.py:1:0: REP000" in capsys.readouterr().out
+
+    def test_non_utf8_test_file_becomes_finding(self, tmp_path):
+        src = tmp_path / "src" / "pkg"
+        src.mkdir(parents=True)
+        (src / "ok.py").write_text("x = 1\n")
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_ok.py").write_text("def test_a():\n    pass\n")
+        (tests / "test_bin.py").write_bytes(b"x = 1\n# caf\xe9\n")
+        (finding,) = LintEngine().lint_project(src)
+        assert finding.rule == "REP000"
+        assert finding.path == "../../tests/test_bin.py"
+        assert (finding.line, finding.col) == (2, 5)
 
     def test_severity_is_error_by_default(self):
         findings = lint("import random\n")
@@ -442,93 +471,6 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        entry = BaselineEntry(
-            rule="REP001",
-            path="runner/sharding.py",
-            snippet="start = time.perf_counter()",
-            justification="bench telemetry",
-        )
-        baseline = Baseline([entry])
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == [entry]
-        # byte-stable writes
-        loaded.save(tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-
-    def test_matching_is_line_number_independent(self):
-        findings = lint(
-            "import time\n\n\ndef f():\n    return time.time()\n",
-            rules=[NoWallClockRule],
-        )
-        baseline = Baseline.from_findings(findings, justification="ok")
-        moved = lint(
-            "import time\n# a new comment shifts every line\n\n\n"
-            "def f():\n    return time.time()\n",
-            rules=[NoWallClockRule],
-        )
-        applied = baseline.apply(moved)
-        assert all(f.suppressed for f in applied)
-
-    def test_empty_justification_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "REP001",
-                            "path": "x.py",
-                            "snippet": "y",
-                            "justification": "  ",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="justification"):
-            Baseline.load(path)
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError, match="version"):
-            Baseline.load(path)
-
-    def test_from_findings_preserves_justifications(self):
-        findings = lint("import random\n", rules=[SeededRngOnlyRule])
-        first = Baseline.from_findings(findings, justification="because")
-        regenerated = Baseline.from_findings(findings, previous=first)
-        assert regenerated.entries[0].justification == "because"
-
-    def test_unmatched_entries_reported_stale(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    rule="REP001",
-                    path="gone.py",
-                    snippet="x = time.time()",
-                    justification="was real once",
-                )
-            ]
-        )
-        assert len(baseline.unmatched_entries([])) == 1
-
-    def test_discover_walks_up(self, tmp_path):
-        (tmp_path / "reprolint-baseline.json").write_text("{}")
-        nested = tmp_path / "a" / "b"
-        nested.mkdir(parents=True)
-        found = discover_baseline(nested)
-        assert found == tmp_path / "reprolint-baseline.json"
-
-
-# ---------------------------------------------------------------------------
 # report formats
 # ---------------------------------------------------------------------------
 class TestReport:
@@ -538,7 +480,7 @@ class TestReport:
         payload = json.loads(
             format_json(findings, engine.rule_ids(), "src/repro")
         )
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["tool"] == "reprolint"
         assert payload["root"] == "src/repro"
         assert payload["rules"] == [
@@ -552,11 +494,7 @@ class TestReport:
             "REP008",
             "REP009",
         ]
-        assert payload["counts"] == {
-            "total": 1,
-            "suppressed": 0,
-            "reported": 1,
-        }
+        assert payload["counts"] == {"total": 1, "reported": 1}
         (finding,) = payload["findings"]
         assert set(finding) == {
             "rule",
@@ -566,8 +504,6 @@ class TestReport:
             "severity",
             "message",
             "snippet",
-            "suppressed",
-            "occurrence",
         }
         assert finding["rule"] == "REP002"
         assert finding["path"] == "sim/x.py"
@@ -578,20 +514,7 @@ class TestReport:
         findings = engine.lint_source("import random\n", "sim/x.py")
         text = format_text(findings, engine.rule_ids(), "src/repro")
         assert "sim/x.py:1:0: REP002" in text
-        assert "1 finding(s) (0 baselined)" in text
-
-    def test_text_hides_suppressed_unless_verbose(self):
-        engine = LintEngine()
-        findings = engine.lint_source("import random\n", "sim/x.py")
-        baseline = Baseline.from_findings(findings, justification="ok")
-        applied = baseline.apply(findings)
-        quiet = format_text(applied, engine.rule_ids(), "r")
-        loud = format_text(applied, engine.rule_ids(), "r", verbose=True)
-        assert "REP002" not in quiet.splitlines()[0] or len(
-            quiet.splitlines()
-        ) == 1
-        assert "[baselined]" in loud
-
+        assert "reprolint: 1 finding(s) over src/repro" in text
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -613,21 +536,19 @@ class TestLintCli:
         (bad / "clock.py").write_text(
             "import time\n\n\ndef f():\n    return time.time()\n"
         )
-        code = main(["lint", "--root", str(tmp_path), "--no-baseline"])
+        code = main(["lint", "--root", str(tmp_path)])
         assert code == 1
         assert "REP001" in capsys.readouterr().out
 
     def test_rule_subset_filter(self, tmp_path, capsys):
         (tmp_path / "x.py").write_text("import random\nimport time\n")
         code = main(
-            ["lint", "--root", str(tmp_path), "--no-baseline", "--rules",
-             "REP001"]
+            ["lint", "--root", str(tmp_path), "--rules", "REP001"]
         )
         # only REP001 ran, and `import time` alone is not a clock read
         assert code == 0
         assert main(
-            ["lint", "--root", str(tmp_path), "--no-baseline", "--rules",
-             "REP002"]
+            ["lint", "--root", str(tmp_path), "--rules", "REP002"]
         ) == 1
 
     def test_unknown_rule_id_is_usage_error(self, tmp_path):
@@ -635,55 +556,74 @@ class TestLintCli:
             ["lint", "--root", str(tmp_path), "--rules", "REP999"]
         ) == 2
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "bad.py").write_text("import random\n")
-        baseline_path = tmp_path / "reprolint-baseline.json"
-        # a dirty tree fails without a baseline...
-        assert main(["lint", "--root", str(tree)]) == 1
-        # ...writing one (to an explicit, not-yet-existing path) passes it
-        code = main(
-            ["lint", "--root", str(tree), "--baseline", str(baseline_path),
-             "--write-baseline"]
+    def test_help_lists_only_root_format_rules(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        flags = sorted(
+            {token.rstrip(",") for token in out.split() if token.startswith("--")}
         )
-        assert code == 0
-        assert baseline_path.is_file()
-        code = main(
-            ["lint", "--root", str(tree), "--baseline", str(baseline_path)]
-        )
-        assert code == 0
+        assert flags == ["--format", "--help", "--root", "--rules"]
 
-    def test_explicit_missing_baseline_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--baseline=x.json",
+            "--no-baseline",
+            "--changed",
+            "--fix",
+            "--cache-dir=.cache",
+            "--verbose",
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, flag, capsys):
         (tmp_path / "x.py").write_text("x = 1\n")
-        assert main(
-            ["lint", "--root", str(tmp_path), "--baseline",
-             str(tmp_path / "nope.json")]
-        ) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--root", str(tmp_path), flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
 # the meta-test: the repo itself must be clean
 # ---------------------------------------------------------------------------
 class TestRepoIsClean:
-    def test_tree_lints_clean_against_committed_baseline(self):
+    def test_tree_lints_clean(self):
         engine = LintEngine()
         start = time.perf_counter()
-        findings = engine.lint_tree(SRC_ROOT)
+        findings = engine.lint_project(SRC_ROOT)
         elapsed = time.perf_counter() - start
-        baseline = Baseline.load(REPO_ROOT / "reprolint-baseline.json")
-        applied = baseline.apply(findings)
-        reported = [f for f in applied if not f.suppressed]
-        assert reported == [], "non-baselined findings:\n" + "\n".join(
-            f"{f.location()} {f.rule} {f.message}" for f in reported
+        assert findings == [], "findings:\n" + "\n".join(
+            f"{f.location()} {f.rule} {f.message}" for f in findings
         )
-        # acceptance criterion: all five rules over src/repro in < 5 s
+        # acceptance criterion: every rule over src/repro in < 5 s
         assert elapsed < 5.0, f"lint took {elapsed:.2f}s"
 
-    def test_committed_baseline_has_no_stale_entries(self):
-        findings = LintEngine().lint_tree(SRC_ROOT)
-        baseline = Baseline.load(REPO_ROOT / "reprolint-baseline.json")
-        assert baseline.unmatched_entries(findings) == []
+    def test_every_inline_waiver_is_used(self, monkeypatch):
+        """A waiver whose finding is gone is stale: delete it."""
+        waivers = set()
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+            for token in tokens:
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = re.search(r"allow\s+(REP\d{3})", token.string)
+                if match and waiver_reason(token.string, match.group(1)):
+                    rel = path.relative_to(SRC_ROOT).as_posix()
+                    waivers.add((match.group(1), rel, token.start[0]))
+        assert waivers
+        monkeypatch.setattr(engine_module, "waived", lambda *_: False)
+        findings = LintEngine().lint_project(SRC_ROOT)
+        covered = {(f.rule, f.path, f.line) for f in findings}
+        stale = sorted(
+            (rule, path, line)
+            for rule, path, line in waivers
+            if (rule, path, line) not in covered
+            and (rule, path, line + 1) not in covered
+        )
+        assert stale == []
 
     def test_default_rules_are_all_rules(self):
         assert default_rules() == ALL_RULES

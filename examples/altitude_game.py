@@ -40,7 +40,7 @@ def main() -> None:
     rng = np.random.default_rng(1)
     hand = Hand(
         sim,
-        lambda d: board.set_pose(distance_cm=d),
+        board.set_distance,
         start_cm=16.0,
         rng=sim.spawn_rng(),
     )

@@ -22,6 +22,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.core.config import DeviceConfig
@@ -102,7 +103,16 @@ class DistScroll:
     # physical interaction (what the hand does)
     # ------------------------------------------------------------------
     def hold_at(self, distance_cm: float) -> None:
-        """Place the device at a distance from the body (instantaneous)."""
+        """Place the device at a distance from the body (instantaneous).
+
+        Raises
+        ------
+        ValueError
+            If ``distance_cm`` is not finite: a NaN pose would reach the
+            sensor and read as "out of range" instead of failing here.
+        """
+        if not math.isfinite(distance_cm):
+            raise ValueError(f"distance must be finite, got {distance_cm}")
         self.board.set_pose(distance_cm=distance_cm)
 
     @property

@@ -98,7 +98,7 @@ def _dive_and_park(
         device.firmware._max_plausible_delta = 10**9
     hand = Hand(
         device.sim,
-        lambda d: device.board.set_pose(distance_cm=d),
+        device.board.set_distance,
         start_cm=15.0,
         rng=device.sim.spawn_rng(),
     )

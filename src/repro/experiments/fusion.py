@@ -104,7 +104,7 @@ def _dive_and_park(seed: int, depth_cm: float, dual: bool) -> bool:
     )
     hand = Hand(
         device.sim,
-        lambda d: device.board.set_pose(distance_cm=d),
+        device.board.set_distance,
         start_cm=15.0,
         rng=device.sim.spawn_rng(),
     )

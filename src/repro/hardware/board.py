@@ -113,6 +113,14 @@ class DistScrollBoard:
         if roll_rad is not None:
             self.roll_rad = float(roll_rad)
 
+    def set_distance(self, distance_cm: float) -> None:
+        """Set the device–body distance: the hand model's pose writer.
+
+        One bound call per hand update, where :meth:`set_pose` would
+        take keyword arguments; the hand always writes a ``float``.
+        """
+        self.distance_cm = distance_cm
+
     def apply_contrast(self) -> None:
         """Propagate the potentiometer wiper to both displays."""
         contrast = self.potentiometer.position

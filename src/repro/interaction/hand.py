@@ -24,6 +24,8 @@ from repro.sim.kernel import PeriodicTask, Simulator
 
 __all__ = ["minimum_jerk", "Hand"]
 
+_TWO_PI = 2.0 * math.pi
+
 
 def minimum_jerk(tau: float) -> float:
     """The minimum-jerk position profile on normalized time [0, 1].
@@ -43,8 +45,8 @@ class Hand:
     sim:
         Shared simulator.
     write_pose:
-        Callback receiving the current true distance (cm); normally
-        ``lambda d: board.set_pose(distance_cm=d)``.
+        Callback receiving the current true distance (cm); normally the
+        board's :meth:`~repro.hardware.board.DistScrollBoard.set_distance`.
     start_cm:
         Initial rest distance.
     tremor_rms_cm:
@@ -56,6 +58,14 @@ class Hand:
         Pose update rate (well above the firmware and tremor rates).
     rng:
         Noise generator; ``None`` disables tremor and endpoint noise.
+
+    Raises
+    ------
+    ValueError
+        If ``start_cm`` or ``tremor_rms_cm`` is not finite, if
+        ``tremor_rms_cm`` is negative, or if ``update_hz`` is not a finite
+        positive rate.  Any of them would otherwise write a NaN pose (or
+        silently no tremor) on every update.
     """
 
     def __init__(
@@ -68,9 +78,20 @@ class Hand:
         update_hz: float = 120.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if not math.isfinite(start_cm):
+            raise ValueError(f"start distance must be finite, got {start_cm}")
+        if not (math.isfinite(tremor_rms_cm) and tremor_rms_cm >= 0):
+            raise ValueError(
+                "tremor amplitude must be finite and >= 0, got "
+                f"{tremor_rms_cm}"
+            )
+        if not (math.isfinite(update_hz) and update_hz > 0):
+            raise ValueError(
+                f"update rate must be finite and positive, got {update_hz}"
+            )
         self._sim = sim
         self._write_pose = write_pose
-        self._rng = rng
+        self._gauss = None if rng is None else rng.standard_normal
         self.tremor_rms_cm = float(tremor_rms_cm)
         self.tremor_hz = float(tremor_hz)
         self._update_period = 1.0 / float(update_hz)
@@ -157,31 +178,50 @@ class Hand:
     # internals
     # ------------------------------------------------------------------
     def _update(self) -> None:
-        self._advance_tremor()
-        position = self.position()
+        # One update: the tremor step, position() and the fatigue and pose
+        # bookkeeping, fused into one frame.  Every float operation runs in
+        # the order the unfused methods ran it, on the same two draws.
+        rms = self.tremor_rms_cm
+        dt = self._update_period
+        gauss = self._gauss
+        if gauss is None or rms <= 0.0:
+            tremor = 0.0
+        else:
+            # A noisy oscillator: sinusoid with phase-jittered frequency
+            # plus a small broadband component — matches the 6–12 Hz
+            # tremor band.  ``0.0 + s * standard_normal()`` is
+            # ``rng.normal(0.0, s)``'s own sum on the same draw, without
+            # its per-call argument handling.
+            phase = self._tremor_phase + (
+                _TWO_PI * self.tremor_hz * dt * (1.0 + (0.0 + 0.1 * gauss()))
+            )
+            self._tremor_phase = phase
+            broadband = 0.0 + 0.6 * gauss()
+            tremor = rms * (0.8 * math.sin(phase) + 0.45 * broadband)
+        self._tremor_state = tremor
+
+        duration = self._move_duration
+        if duration <= 0:
+            voluntary = self._rest_cm
+        else:
+            move_from = self._move_from
+            tau = (self._sim.now - self._move_start) / duration
+            if tau >= 1.0:
+                # minimum_jerk() is exactly 1.0 once the reach is over.
+                voluntary = move_from + (self._move_to - move_from)
+            else:
+                if tau < 0.0:
+                    tau = 0.0
+                s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+                voluntary = move_from + (self._move_to - move_from) * s
+        position = voluntary + tremor
+
         travel = abs(position - self._last_position)
         self.total_path_cm += travel
-        extension = max(position - self._relaxed_cm, 0.0) / self._relaxed_cm
-        holding_cost = (0.25 + extension) * self._update_period
-        self.fatigue_units += holding_cost + 0.06 * travel
+        extension = position - self._relaxed_cm
+        if extension < 0.0:
+            extension = 0.0
+        extension /= self._relaxed_cm
+        self.fatigue_units += (0.25 + extension) * dt + 0.06 * travel
         self._last_position = position
-        self._write_pose(max(position, 0.5))
-
-    def _advance_tremor(self) -> None:
-        if self._rng is None or self.tremor_rms_cm <= 0.0:
-            self._tremor_state = 0.0
-            return
-        # A noisy oscillator: sinusoid with phase-jittered frequency plus
-        # a small broadband component — matches the 6–12 Hz tremor band.
-        # ``0.0 + s * standard_normal()`` is ``rng.normal(0.0, s)``'s own
-        # sum on the same draw, without its per-call argument handling.
-        gauss = self._rng.standard_normal
-        dt = self._update_period
-        self._tremor_phase += (
-            2.0 * math.pi * self.tremor_hz * dt * (1.0 + (0.0 + 0.1 * gauss()))
-        )
-        periodic = math.sin(self._tremor_phase)
-        broadband = 0.0 + 0.6 * gauss()
-        self._tremor_state = self.tremor_rms_cm * (
-            0.8 * periodic + 0.45 * broadband
-        )
+        self._write_pose(0.5 if position < 0.5 else position)

@@ -209,7 +209,7 @@ class SimulatedUser:
         board = self.device.board
         self.hand = Hand(
             self.device.sim,
-            lambda d: board.set_pose(distance_cm=d),
+            board.set_distance,
             start_cm=board.distance_cm,
             tremor_rms_cm=tremor,
             rng=self.rng,

@@ -12,8 +12,15 @@ baseline.  Two kinds of number come out:
   speedup.  Dimensionless and machine-independent, so the gate can
   enforce them anywhere (the fast path must stay >= 3x).
 
-Wall-clock reads live in exactly one helper (:func:`_timed`); they are
-intentional host-time telemetry around — never inside — the
+``units_per_s`` is best-of-N.  A ratio of two benchmarks
+(:data:`PAIRED_RATIOS`) is measured *paired*: every round times its
+numerator and denominator back to back, alternating which goes first,
+and the ratio is the median of the per-round ratios.  Both halves of a
+round see the same host, so a shared machine's drift between two
+workloads timed seconds apart no longer moves the gate.
+
+Wall-clock reads live in exactly one helper (:func:`_timed_once`); they
+are intentional host-time telemetry around — never inside — the
 deterministic simulation, and carry inline ``# reprolint: allow REP001``
 waivers accordingly.
 """
@@ -21,6 +28,7 @@ waivers accordingly.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +52,14 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.25
 DEFAULT_MIN_SPEEDUP = 3.0
 DEFAULT_MIN_EFFICIENCY = 0.8
+
+#: Derived ratio -> (numerator, denominator) benchmark names, each
+#: measured paired when both benchmarks run (see the module docstring).
+PAIRED_RATIOS: dict[str, tuple[str, str]] = {
+    "calib_vector_speedup": ("calib-sweep-vectorized", "calib-sweep-scalar"),
+    "obs_enabled_ratio": ("device-second-observed", "device-second"),
+    "batch_speedup": ("device-second-batched", "device-second"),
+}
 
 
 @dataclass(frozen=True)
@@ -78,29 +94,39 @@ class BenchRecord:
 Workload = Callable[[], "int | tuple[int, dict]"]
 
 
-def _timed(workload: Workload, rounds: int) -> tuple[float, int, dict]:
-    """Best-of-``rounds`` wall time for a workload returning its units.
+def _timed_once(workload: Workload) -> tuple[float, int, dict]:
+    """One round's wall time, units and notes for a workload."""
+    # reprolint: allow REP001 (`repro bench` throughput for BENCH_perf.json; times a whole workload, never read inside the sim)
+    start = time.perf_counter()
+    outcome = workload()
+    # reprolint: allow REP001 (`repro bench` throughput for BENCH_perf.json; times a whole workload, never read inside the sim)
+    elapsed = time.perf_counter() - start
+    if isinstance(outcome, tuple):
+        units, notes = outcome
+        return elapsed, units, notes
+    return elapsed, outcome, {}
 
-    When the workload returns ``(units, notes)``, the notes of the best
-    round are kept — they describe the same execution the reported wall
-    time came from.
+
+@dataclass
+class _Best:
+    """Best-of-N accumulator for one benchmark's rounds.
+
+    The notes of the best round are kept — they describe the same
+    execution the reported wall time came from.
     """
-    best = float("inf")
-    units = 0
-    notes: dict = {}
-    for _ in range(rounds):
-        # reprolint: allow REP001 (`repro bench` throughput for BENCH_perf.json; times a whole workload, never read inside the sim)
-        start = time.perf_counter()
-        outcome = workload()
-        # reprolint: allow REP001 (`repro bench` throughput for BENCH_perf.json; times a whole workload, never read inside the sim)
-        elapsed = time.perf_counter() - start
-        if isinstance(outcome, tuple):
-            round_units, round_notes = outcome
-        else:
-            round_units, round_notes = outcome, {}
-        if elapsed < best:
-            best, units, notes = elapsed, round_units, round_notes
-    return best, units, notes
+
+    wall_s: float = float("inf")
+    units: int = 0
+    notes: dict = field(default_factory=dict)
+    rounds: int = 0
+
+    def time(self, workload: Workload) -> float:
+        """Run one round; returns its throughput (units per second)."""
+        elapsed, units, notes = _timed_once(workload)
+        self.rounds += 1
+        if elapsed < self.wall_s:
+            self.wall_s, self.units, self.notes = elapsed, units, notes
+        return units / elapsed if elapsed > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +453,58 @@ def run_benchmarks(
 
     # Best-of-N: even in quick mode a second round so first-call costs
     # (module imports, numpy ufunc setup) never pollute the measurement.
+    # Paired ratios take more rounds: their median must be steady.
     rounds = 2 if quick else 3
+    paired_rounds = 15 if quick else 31
+    workloads = {name: BENCHMARKS[name][0](quick) for name in names}
+    best = {name: _Best() for name in names}
+    ratios = {
+        key: pair
+        for key, pair in PAIRED_RATIOS.items()
+        if pair[0] in workloads and pair[1] in workloads
+    }
+    paired = {name for pair in ratios.values() for name in pair}
+    for name in names:
+        if name not in paired:
+            for _ in range(rounds):
+                best[name].time(workloads[name])
+    # Round-robin over the ratios, so each ratio's rounds spread across
+    # the whole paired phase instead of one burst of host state.
+    ratio_rounds: dict[str, list[float]] = {key: [] for key in ratios}
+    for index in range(paired_rounds):
+        for key, (numerator, denominator) in ratios.items():
+            first, second = (
+                (numerator, denominator) if index % 2 == 0
+                else (denominator, numerator)
+            )
+            rate = {first: best[first].time(workloads[first])}
+            rate[second] = best[second].time(workloads[second])
+            ratio_rounds[key].append(
+                rate[numerator] / rate[denominator]
+                if rate[denominator] > 0 else 0.0
+            )
+
     records: dict[str, BenchRecord] = {}
     for name in names:
-        factory, unit_name = BENCHMARKS[name]
-        workload = factory(quick)
-        wall_s, units, notes = _timed(workload, rounds)
+        measured = best[name]
         record = BenchRecord(
             name=name,
-            wall_s=wall_s,
-            units=units,
-            unit_name=unit_name,
-            rounds=rounds,
-            notes=notes,
+            wall_s=measured.wall_s,
+            units=measured.units,
+            unit_name=BENCHMARKS[name][1],
+            rounds=measured.rounds,
+            notes=measured.notes,
         )
         records[name] = record
         say(
-            f"{name:24s} {wall_s:8.3f}s  {units:>9d} {unit_name:8s}"
-            f"  {record.units_per_s:12,.0f}/s"
+            f"{name:24s} {record.wall_s:8.3f}s  {record.units:>9d} "
+            f"{record.unit_name:8s}  {record.units_per_s:12,.0f}/s"
         )
 
-    derived: dict[str, float] = {}
-    scalar = records.get("calib-sweep-scalar")
-    vector = records.get("calib-sweep-vectorized")
-    if scalar and vector and scalar.units_per_s > 0:
-        derived["calib_vector_speedup"] = (
-            vector.units_per_s / scalar.units_per_s
-        )
+    derived: dict[str, float] = {
+        key: statistics.median(values) for key, values in ratio_rounds.items()
+    }
+    if "calib_vector_speedup" in derived:
         say(
             "calibration fast path: "
             f"{derived['calib_vector_speedup']:.2f}x scalar throughput"
@@ -463,23 +514,14 @@ def run_benchmarks(
         # Surfaced as a named derived value so dashboards and the gate
         # can track "how big a study is feasible" directly.
         derived["users_per_second"] = study.units_per_s
-    plain = records.get("device-second")
-    observed = records.get("device-second-observed")
-    if plain and observed and plain.units_per_s > 0:
-        derived["obs_enabled_ratio"] = (
-            observed.units_per_s / plain.units_per_s
-        )
+    if "obs_enabled_ratio" in derived:
         say(
             "observability enabled: "
             f"{derived['obs_enabled_ratio']:.2f}x null-recorder throughput"
         )
-    batched = records.get("device-second-batched")
-    if plain and batched and plain.units_per_s > 0:
+    if "batch_speedup" in derived:
         # Device-ticks vs kernel events of the same 50 Hz firmware loop:
         # how much the SoA engine buys over stepping devices one by one.
-        derived["batch_speedup"] = (
-            batched.units_per_s / plain.units_per_s
-        )
         say(
             "batched engine: "
             f"{derived['batch_speedup']:.1f}x scalar device throughput"
@@ -501,10 +543,12 @@ def run_benchmarks(
         "generated_by": "python -m repro bench",
         "quick": quick,
         "rounds": rounds,
+        "paired_rounds": paired_rounds,
         "benchmarks": {
             name: records[name].to_json() for name in names
         },
         "derived": derived,
+        "ratio_rounds": ratio_rounds,
     }
 
 

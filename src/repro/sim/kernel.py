@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "Event",
     "Simulator",
     "Process",
+    "RecurringTask",
     "PeriodicTask",
     "BatchTask",
     "global_events_processed",
@@ -76,6 +78,9 @@ _COMPACT_MIN_CANCELLED = 64
 #: Pre-drawn jitter values per :class:`PeriodicTask` refill.
 _JITTER_BATCH = 64
 
+#: ``max_events`` of a dispatch with no event budget.
+_NO_LIMIT = 1 << 62
+
 
 def global_events_processed() -> int:
     """Total events executed by all simulators in this process."""
@@ -104,7 +109,10 @@ class Event:
     never compared during sift operations.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_cancel_hook")
+    __slots__ = (
+        "time", "priority", "seq", "callback", "cancelled", "task",
+        "_cancel_hook",
+    )
 
     def __init__(
         self,
@@ -119,6 +127,10 @@ class Event:
         self.seq = seq
         self.callback = callback
         self.cancelled = False
+        #: The :class:`PeriodicTask` or :class:`BatchTask` this event fires
+        #: for; the kernel re-arms such an event in place after its
+        #: callback returns.
+        self.task: Optional[RecurringTask] = None
         #: Owning simulator's dead-event accounting; detached once the
         #: event leaves the queue so late cancels cannot skew the count.
         self._cancel_hook = cancel_hook
@@ -274,7 +286,12 @@ class Simulator:
 
         Returns the :class:`Event`, which the caller may :meth:`Event.cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:
+            if math.isnan(delay):
+                raise SimulationError(
+                    "cannot schedule with a NaN delay: it orders before "
+                    "every other event and its time never compares"
+                )
             raise SimulationError(
                 f"cannot schedule in the past (delay={delay}): the simulated "
                 f"clock is at {self._now} and only moves forward — use a "
@@ -299,6 +316,8 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
+        if math.isnan(time):
+            raise SimulationError("cannot schedule at a NaN time")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}: the clock already reached "
@@ -326,64 +345,109 @@ class Simulator:
         :meth:`Process.kill` otherwise accumulate dead entries that every
         ``heappush`` must sift past.  Rebuilding keeps the same
         ``(time, priority, seq)`` keys, so execution order is untouched.
+        The rebuild is in place: :meth:`_dispatch` holds the queue list
+        across the callbacks that trigger it.
         """
-        for entry in self._queue:
+        queue = self._queue
+        for entry in queue:
             if entry[3].cancelled:
                 entry[3]._cancel_hook = None
-        before = len(self._queue)
-        self._queue = [
-            entry for entry in self._queue if not entry[3].cancelled
-        ]
-        heapq.heapify(self._queue)
+        before = len(queue)
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
+        heapq.heapify(queue)
         self._cancelled_in_queue = 0
         if self._obs_recorder is not None:
             self._obs_recorder.counter("kernel.compactions")
             self._obs_recorder.observe(
                 "kernel.compaction.purged",
-                float(before - len(self._queue)),
+                float(before - len(queue)),
                 low=1.0,
                 high=1e6,
             )
+
+    def _dispatch(
+        self,
+        end_time: float,
+        max_events: int,
+        condition: Optional[Callable[[], bool]],
+    ) -> int:
+        """The event loop: every event of every run method executes here.
+
+        Runs live events in ``(time, priority, seq)`` order, at most
+        ``max_events`` of them, none later than ``end_time``, checking
+        ``condition()`` (when given) before each one.  Cancelled heads are
+        discarded *before* the time check, so a corpse at the head never
+        lets a later live event slip past ``end_time``.  Returns the
+        number of events executed.
+
+        A :class:`PeriodicTask`'s or :class:`BatchTask`'s event is
+        re-armed in place once its callback returns and the task still
+        runs: the same ``Event`` object goes back on the heap at
+        ``now + delay`` with a fresh sequence number, followed by the same
+        compaction check as :meth:`schedule` — exactly the
+        ``schedule(delay, ...)`` the task would otherwise make, so dispatch
+        order is unchanged.  This is the kernel's only re-arm site.
+        """
+        global _global_event_count
+        queue = self._queue
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        sequence = self._seq
+        note_cancelled = self._note_cancelled
+        obs_events = self._obs_events
+        executed = 0
+        while executed < max_events and (condition is None or condition()):
+            while queue and queue[0][3].cancelled:
+                self._discard(heappop(queue)[3])
+            if not queue or queue[0][0] > end_time:
+                break
+            event = heappop(queue)[3]
+            event._cancel_hook = None
+            self._now = event.time
+            self._event_count += 1
+            _global_event_count += 1
+            if obs_events is not None:
+                obs_events.inc()
+            event.callback()
+            executed += 1
+            task = event.task
+            if task is not None and task._running:
+                time = self._now + (
+                    task._period if task._rng is None else task._next_delay()
+                )
+                seq = next(sequence)
+                event.time = time
+                event.seq = seq
+                event.cancelled = False
+                event._cancel_hook = note_cancelled
+                heappush(queue, (time, event.priority, seq, event))
+                self._finished = False
+                if (
+                    self._cancelled_in_queue > _COMPACT_MIN_CANCELLED
+                    and self._cancelled_in_queue * 2 > len(queue)
+                ):
+                    self._compact()
+        return executed
 
     def step(self) -> bool:
         """Execute the next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
-        global _global_event_count
-        while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                self._discard(event)
-                continue
-            event._cancel_hook = None
-            self._now = event.time
-            self._event_count += 1
-            _global_event_count += 1
-            if self._obs_events is not None:
-                self._obs_events.inc()
-            event.callback()
-            return True
-        return False
+        return self._dispatch(math.inf, 1, None) == 1
 
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then set the clock.
 
         Events scheduled exactly at ``end_time`` do run.
         """
+        if math.isnan(end_time):
+            raise SimulationError("run_until(nan): the end time must be a number")
         if end_time < self._now:
             raise SimulationError(
                 f"run_until({end_time}) is before now ({self._now})"
             )
-        while self._queue:
-            head = self._queue[0][3]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                self._discard(head)
-                continue
-            if head.time > end_time:
-                break
-            self.step()
+        self._dispatch(end_time, _NO_LIMIT, None)
         self._now = end_time
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -404,12 +468,10 @@ class Simulator:
                 "queue is empty — schedule new events before calling run() "
                 "again, or create a fresh Simulator for a new run"
             )
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                return
-        self._finished = True
+        # A budget below one still runs one event, as it always has.
+        limit = _NO_LIMIT if max_events is None else max(max_events, 1)
+        if self._dispatch(math.inf, limit, None) < limit:
+            self._finished = True
 
     def run_while(self, condition: Callable[[], bool], max_time: float) -> None:
         """Run while ``condition()`` holds, but never past ``max_time``.
@@ -418,15 +480,11 @@ class Simulator:
         No event later than ``max_time`` ever executes, even when cancelled
         events sit at the head of the queue.
         """
-        while condition():
-            # Discard cancelled heads first: peeking a cancelled event's
-            # time and then calling step() would execute the next *live*
-            # event, which may lie past max_time.
-            while self._queue and self._queue[0][3].cancelled:
-                self._discard(heapq.heappop(self._queue)[3])
-            if not self._queue or self._queue[0][0] > max_time:
-                break
-            self.step()
+        if math.isnan(max_time):
+            raise SimulationError(
+                "run_while(max_time=nan): the deadline must be a number"
+            )
+        self._dispatch(max_time, _NO_LIMIT, condition)
         if not condition():
             return
         self._now = max(self._now, max_time)
@@ -489,7 +547,7 @@ class Process:
             self._alive = False
             self._pending = None
             return
-        if delay is None or delay < 0:
+        if delay is None or not delay >= 0:
             self.kill()
             raise SimulationError(
                 f"process yielded invalid delay {delay!r}; expected >= 0"
@@ -497,52 +555,31 @@ class Process:
         self._pending = self._sim.schedule(float(delay), self._resume)
 
 
-class PeriodicTask:
-    """A callback invoked at a fixed period until stopped.
+class RecurringTask:
+    """Base of :class:`PeriodicTask` and :class:`BatchTask`.
 
-    This is the backbone of every polling loop in the hardware simulation:
-    ADC sampling, firmware ticks, display refresh, battery discharge.
-
-    Parameters
-    ----------
-    sim:
-        The simulator to schedule on.
-    period:
-        Seconds between invocations (must be > 0).
-    callback:
-        Called with no arguments each period.
-    phase:
-        Delay before the first invocation; defaults to one full period.
-    jitter:
-        Optional standard deviation of Gaussian timing jitter, in seconds.
-        Real microcontroller loops are not perfectly periodic; a small jitter
-        decorrelates sampling from user motion.
+    A recurring task owns one :class:`Event` for its whole life.  While the
+    task runs, the simulator's event loop re-arms that event in place after
+    each invocation: ``period`` seconds later, or after a jittered delay
+    when the task draws timing jitter.
     """
 
-    def __init__(
+    _period: float
+    _rng: Optional[np.random.Generator] = None
+    _running: bool
+    _event: Optional[Event]
+
+    def _arm(
         self,
         sim: Simulator,
-        period: float,
         callback: Callable[[], None],
-        phase: Optional[float] = None,
-        jitter: float = 0.0,
+        phase: Optional[float],
     ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self._sim = sim
-        self._period = float(period)
-        self._callback = callback
-        self._jitter = float(jitter)
-        self._rng = sim.spawn_rng() if jitter > 0 else None
-        # Jitter draws come from a private spawned generator that nothing
-        # else reads, so they can be pre-drawn in batches:
-        # ``rng.normal(size=n)`` is stream-identical to n scalar draws.
-        self._jitter_pool: Optional[np.ndarray] = None
-        self._jitter_index = 0
+        """Schedule the first invocation and adopt its event."""
         self._running = True
-        self._event: Optional[Event] = None
         first = self._period if phase is None else float(phase)
-        self._event = sim.schedule(first, self._tick)
+        self._event = sim.schedule(first, callback)
+        self._event.task = self
 
     @property
     def period(self) -> float:
@@ -562,6 +599,53 @@ class PeriodicTask:
             self._event = None
 
     def _next_delay(self) -> float:
+        return self._period
+
+
+class PeriodicTask(RecurringTask):
+    """A callback invoked at a fixed period until stopped.
+
+    This is the backbone of every polling loop in the hardware simulation:
+    ADC sampling, firmware ticks, display refresh, battery discharge.
+
+    Parameters
+    ----------
+    sim:
+        The simulator to schedule on.
+    period:
+        Seconds between invocations (must be > 0).
+    callback:
+        Called with no arguments each period.  The task's event calls it
+        directly; the kernel re-arms the event in place afterwards.
+    phase:
+        Delay before the first invocation; defaults to one full period.
+    jitter:
+        Optional standard deviation of Gaussian timing jitter, in seconds.
+        Real microcontroller loops are not perfectly periodic; a small jitter
+        decorrelates sampling from user motion.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        period: float,
+        callback: Callable[[], None],
+        phase: Optional[float] = None,
+        jitter: float = 0.0,
+    ) -> None:
+        if not period > 0:
+            raise SimulationError(f"period must be positive, got {period}")
+        self._period = float(period)
+        self._jitter = float(jitter)
+        self._rng = sim.spawn_rng() if jitter > 0 else None
+        # Jitter draws come from a private spawned generator that nothing
+        # else reads, so they can be pre-drawn in batches:
+        # ``rng.normal(size=n)`` is stream-identical to n scalar draws.
+        self._jitter_pool: Optional[np.ndarray] = None
+        self._jitter_index = 0
+        self._arm(sim, callback, phase)
+
+    def _next_delay(self) -> float:
         if self._rng is None:
             return self._period
         if self._jitter_pool is None or self._jitter_index >= len(
@@ -575,15 +659,8 @@ class PeriodicTask:
         self._jitter_index += 1
         return max(delay, self._period * 0.1)
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        self._callback()
-        if self._running:
-            self._event = self._sim.schedule(self._next_delay(), self._tick)
 
-
-class BatchTask:
+class BatchTask(RecurringTask):
     """A periodic *batch event*: one kernel event advancing many devices.
 
     The structure-of-arrays engine (:class:`repro.core.batch.DeviceBatch`)
@@ -619,41 +696,17 @@ class BatchTask:
         step: Callable[[float], int],
         phase: Optional[float] = None,
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
         self._sim = sim
         self._period = float(period)
         self._step = step
-        self._running = True
-        self._event: Optional[Event] = None
-        first = self._period if phase is None else float(phase)
-        self._event = sim.schedule(first, self._tick)
-
-    @property
-    def period(self) -> float:
-        """Nominal period in seconds."""
-        return self._period
-
-    @property
-    def running(self) -> bool:
-        """Whether the task will fire again."""
-        return self._running
-
-    def stop(self) -> None:
-        """Cancel any pending invocation and stop rescheduling."""
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._arm(sim, self._tick, phase)
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         units = self._step(self._sim.now)
         if units:
             self._sim.note_batch_units(units)
-        if self._running:
-            self._event = self._sim.schedule(self._period, self._tick)
 
 
 def drain(sim: Simulator, events: Iterable[tuple[float, Callable[[], None]]]) -> None:

@@ -102,6 +102,43 @@ class TestRunBenchmarks:
         assert entry["scheduler_efficiency"] == efficiency
 
 
+class TestPairedRatios:
+    def test_rounds_alternate_and_report_the_median(self, monkeypatch):
+        import repro.perf.bench as bench
+
+        calls: list[str] = []
+
+        def factory(name):
+            def workload():
+                calls.append(name)
+                return 1000
+
+            return lambda quick: workload
+
+        fake = {
+            "device-second": (factory("plain"), "events"),
+            "device-second-observed": (factory("observed"), "events"),
+        }
+        monkeypatch.setattr(bench, "BENCHMARKS", fake)
+        report = bench.run_benchmarks(quick=True)
+        rounds = report["paired_rounds"]
+        assert calls[:4] == ["observed", "plain", "plain", "observed"]
+        assert len(calls) == 2 * rounds
+        per_round = report["ratio_rounds"]["obs_enabled_ratio"]
+        assert len(per_round) == rounds
+        assert report["derived"]["obs_enabled_ratio"] == sorted(per_round)[
+            rounds // 2
+        ]
+        # Absolute throughput stays best-of: the best of every round run.
+        assert report["benchmarks"]["device-second"]["rounds"] == rounds
+
+    def test_lone_half_of_a_pair_is_unpaired_best_of_n(self):
+        report = run_benchmarks(only=["device-second"], quick=True)
+        assert report["derived"] == {}
+        assert report["ratio_rounds"] == {}
+        assert report["benchmarks"]["device-second"]["rounds"] == 2
+
+
 class TestCheckReport:
     def test_passes_when_identical(self):
         baseline = _report({"a": 100.0}, {"calib_vector_speedup": 5.0})

@@ -8,34 +8,29 @@ calibration, or inspect an island-map configuration.
 Commands
 --------
 ``experiments``            list all experiment ids
-``run <id> [--seed N] [--csv PATH] [--jobs N]
-          [--resume] [--speculate] [--manifest PATH]
+``run <id> [--seed N] [--csv PATH] [--jobs N] [--resume]
           [--users N [--personas SPEC] [--battery NAME]]``
-                           run one experiment and print its table;
-                           ``--jobs N`` shards it through the parallel
-                           runner: inline for 1, across N work-queue
-                           worker processes for N >= 2.  For STUDY1,
-                           ``--users N``
-                           switches to the population-scale persona
-                           study (streaming aggregation, O(1) memory,
-                           byte-identical for any job count); for
-                           ARENA, ``--users/--personas/--battery``
-                           reshape the cross-technique tournament the
-                           same way (``--personas``/``--battery`` work
-                           without ``--users`` there);
-                           ``--resume`` continues an interrupted run
-                           from its shard cache and manifest,
-                           recomputing only the missing shards, and
-                           ``--speculate`` re-executes stragglers on
-                           idle workers (first result wins, digests
-                           asserted equal)
-``run-all [--jobs N] [--resume] [--speculate]
-          [--manifest PATH] [--no-cache] [--only ID,ID] [--seed N]
+                           run one experiment through the runner and
+                           print its table (progress lines go to
+                           stderr); ``--jobs`` 1 (default) runs its
+                           shards inline, N >= 2 across N work-queue
+                           worker processes, with identical rows.  For
+                           STUDY1, ``--users N`` switches to the
+                           population-scale persona study (streaming
+                           aggregation, O(1) memory); for ARENA,
+                           ``--users/--personas/--battery`` reshape the
+                           cross-technique tournament the same way
+                           (``--personas``/``--battery`` work without
+                           ``--users`` there); ``--resume`` reads and
+                           writes the on-disk shard cache, so an
+                           interrupted run recomputes only the missing
+                           shards
+``run-all [--jobs N] [--no-cache] [--only ID,ID] [--seed N]
           [--csv-dir DIR] [--cache-dir DIR] [--bench PATH]``
-                           run the whole suite through the parallel
-                           runner with the on-disk result cache, and
-                           record per-experiment wall-clock and
-                           events/second into ``BENCH_runner.json``
+                           run the whole suite through the runner with
+                           the on-disk result cache, and record
+                           per-experiment wall-clock and events/second
+                           into ``BENCH_runner.json``
 ``calibrate [--seed N]``   print the Figure-4 sweep for one specimen
 ``demo [--seed N]``        scripted device walk-through on the phone menu
 ``islands [--entries N] [--near CM] [--far CM] [--fill F]
@@ -68,26 +63,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runner.registry import REGISTRY, build_runner
+from repro.runner.registry import REGISTRY
 
-__all__ = ["main", "EXPERIMENT_RUNNERS"]
-
-#: Registry: experiment id -> zero-config runner returning a result.
-#: Derived from the declarative specs in :mod:`repro.runner.registry`;
-#: kept as a mapping of callables for backward compatibility.
-EXPERIMENT_RUNNERS: dict[str, Callable[[int], ExperimentResult]] = {
-    experiment_id: build_runner(spec)
-    for experiment_id, spec in REGISTRY.items()
-}
+__all__ = ["main"]
 
 
 def _cmd_experiments(_args: argparse.Namespace) -> int:
-    for experiment_id in EXPERIMENT_RUNNERS:
+    for experiment_id in REGISTRY:
         print(experiment_id)
     return 0
+
+
+def _unknown_experiment(experiment_id: str) -> int:
+    print(
+        f"unknown experiment {experiment_id!r}; "
+        "see `python -m repro experiments`",
+        file=sys.stderr,
+    )
+    return 2
+
+
+def _stderr_line(line: str) -> None:
+    print(line, file=sys.stderr)
 
 
 def _parse_crash_plan(
@@ -128,47 +128,33 @@ def _parse_crash_plan(
     return plan
 
 
-def _runner_options(
+def _crash_plan(
     args: argparse.Namespace,
-) -> Optional[dict[str, object]]:
-    """Validate the shared runner-v2 flags into run_experiments kwargs.
+) -> Optional[dict[tuple[str, int], int]]:
+    """Validate ``--inject-crash`` into a crash plan (``{}`` if unset).
 
     Returns ``None`` (after printing to stderr) on misuse — a malformed
-    ``--inject-crash``, or one without worker processes to kill — so
-    both ``run`` and ``run-all`` exit 2 instead of tracebacking.
+    token, or one without worker processes to kill — so both ``run``
+    and ``run-all`` exit 2 instead of tracebacking.
     """
-    crash_plan = _parse_crash_plan(getattr(args, "inject_crash", None) or [])
-    if crash_plan is None:
-        return None
-    if crash_plan and (args.jobs or 1) < 2:
+    crash_plan = _parse_crash_plan(args.inject_crash or [])
+    if crash_plan and args.jobs < 2:
         print(
             "--inject-crash requires --jobs >= 2 (it kills worker"
             " processes, and --jobs 1 runs inline)",
             file=sys.stderr,
         )
         return None
-    return {
-        "resume": bool(getattr(args, "resume", False)),
-        "speculate": bool(getattr(args, "speculate", False)),
-        "manifest_path": getattr(args, "manifest", None),
-        "crash_plan": crash_plan or None,
-    }
+    return crash_plan
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment_id = args.experiment_id.upper()
-    runner = EXPERIMENT_RUNNERS.get(experiment_id)
-    if runner is None:
-        print(
-            f"unknown experiment {args.experiment_id!r}; "
-            "see `python -m repro experiments`",
-            file=sys.stderr,
-        )
-        return 2
-    trace_out = getattr(args, "trace_out", None)
-    users = getattr(args, "users", None)
-    personas = getattr(args, "personas", None)
-    battery_name = getattr(args, "battery", None)
+    if experiment_id not in REGISTRY:
+        return _unknown_experiment(args.experiment_id)
+    users = args.users
+    personas = args.personas
+    battery_name = args.battery
     population = (
         users is not None or personas is not None or battery_name is not None
     )
@@ -183,26 +169,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    options = _runner_options(args)
-    if options is None:
+    crash_plan = _crash_plan(args)
+    if crash_plan is None:
         return 2
-    # Any runner-v2 flag forces the sharded path: the serial runner has
-    # no executor, no shard cache and no manifest.
-    sharded = any(value for value in options.values())
-    cache = None
-    if options["resume"]:
-        from repro.runner import ResultCache
-        from repro.runner.cache import default_cache_dir
-
-        # Resume is shard-cache driven: completed shards are read back
-        # from the on-disk cache, so --resume implies using it.
-        cache = ResultCache()
-        if options["manifest_path"] is None:
-            options["manifest_path"] = (
-                default_cache_dir()
-                / "manifests"
-                / f"{experiment_id}-seed{args.seed}.json"
-            )
     overrides = None
     if population:
         if experiment_id not in ("STUDY1", "ARENA"):
@@ -211,8 +180,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        from repro.interaction.personas import parse_spec
+        from repro.interaction.tasks import battery
         from repro.runner.registry import arena_spec, scaled_user_study_spec
 
+        # Shards parse these inside each worker; reject a bad value
+        # here, before anything is submitted.
+        try:
+            parse_spec(personas or "full")
+            battery(battery_name or "scrolltest")
+        except ValueError as error:
+            print(f"repro run: {error}", file=sys.stderr)
+            return 2
         if experiment_id == "ARENA":
             default_users = dict(REGISTRY["ARENA"].params)["n_users"]
             spec = arena_spec(
@@ -227,28 +206,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 battery=battery_name or "scrolltest",
             )
         overrides = {experiment_id: spec}
-    if args.jobs is None and trace_out is None and not (population or sharded):
-        result = runner(args.seed)
-    else:
-        # --trace-out always routes through the sharded runner (even for
-        # --jobs 1) so the observed payload takes the identical
-        # shard/merge path for every job count.
-        from repro.runner.pool import CrashPlanError, run_experiments
+    from repro.runner.cache import ResultCache
+    from repro.runner.pool import CrashPlanError, run_experiments
 
-        try:
-            results, _bench = run_experiments(
-                [experiment_id],
-                seed=args.seed,
-                jobs=args.jobs or 1,
-                cache=cache,
-                observe=trace_out is not None,
-                overrides=overrides,
-                **options,
-            )
-        except CrashPlanError as error:
-            print(f"--inject-crash: {error}", file=sys.stderr)
-            return 2
-        result = results[experiment_id]
+    trace_out = args.trace_out
+    try:
+        results, _bench = run_experiments(
+            [experiment_id],
+            seed=args.seed,
+            jobs=args.jobs,
+            # Resume is shard-cache driven: completed shards are read
+            # back from the on-disk cache, so --resume means using it.
+            cache=ResultCache() if args.resume else None,
+            echo=_stderr_line,
+            observe=trace_out is not None,
+            overrides=overrides,
+            crash_plan=crash_plan or None,
+        )
+    except CrashPlanError as error:
+        print(f"--inject-crash: {error}", file=sys.stderr)
+        return 2
+    result = results[experiment_id]
     print(result.table())
     if args.csv:
         result.to_csv(args.csv)
@@ -273,12 +251,8 @@ def _observed_result(
     """Run one experiment under the observed runner path."""
     from repro.runner import run_experiments
 
-    if experiment_id not in EXPERIMENT_RUNNERS:
-        print(
-            f"unknown experiment {experiment_id!r}; "
-            "see `python -m repro experiments`",
-            file=sys.stderr,
-        )
+    if experiment_id not in REGISTRY:
+        _unknown_experiment(experiment_id)
         return None
     results, _bench = run_experiments(
         [experiment_id], seed=seed, jobs=jobs, observe=True
@@ -366,7 +340,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         if not experiment_ids:
             print(f"--only {args.only!r} selects no experiment", file=sys.stderr)
             return 2
-        unknown = [i for i in experiment_ids if i not in EXPERIMENT_RUNNERS]
+        unknown = [i for i in experiment_ids if i not in REGISTRY]
         if unknown:
             print(
                 f"unknown experiment ids: {', '.join(unknown)}; "
@@ -375,27 +349,12 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             )
             return 2
     else:
-        experiment_ids = list(EXPERIMENT_RUNNERS)
+        experiment_ids = list(REGISTRY)
 
-    options = _runner_options(args)
-    if options is None:
-        return 2
-    if options["resume"] and args.no_cache:
-        print(
-            "--resume is shard-cache driven and cannot be combined with"
-            " --no-cache",
-            file=sys.stderr,
-        )
+    crash_plan = _crash_plan(args)
+    if crash_plan is None:
         return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if (
-        options["resume"]
-        and options["manifest_path"] is None
-        and cache is not None
-    ):
-        options["manifest_path"] = (
-            cache.root / "manifests" / f"run-all-seed{args.seed}.json"
-        )
     try:
         _results, bench = run_experiments(
             experiment_ids,
@@ -405,7 +364,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             csv_dir=args.csv_dir,
             bench_path=args.bench,
             echo=print,
-            **options,
+            crash_plan=crash_plan or None,
         )
     except CrashPlanError as error:
         print(f"--inject-crash: {error}", file=sys.stderr)
@@ -442,14 +401,18 @@ def _cmd_islands(args: argparse.Namespace) -> int:
     from repro.sensors.gp2d120 import GP2D120
 
     placement = Placement(args.placement)
-    island_map = build_island_map(
-        GP2D120(rng=None),
-        ADC(rng=None),
-        args.entries,
-        range_cm=(args.near, args.far),
-        island_fill=args.fill,
-        placement=placement,
-    )
+    try:
+        island_map = build_island_map(
+            GP2D120(rng=None),
+            ADC(rng=None),
+            args.entries,
+            range_cm=(args.near, args.far),
+            island_fill=args.fill,
+            placement=placement,
+        )
+    except ValueError as error:
+        print(f"repro islands: {error}", file=sys.stderr)
+        return 2
     print(
         f"island map: {args.entries} entries over {args.near}-{args.far} cm, "
         f"fill {args.fill}, placement {placement.value}"
@@ -564,10 +527,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     only = None
-    if args.only:
+    if args.only is not None:
         only = [
             token.strip() for token in args.only.split(",") if token.strip()
         ]
+        if not only:
+            print(f"--only {args.only!r} selects no benchmark", file=sys.stderr)
+            return 2
         unknown = [name for name in only if name not in BENCHMARKS]
         if unknown:
             print(
@@ -618,28 +584,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_runner_v2_flags(parser: argparse.ArgumentParser) -> None:
-    """The resume/speculation/fault flags shared by run and run-all."""
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted run: completed shards are read "
-        "back from the shard cache and only the missing ones are "
-        "recomputed (the manifest records the split)",
-    )
-    parser.add_argument(
-        "--speculate",
-        action="store_true",
-        help="re-execute straggler shards on idle workers once the "
-        "queue drains; first result wins, both digests must agree",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=None,
-        metavar="PATH",
-        help="write the resumable run manifest here (default with "
-        "--resume: under the cache directory)",
-    )
+def _add_inject_crash_flag(parser: argparse.ArgumentParser) -> None:
+    """The worker-fault flag shared by run and run-all."""
     parser.add_argument(
         "--inject-crash",
         action="append",
@@ -667,17 +613,26 @@ def _bounded_int(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-_jobs = _bounded_int(1)
+_positive = _bounded_int(1)
 _seed = _bounded_int(0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one stderr line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="DistScroll reproduction command-line interface",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser
+    )
 
     sub.add_parser(
         "experiments", help="list experiment ids"
@@ -689,12 +644,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--csv", default=None, help="also write CSV here")
     run_parser.add_argument(
         "--jobs",
-        type=_jobs,
-        default=None,
-        help="shard through the parallel runner: inline for 1, N "
-        "work-queue worker processes for N >= 2 (same rows as serial)",
+        type=_positive,
+        default=1,
+        help="worker processes: 1 (default) runs the shards inline, N >= 2 "
+        "on N work-queue workers (same rows either way)",
     )
-    _add_runner_v2_flags(run_parser)
+    run_parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="read and write the on-disk shard cache, so an interrupted "
+        "run recomputes only the missing shards",
+    )
+    _add_inject_crash_flag(run_parser)
     run_parser.add_argument(
         "--trace-out",
         default=None,
@@ -704,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--users",
-        type=int,
+        type=_positive,
         default=None,
         metavar="N",
         help="STUDY1/ARENA: run the population-scale persona study (or "
@@ -734,9 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_all_parser.add_argument("--seed", type=_seed, default=0)
     run_all_parser.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
+        "--jobs", type=_positive, default=1, help="worker processes (default 1)"
     )
-    _add_runner_v2_flags(run_all_parser)
+    _add_inject_crash_flag(run_all_parser)
     run_all_parser.add_argument(
         "--only",
         default=None,
@@ -778,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     islands_parser = sub.add_parser(
         "islands", help="print the island table for a configuration"
     )
-    islands_parser.add_argument("--entries", type=int, default=10)
+    islands_parser.add_argument("--entries", type=_positive, default=10)
     islands_parser.add_argument("--near", type=float, default=5.0)
     islands_parser.add_argument("--far", type=float, default=28.0)
     islands_parser.add_argument("--fill", type=float, default=0.62)
@@ -873,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("experiment_id")
     trace_parser.add_argument("--seed", type=_seed, default=0)
     trace_parser.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
+        "--jobs", type=_positive, default=1, help="worker processes (default 1)"
     )
     trace_parser.add_argument(
         "--out", default=None, metavar="PATH", help="also write a trace file"
@@ -898,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_parser.add_argument("--seed", type=_seed, default=0)
     metrics_parser.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (default 1)"
+        "--jobs", type=_positive, default=1, help="worker processes (default 1)"
     )
     metrics_parser.add_argument(
         "--no-histograms",

@@ -135,7 +135,7 @@ class BatchDeviceSpec:
     """Everything that makes device ``index`` the device it is.
 
     Derivation is O(1) per device (:func:`derive_device_spec`) so any
-    shard can materialize any device — the ``devicebatch`` sharder
+    shard can materialize any device — FLEET's ``userblocks`` sharding
     depends on this for ``--jobs`` invariance.
     """
 

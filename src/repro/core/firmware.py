@@ -570,13 +570,7 @@ class Firmware:
             if not self._foldback_latch and self._obs is not None:
                 self._obs.counter("firmware.foldback.latches")
             self._foldback_latch = True
-            if self.config.fast_scroll_enabled:
-                self._fast_active = True
-                self._fast_accumulator += self.config.firmware_period_s
-                step_period = 1.0 / self.config.fast_scroll_rate_hz
-                while self._fast_accumulator >= step_period:
-                    self._fast_accumulator -= step_period
-                    self._fast_step(now)
+            self._fast_scroll_tick(now)
             return
         if self._foldback_latch:
             # The device crossed the voltage peak: readings below the
@@ -620,10 +614,10 @@ class Firmware:
         # the highlight moves.  (The GP2D120 holds its output for ~38 ms,
         # so counting firmware ticks would double-count one measurement —
         # the confirmation window is expressed in sensor-cycle time.)
-        if slot != getattr(self, "_confirmed_slot", None):
+        if slot != self._confirmed_slot:
             cycle = self.board.distance_sensor.params.cycle_time_s
             needed = self.config.confirm_samples * cycle
-            if slot != getattr(self, "_candidate_slot", None):
+            if slot != self._candidate_slot:
                 self._candidate_slot = slot
                 self._candidate_since = now
             if now - self._candidate_since < needed - 1e-9:
@@ -663,13 +657,7 @@ class Firmware:
         if not fused.valid:
             return  # nothing in front of either sensor: hold selection
         if fused.in_foldback:
-            if self.config.fast_scroll_enabled:
-                self._fast_active = True
-                self._fast_accumulator += self.config.firmware_period_s
-                step_period = 1.0 / self.config.fast_scroll_rate_hz
-                while self._fast_accumulator >= step_period:
-                    self._fast_accumulator -= step_period
-                    self._fast_step(now)
+            self._fast_scroll_tick(now)
             return
         if self._fast_active:
             self._fast_active = False
@@ -677,15 +665,20 @@ class Firmware:
         # Near-peak codes above the mapped span also drive fast-scroll,
         # mirroring the single-sensor gesture region.
         if code > self._fast_threshold_code:
-            if self.config.fast_scroll_enabled:
-                self._fast_active = True
-                self._fast_accumulator += self.config.firmware_period_s
-                step_period = 1.0 / self.config.fast_scroll_rate_hz
-                while self._fast_accumulator >= step_period:
-                    self._fast_accumulator -= step_period
-                    self._fast_step(now)
+            self._fast_scroll_tick(now)
             return
         self._apply_slot_lookup(code, now)
+
+    def _fast_scroll_tick(self, now: float) -> None:
+        """Advance the fast-scroll gesture by one tick (if enabled)."""
+        if not self.config.fast_scroll_enabled:
+            return
+        self._fast_active = True
+        self._fast_accumulator += self.config.firmware_period_s
+        step_period = 1.0 / self.config.fast_scroll_rate_hz
+        while self._fast_accumulator >= step_period:
+            self._fast_accumulator -= step_period
+            self._fast_step(now)
 
     def _fast_step(self, now: float) -> None:
         """One fast-scroll increment toward the near-end of the list."""

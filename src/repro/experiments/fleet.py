@@ -10,7 +10,7 @@ structure-of-arrays engine, driven by a single kernel
 Shard discipline mirrors the ``userblocks`` study: every device's spec
 and RNG streams derive from ``(seed, device_index)`` alone
 (:func:`repro.core.batch.derive_device_spec`), so any block partition of
-the same fleet produces identical per-device rows and the ``devicebatch``
+the same fleet produces identical per-device rows and the ``userblocks``
 sharder keeps ``--jobs 1 == --jobs N`` byte-identical.  The summary table
 additionally carries a digest over every per-device row, so a shard
 layout bug cannot hide behind aggregation.
@@ -156,7 +156,7 @@ def run_fleet(
 ) -> ExperimentResult:
     """Serial driver of the fleet experiment (the ``--jobs 1`` path).
 
-    Walks the identical block decomposition the ``devicebatch`` sharder
+    Walks the identical block decomposition the ``userblocks`` sharder
     uses and concatenates block rows in order, so serial and parallel
     runs are byte-identical by construction.
     """

@@ -1,11 +1,9 @@
 """The two executors behind the parallel runner.
 
 The scheduler in :mod:`repro.runner.pool` drives an executor through
-one contract: it submits :class:`ShardTask` work units, polls for
-:class:`Completion` events in whatever order shards actually finish,
-and asks how much idle capacity is left (the signal that drives
-speculative re-execution of stragglers).  The job count alone picks
-the executor (:func:`make_executor`):
+one contract: it submits :class:`ShardTask` work units and polls for
+:class:`Completion` events in whatever order shards actually finish.
+The job count alone picks the executor (:func:`make_executor`):
 
 ``inline`` (``jobs == 1``)
     No processes at all.  Tasks execute one per ``poll`` call inside
@@ -13,9 +11,8 @@ the executor (:func:`make_executor`):
     work queue must match byte-for-byte.
 ``workqueue`` (``jobs >= 2``)
     Long-lived ``multiprocessing`` worker processes consuming a shared
-    task queue and reporting on a result queue — the single-machine
-    stand-in for a multi-machine fleet.  The driver sees ``start``
-    events per attempt, detects worker death (by liveness, not by
+    task queue and reporting on a result queue.  The driver sees
+    ``start`` events per shard, detects worker death (by liveness, not by
     timeout), requeues the lost shard exactly once per crash, and
     spawns a replacement worker to keep capacity constant.  A shard
     that raises comes back as a :class:`ShardExecutionError` carrying
@@ -29,9 +26,8 @@ Work units are location-independent by construction — a task is
 ``(spec, seed, shard index, observe)`` and the shard is re-derived
 O(1) inside the worker (:func:`repro.runner.sharding.make_shard`) — so
 any attempt of any task on any worker produces the same bytes.  That
-is the determinism argument that makes retry *and* speculation safe:
-first result wins, and when both attempts finish the driver asserts
-their digests match.
+is the determinism argument that makes crash retry safe: the requeued
+shard replays the lost attempt bit for bit.
 
 This module deliberately reads no clocks: all wall-time telemetry
 (queue-wait, execute, merge spans) is measured by the driver in
@@ -80,7 +76,7 @@ class ShardExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One schedulable work unit (an attempt at a shard)."""
+    """One schedulable work unit: a shard of one experiment."""
 
     key: TaskKey
     spec: ExperimentSpec
@@ -92,10 +88,9 @@ class ShardTask:
 
 @dataclass
 class Completion:
-    """One finished attempt, success or failure."""
+    """One finished shard, success or failure."""
 
     key: TaskKey
-    attempt: int
     result: Optional[ShardResult] = None
     #: The original exception (inline) — re-raised by the driver.
     error: Optional[BaseException] = None
@@ -108,25 +103,24 @@ class Completion:
 class Executor(Protocol):
     """The executor contract the scheduler drives.
 
-    ``submit`` enqueues an attempt at a shard; ``poll`` blocks up to
-    ``timeout`` seconds and returns whatever attempts finished, in
-    completion order; ``running``/``queued``/``idle_capacity`` expose
-    the occupancy signals that drive speculation; ``cancel_pending``
-    abandons all outstanding work (first-error cancellation) and
-    ``close`` releases workers.
+    ``submit`` enqueues a shard; ``poll`` blocks up to ``timeout``
+    seconds and returns whatever shards finished, in completion order;
+    ``running``/``queued`` expose occupancy (the stall check);
+    ``cancel_pending`` abandons all outstanding work (first-error
+    cancellation) and ``close`` releases workers.  ``retries`` counts
+    worker losses per shard.
     """
 
     name: str
+    retries: dict[TaskKey, int]
 
-    def submit(self, task: "ShardTask", attempt: int = 0) -> None: ...
+    def submit(self, task: "ShardTask") -> None: ...
 
     def poll(self, timeout: float) -> list["Completion"]: ...
 
     def running(self) -> set[TaskKey]: ...
 
     def queued(self) -> int: ...
-
-    def idle_capacity(self) -> int: ...
 
     def cancel_pending(self) -> None: ...
 
@@ -156,23 +150,25 @@ class InlineExecutor:
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = 1
-        self._queue: list[tuple[ShardTask, int]] = []
+        #: Always empty: inline execution has no worker to lose.
+        self.retries: dict[TaskKey, int] = {}
+        self._queue: list[ShardTask] = []
 
-    def submit(self, task: ShardTask, attempt: int = 0) -> None:
-        self._queue.append((task, attempt))
+    def submit(self, task: ShardTask) -> None:
+        self._queue.append(task)
 
     def poll(self, timeout: float) -> list[Completion]:
         """Execute the next queued task and report it."""
         if not self._queue:
             return []
-        task, attempt = self._queue.pop(0)
+        task = self._queue.pop(0)
         try:
             result = run_shard_task(
                 task.spec, task.seed, task.key[1], task.observe
             )
         except Exception as error:
-            return [Completion(task.key, attempt, error=error)]
-        return [Completion(task.key, attempt, result=result)]
+            return [Completion(task.key, error=error)]
+        return [Completion(task.key, result=result)]
 
     def running(self) -> set[TaskKey]:
         """Keys currently executing (inline never has any mid-poll)."""
@@ -180,9 +176,6 @@ class InlineExecutor:
 
     def queued(self) -> int:
         return len(self._queue)
-
-    def idle_capacity(self) -> int:
-        return 0  # never speculate against ourselves
 
     def cancel_pending(self) -> None:
         self._queue.clear()
@@ -198,7 +191,7 @@ def _workqueue_worker(
 ) -> None:
     """Worker main loop: consume tasks until the ``None`` sentinel.
 
-    Every attempt is announced with a ``start`` event before execution,
+    Every shard is announced with a ``start`` event before execution,
     so the driver knows exactly which shard a worker was holding if it
     dies.  A task whose ``crash`` flag is set simulates that death:
     the worker announces the start, then exits hard without a result —
@@ -208,8 +201,8 @@ def _workqueue_worker(
         item = tasks.get()
         if item is None:
             break
-        key, attempt, spec, seed, index, observe, crash = item
-        results.put(("start", worker_id, key, attempt))
+        key, spec, seed, index, observe, crash = item
+        results.put(("start", worker_id, key))
         if crash:
             # ``Queue.put`` hands off to a feeder thread; flush it before
             # dying, or the driver never learns the shard was in flight.
@@ -219,26 +212,23 @@ def _workqueue_worker(
         try:
             result = run_shard_task(spec, seed, index, observe)
         except BaseException:
-            results.put(
-                ("error", worker_id, key, attempt, traceback.format_exc())
-            )
+            results.put(("error", worker_id, key, traceback.format_exc()))
         else:
-            results.put(("done", worker_id, key, attempt, result))
+            results.put(("done", worker_id, key, result))
 
 
 @dataclass
 class _WorkerState:
     process: multiprocessing.process.BaseProcess
-    #: Attempts announced (``start``) but not yet finished.
-    in_flight: dict[TaskKey, int] = field(default_factory=dict)
+    #: Shards announced (``start``) but not yet finished.
+    in_flight: set[TaskKey] = field(default_factory=set)
 
 
 class WorkQueueExecutor:
     """Work-queue fan-out over long-lived worker processes.
 
-    The local stand-in for a distributed fleet: work units travel over
-    a queue, workers are individually mortal, and the driver owns
-    retry.  ``crash_plan`` maps a :data:`TaskKey` to how many times its
+    Work units travel over a queue, workers are individually mortal,
+    and the driver owns retry.  ``crash_plan`` maps a :data:`TaskKey` to how many times its
     execution should be killed mid-shard before being allowed to
     finish — the runner-level analogue of a
     :class:`repro.faults.FaultWindow`, injected deterministically so
@@ -266,7 +256,6 @@ class WorkQueueExecutor:
         self._queued = 0
         self._next_worker_id = 0
         self._workers: dict[int, _WorkerState] = {}
-        self._done_keys: set[TaskKey] = set()
         self._closed = False
         for _ in range(self.workers):
             self._spawn_worker()
@@ -282,14 +271,13 @@ class WorkQueueExecutor:
         process.start()
         self._workers[worker_id] = _WorkerState(process)
 
-    def _enqueue(self, task: ShardTask, attempt: int) -> None:
+    def _enqueue(self, task: ShardTask) -> None:
         crash = self._crashes_remaining.get(task.key, 0) > 0
         if crash:
             self._crashes_remaining[task.key] -= 1
         self._tasks.put(
             (
                 task.key,
-                attempt,
                 task.spec,
                 task.seed,
                 task.key[1],
@@ -299,9 +287,9 @@ class WorkQueueExecutor:
         )
         self._queued += 1
 
-    def submit(self, task: ShardTask, attempt: int = 0) -> None:
+    def submit(self, task: ShardTask) -> None:
         self._tasks_by_key[task.key] = task
-        self._enqueue(task, attempt)
+        self._enqueue(task)
 
     def _reap_dead_workers(self) -> None:
         """Requeue the in-flight work of any worker that died."""
@@ -313,11 +301,9 @@ class WorkQueueExecutor:
         for worker_id in dead:
             state = self._workers.pop(worker_id)
             state.process.join()
-            for key, attempt in state.in_flight.items():
-                if key in self._done_keys:
-                    continue  # a speculative twin already delivered it
+            for key in state.in_flight:
                 self.retries[key] = self.retries.get(key, 0) + 1
-                self._enqueue(self._tasks_by_key[key], attempt + 1)
+                self._enqueue(self._tasks_by_key[key])
             self._spawn_worker()
 
     def poll(self, timeout: float) -> list[Completion]:
@@ -328,23 +314,20 @@ class WorkQueueExecutor:
             self._reap_dead_workers()
             return completions
         while True:
-            kind, worker_id, key, attempt = message[:4]
+            kind, worker_id, key = message[:3]
             state = self._workers.get(worker_id)
             if kind == "start":
                 self._queued -= 1
                 if state is not None:
-                    state.in_flight[key] = attempt
+                    state.in_flight.add(key)
             elif kind == "done":
                 if state is not None:
-                    state.in_flight.pop(key, None)
-                self._done_keys.add(key)
-                completions.append(Completion(key, attempt, result=message[4]))
+                    state.in_flight.discard(key)
+                completions.append(Completion(key, result=message[3]))
             else:  # error
                 if state is not None:
-                    state.in_flight.pop(key, None)
-                completions.append(
-                    Completion(key, attempt, error_detail=message[4])
-                )
+                    state.in_flight.discard(key)
+                completions.append(Completion(key, error_detail=message[3]))
             try:
                 message = self._results.get_nowait()
             except queue_module.Empty:
@@ -360,19 +343,8 @@ class WorkQueueExecutor:
     def queued(self) -> int:
         return self._queued
 
-    def idle_capacity(self) -> int:
-        busy = sum(
-            1 for state in self._workers.values() if state.in_flight
-        )
-        alive = sum(
-            1
-            for state in self._workers.values()
-            if state.process.is_alive()
-        )
-        return max(0, alive - busy)
-
     def cancel_pending(self) -> None:
-        """Tear down the fleet immediately (first-error cancellation)."""
+        """Tear down the workers immediately (first-error cancellation)."""
         for state in self._workers.values():
             if state.process.is_alive():
                 state.process.terminate()

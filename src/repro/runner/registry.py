@@ -1,10 +1,9 @@
 """Declarative experiment registry.
 
 Each DESIGN.md experiment id maps to an :class:`ExperimentSpec`: the
-import path of its ``run_*`` entry point, the keyword arguments the CLI
-registry historically passed, and an optional sharding strategy telling
-the parallel runner how to split the experiment into independent work
-units.  Specs are plain data — picklable, hashable into cache keys, and
+import path of its ``run_*`` entry point, the keyword arguments
+``repro run <id>`` uses, and an optional sharding strategy telling the
+runner how to split the experiment into independent work units.  Specs are plain data — picklable, hashable into cache keys, and
 resolvable inside worker processes without shipping closures around.
 
 Sharding strategies
@@ -29,14 +28,10 @@ Sharding strategies
     million.  The block entry receives ``(seed, start, count)`` and
     returns a streaming aggregate; per-user state derives from
     ``(seed, user_index)`` alone, so the shard layout — and therefore
-    ``--jobs`` — cannot affect the merged bytes.
-``devicebatch``
-    ``userblocks``-shaped blocks of *device* indices for fleet
-    experiments: each block steps one structure-of-arrays
-    :class:`repro.core.batch.DeviceBatch` under a single kernel batch
-    task, and per-device RNG streams derive from ``(seed,
-    device_index)`` spawn keys — so ``--jobs 1 == --jobs N``
-    byte-identically, block layout included.
+    ``--jobs`` — cannot affect the merged bytes.  FLEET uses the same
+    blocks over *device* indices (``n_users_param="n_devices"``): each
+    block steps one structure-of-arrays
+    :class:`repro.core.batch.DeviceBatch`.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from repro.experiments.harness import ExperimentResult
 __all__ = [
     "ExperimentSpec",
     "REGISTRY",
-    "build_runner",
     "resolve_entry",
     "scaled_user_study_spec",
     "arena_spec",
@@ -100,7 +94,7 @@ class ExperimentSpec:
         return dict(self.params)
 
     def run_whole(self, seed: int) -> ExperimentResult:
-        """Run the full experiment in-process (the legacy serial path)."""
+        """Run the full experiment in-process, unsharded (the serial reference)."""
         outcome = resolve_entry(self.entry)(seed=seed, **self.kwargs())
         if self.result_index is not None:
             outcome = outcome[self.result_index]
@@ -128,8 +122,8 @@ def _spec(*args, **kwargs) -> Tuple[str, ExperimentSpec]:
     return spec.experiment_id, spec
 
 
-#: Registry: experiment id -> declarative spec.  Parameter values mirror
-#: the zero-config runners the CLI has always exposed.
+#: Registry: experiment id -> declarative spec.  Parameter values are
+#: the zero-config defaults ``repro run <id>`` runs with.
 REGISTRY: Dict[str, ExperimentSpec] = dict(
     (
         _spec("FIG4", "repro.experiments.fig4:run_fig4", result_index=0),
@@ -246,7 +240,7 @@ REGISTRY: Dict[str, ExperimentSpec] = dict(
                 ("personas", "full"),
                 ("fault_every", 8),
             ),
-            sharder="devicebatch",
+            sharder="userblocks",
             n_users_param="n_devices",
             user_entry="repro.experiments.fleet:run_device_block",
             aggregate_entry="repro.experiments.fleet:finalize_fleet",
@@ -348,16 +342,3 @@ def arena_spec(
         users_per_shard=users_per_shard,
     )
 
-
-def build_runner(spec: ExperimentSpec) -> Callable[[int], ExperimentResult]:
-    """A ``seed -> ExperimentResult`` closure for one spec.
-
-    Backs the CLI's ``EXPERIMENT_RUNNERS`` compatibility mapping; entry
-    points resolve lazily so importing the registry stays cheap.
-    """
-
-    def runner(seed: int) -> ExperimentResult:
-        return spec.run_whole(seed)
-
-    runner.__name__ = f"run_{spec.experiment_id.lower().replace('-', '_')}"
-    return runner

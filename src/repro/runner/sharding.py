@@ -13,22 +13,17 @@ from the experiment's own legacy derivation (``seeds_entry``) or from
 child per shard from ``(seed, SHARD_STREAM, index)`` alone, so streams
 stay decorrelated no matter how many shards exist and any single shard
 is derivable in O(1) — workers never materialize the other S-1 shards
-to run one (:func:`make_shard`).  Speculative re-executions and
-crash retries call the very same derivation with the very same index,
-so a retried shard replays the original stream bit-for-bit.
-``userblocks`` shards carry ``(start, count)`` ranges of participant
-indices; every participant's streams derive from ``(seed, user_index)``
-alone, so neither the block size nor the job count can affect the
-merged aggregate's bytes.  ``devicebatch`` shards are the same block
-shape over *device* indices — each block steps one
-:class:`repro.core.batch.DeviceBatch` under a single kernel batch task,
-and per-device streams derive from ``(seed, device_index)`` spawn keys.
+to run one (:func:`make_shard`).  Crash retries call the very same
+derivation with the very same index, so a retried shard replays the
+original stream bit-for-bit.  ``userblocks`` shards carry ``(start,
+count)`` ranges of participant (or, for FLEET, device) indices; every
+participant's streams derive from ``(seed, index)`` alone, so neither
+the block size nor the job count can affect the merged aggregate's
+bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -51,7 +46,6 @@ __all__ = [
     "make_shard",
     "make_shards",
     "estimate_shard_cost",
-    "shard_result_digest",
     "execute_shard",
     "merge_shard_results",
 ]
@@ -92,9 +86,9 @@ def shard_seed(seed: int, index: int) -> int:
     domain (rather than ``seed + i`` arithmetic) guarantees the child
     streams are statistically independent and stable under resharding:
     shard ``i``'s seed depends only on ``(seed, i)``, never on how many
-    siblings exist.  Speculative and crash-retried re-executions of
-    shard ``i`` call this with the same index, so they replay the
-    original stream bit-for-bit.
+    siblings exist.  A crash-retried re-execution of shard ``i`` calls
+    this with the same index, so it replays the original stream
+    bit-for-bit.
     """
     child = np.random.SeedSequence(seed, spawn_key=(SHARD_STREAM, index))
     return int(child.generate_state(1, np.uint32)[0])
@@ -113,7 +107,7 @@ def n_shards(spec: ExperimentSpec, seed: int) -> int:
         return len(spec.shard_values or ())
     if spec.sharder == "users":
         return int(dict(spec.params)[spec.n_users_param])
-    if spec.sharder in ("userblocks", "devicebatch"):
+    if spec.sharder == "userblocks":
         n_users = int(dict(spec.params)[spec.n_users_param])
         block = spec.users_per_shard
         return (n_users + block - 1) // block
@@ -149,7 +143,7 @@ def make_shard(spec: ExperimentSpec, seed: int, index: int) -> Shard:
         else:
             user_seed = shard_seed(seed, index)
         return Shard(spec.experiment_id, index, count, payload=user_seed)
-    # userblocks / devicebatch (n_shards already rejected unknowns)
+    # userblocks (n_shards already rejected unknowns)
     total = int(dict(spec.params)[spec.n_users_param])
     block = spec.users_per_shard
     start = index * block
@@ -186,7 +180,7 @@ def estimate_shard_cost(spec: ExperimentSpec, shard: Shard) -> float:
     expensive shards first so stragglers start early, which is what
     keeps worker utilisation high on skewed workloads.
     """
-    if spec.sharder in ("userblocks", "devicebatch"):
+    if spec.sharder == "userblocks":
         _start, count = shard.payload
         return float(count) * spec.cost_hint
     if (
@@ -199,23 +193,6 @@ def estimate_shard_cost(spec: ExperimentSpec, shard: Shard) -> float:
         # as the cost proxy; +1 keeps zero-valued sweep points schedulable.
         return (abs(float(shard.payload)) + 1.0) * spec.cost_hint
     return spec.cost_hint
-
-
-def shard_result_digest(result: ShardResult) -> str:
-    """Content digest of a shard's deterministic payload.
-
-    Covers the data and the kernel event count — everything derived
-    from the simulation — and deliberately excludes ``wall_s`` (host
-    timing) and ``obs`` (never speculated; observed runs bypass both
-    the cache and speculation).  Two executions of the same shard must
-    digest identically; the speculation path asserts exactly that when
-    a duplicate and its original both finish.
-    """
-    blob = pickle.dumps(
-        (result.experiment_id, result.index, result.events, result.data),
-        protocol=4,
-    )
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _dispatch_shard(spec: ExperimentSpec, seed: int, shard: Shard) -> Any:
@@ -236,7 +213,7 @@ def _dispatch_shard(spec: ExperimentSpec, seed: int, shard: Shard) -> Any:
             if name != spec.n_users_param
         }
         return resolve_entry(spec.user_entry)(shard.payload, **kwargs)
-    if spec.sharder in ("userblocks", "devicebatch"):
+    if spec.sharder == "userblocks":
         kwargs = {
             name: value
             for name, value in spec.params
@@ -299,7 +276,7 @@ def merge_shard_results(
     scalars so fresh and cache-loaded results are byte-identical.
     """
     ordered = sorted(results, key=lambda r: r.index)
-    if spec.sharder in ("users", "userblocks", "devicebatch"):
+    if spec.sharder in ("users", "userblocks"):
         kwargs = {
             name: value
             for name, value in spec.params

@@ -52,10 +52,9 @@ BATCH_STREAM = 0xBA7C
 #: (`repro.runner.sharding`): shard ``i`` of a run derives from
 #: ``(seed, SHARD_STREAM, i)`` alone, so any worker can materialize any
 #: single shard in O(1) without spawning the whole family.  There is
-#: deliberately *no* separate retry/speculation domain: a speculative or
-#: crash-retried re-execution of shard ``i`` must replay the original
-#: shard stream bit-for-bit (first result wins, byte-equality asserted),
-#: so retries reuse this domain with the same trailing key.
+#: deliberately *no* separate retry domain: a crash-retried
+#: re-execution of shard ``i`` must replay the original shard stream
+#: bit-for-bit, so retries reuse this domain with the same trailing key.
 SHARD_STREAM = 0x5A8D
 
 #: Per-(user, technique) trial streams of the technique arena

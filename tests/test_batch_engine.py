@@ -280,7 +280,7 @@ class TestDevicebatchSharder:
                 ("personas", "full"),
                 ("fault_every", 8),
             ),
-            sharder="devicebatch",
+            sharder="userblocks",
             n_users_param="n_devices",
             user_entry="repro.experiments.fleet:run_device_block",
             aggregate_entry="repro.experiments.fleet:finalize_fleet",
@@ -315,7 +315,7 @@ class TestDevicebatchSharder:
         )
 
         spec = REGISTRY["FLEET"]
-        assert spec.sharder == "devicebatch"
+        assert spec.sharder == "userblocks"
         small = type(spec)(
             **{
                 **spec.__dict__,

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENT_RUNNERS, main
+from repro.cli import main
+from repro.runner.registry import REGISTRY, resolve_entry
 
 
 class TestCLI:
     def test_experiments_lists_all_ids(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for experiment_id in EXPERIMENT_RUNNERS:
+        for experiment_id in REGISTRY:
             assert experiment_id in out
 
     def test_run_fig4(self, capsys):
@@ -72,9 +73,12 @@ class TestCLI:
         assert "surface" in out
 
     def test_every_registered_runner_is_callable(self):
-        """The registry must not contain stale ids (import-time check)."""
-        for experiment_id, runner in EXPERIMENT_RUNNERS.items():
-            assert callable(runner), experiment_id
+        """The registry must not name a stale entry point."""
+        for experiment_id, spec in REGISTRY.items():
+            for entry in (spec.entry, spec.user_entry, spec.aggregate_entry,
+                          spec.seeds_entry):
+                if entry is not None:
+                    assert callable(resolve_entry(entry)), experiment_id
 
 
 class TestParseTimeValidation:
@@ -100,6 +104,38 @@ class TestParseTimeValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--jobs" in err or "--seed" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "STUDY1", "--users", "0"], "--users: must be >= 1"),
+            (["run", "ARENA", "--users", "-3"], "--users: must be >= 1"),
+            (["run", "ARENA", "--personas", "bogus"], "bad persona clause"),
+            (["run", "STUDY1", "--users", "5", "--battery", "bogus"],
+             "unknown battery 'bogus'"),
+            (["islands", "--entries", "0"], "--entries: must be >= 1"),
+            (["islands", "--near", "30", "--far", "5"], "near < far"),
+            (["islands", "--fill", "1.5"], "island_fill must be in (0, 1]"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, argv, message, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1, captured.err
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_bench_empty_only_selection_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--only", ","]) == 2
+        assert "selects no benchmark" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_perf.json").exists()
 
     def test_empty_only_selection_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

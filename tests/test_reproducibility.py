@@ -3,7 +3,7 @@
 The README promises "a fixed seed reproduces every number in
 EXPERIMENTS.md bit for bit"; these tests hold the library to it at three
 levels — device event streams, closed-loop trials, and whole experiment
-tables — and exercise every CLI-registered experiment runner end to end.
+tables — and exercise every registered experiment end to end.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENT_RUNNERS
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.island_mapping import run_island_mapping
 from repro.interaction.user import SimulatedUser
+from repro.runner.registry import REGISTRY
 
 
 def _device_event_fingerprint(seed: int) -> list:
@@ -73,7 +73,7 @@ _FAST_RUNNERS = (
 class TestRunnerRegistry:
     @pytest.mark.parametrize("experiment_id", _FAST_RUNNERS)
     def test_fast_runner_produces_consistent_table(self, experiment_id):
-        result = EXPERIMENT_RUNNERS[experiment_id](3)
+        result = REGISTRY[experiment_id].run_whole(3)
         assert result.rows, f"{experiment_id} produced no rows"
         arities = {len(row) for row in result.rows}
         assert arities == {len(result.columns)}
@@ -83,19 +83,19 @@ class TestRunnerRegistry:
     def test_registry_covers_design_doc_ids(self):
         """Every DESIGN.md experiment family has a CLI entry."""
         families = {eid.split("/")[0].split("-PROFILE")[0]
-                    for eid in EXPERIMENT_RUNNERS}
+                    for eid in REGISTRY}
         for required in ("FIG4", "FIG5", "SENS-ENV", "SENS-FOLD", "MAP-ISL",
                          "STUDY1", "EXT-SPEED", "EXT-RANGE", "EXT-LONG",
                          "EXT-DIR", "EXT-FUSION", "EXT-PDA", "EXT-POWER",
                          "EXT-BREADTH", "ABL-MAP", "ABL-GLOVE", "ABL-FW",
                          "ABL-LAYOUT", "ABL-CAL"):
-            assert required in families or required in EXPERIMENT_RUNNERS, (
+            assert required in families or required in REGISTRY, (
                 f"missing runner for {required}"
             )
 
     def test_csv_export_for_every_fast_runner(self, tmp_path):
         for experiment_id in _FAST_RUNNERS:
-            result = EXPERIMENT_RUNNERS[experiment_id](1)
+            result = REGISTRY[experiment_id].run_whole(1)
             path = tmp_path / f"{experiment_id.replace('/', '_')}.csv"
             result.to_csv(path)
             lines = path.read_text().strip().splitlines()

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENT_RUNNERS, main
+from repro.cli import main
 from repro.experiments.harness import ExperimentResult
 from repro.runner import (
     REGISTRY,
@@ -29,8 +29,9 @@ DETERMINISM_IDS = ["FIG4", "MAP-ISL", "ROB-FAULT"]
 
 
 class TestRegistry:
-    def test_registry_matches_cli_runners(self):
-        assert set(REGISTRY) == set(EXPERIMENT_RUNNERS)
+    def test_registry_matches_cli_runners(self, capsys):
+        assert main(["experiments"]) == 0
+        assert capsys.readouterr().out.split() == list(REGISTRY)
 
     def test_sharded_specs_declare_their_split(self):
         for spec in REGISTRY.values():
@@ -87,14 +88,14 @@ class TestDeterminism:
     def test_sharded_rows_match_legacy_serial_rows(self):
         """Param-sharding must reproduce the serial sweep exactly."""
         results, _ = run_experiments(["ROB-FAULT"], seed=0, jobs=1)
-        legacy = EXPERIMENT_RUNNERS["ROB-FAULT"](0)
+        legacy = REGISTRY["ROB-FAULT"].run_whole(0)
         assert results["ROB-FAULT"].csv_bytes() == (
             legacy.normalized().csv_bytes()
         )
 
     def test_user_sharded_study_matches_legacy(self):
         results, _ = run_experiments(["STUDY1"], seed=0, jobs=1)
-        legacy = EXPERIMENT_RUNNERS["STUDY1"](0)
+        legacy = REGISTRY["STUDY1"].run_whole(0)
         assert results["STUDY1"].rows == legacy.normalized().rows
         # Aggregate-level notes are recomputed identically after merge.
         for note in legacy.notes:

@@ -1,8 +1,8 @@
-"""Runner v2: executors, shard cache, manifests, retry and speculation.
+"""Runner v2: executors, shard cache, resume and crash retry.
 
 The contract under test throughout: the merged CSV bytes are identical
 for any job count (inline at 1, the work queue above), any crash/retry
-interleaving, any cache/resume split, and speculation on or off.
+interleaving and any cache/resume split.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.perf.fanout import fanout_spec
 from repro.runner import (
     REGISTRY,
     ResultCache,
-    RunManifest,
     ShardExecutionError,
     estimate_shard_cost,
     execute_shard,
@@ -25,24 +24,12 @@ from repro.runner import (
     make_shards,
     n_shards,
     run_experiments,
-    run_key,
-    shard_result_digest,
 )
-from repro.runner.executors import (
-    Completion,
-    InlineExecutor,
-    WorkQueueExecutor,
-)
-from repro.runner.pool import CrashPlanError, _handle_completion
-from repro.runner.sharding import ShardResult
+from repro.runner.executors import InlineExecutor, WorkQueueExecutor
+from repro.runner.pool import CrashPlanError
 
 #: A fast skewed workload: one straggler, a tail of cheap shards.
 FAST_SPEC = fanout_spec(costs=(6, 1, 1, 1), scale=5)
-
-#: Same shape, but the straggler runs long enough (hundreds of ms) to
-#: guarantee the tail drains while it is still in flight — the setup
-#: the speculation policy needs to trigger deterministically.
-SLOW_STRAGGLER_SPEC = fanout_spec(costs=(400, 1, 1, 1), scale=20)
 
 
 def _run_csv(tmp_path, name, spec=FAST_SPEC, **kwargs):
@@ -84,19 +71,6 @@ class TestShardDerivation:
         # The straggler (cost 6) must order strictly first under LPT.
         assert costs[0] == max(costs)
         assert costs[0] > costs[1]
-
-    def test_shard_result_digest_ignores_host_timing(self):
-        spec = FAST_SPEC
-        shard = make_shard(spec, 0, 0)
-        first = execute_shard(spec, 0, shard)
-        second = execute_shard(spec, 0, shard)
-        assert first.wall_s != second.wall_s or first.wall_s >= 0
-        assert shard_result_digest(first) == shard_result_digest(second)
-        tampered = ShardResult(
-            first.experiment_id, first.index, ("x",), first.events, 0.0
-        )
-        assert shard_result_digest(tampered) != shard_result_digest(first)
-
 
 class TestBackendParity:
     def test_all_backends_produce_identical_csv_bytes(self, tmp_path):
@@ -155,90 +129,29 @@ class TestErrorPropagation:
 
 class TestCrashRetry:
     def test_killed_worker_retries_once_and_bytes_match(self, tmp_path):
-        reference, _bench = _run_csv(tmp_path, "ref", jobs=1)
-        manifest_path = tmp_path / "crash.json"
-        crashed, _bench = _run_csv(
+        reference, bench = _run_csv(tmp_path, "ref", jobs=1)
+        assert bench["experiments"]["FANOUT"]["retries"] == 0
+        crashed, bench = _run_csv(
             tmp_path,
             "crash",
             jobs=2,
             crash_plan={("FANOUT", 0): 1},
-            manifest_path=manifest_path,
         )
         assert crashed == reference
-        manifest = json.loads(manifest_path.read_text())
-        session = manifest["sessions"][-1]
-        assert session["retried"] == 1
-        assert session["completed_run"] is True
-        entry = manifest["experiments"]["FANOUT"]["done"]["0"]
+        entry = bench["experiments"]["FANOUT"]
         assert entry["retries"] == 1
-        assert entry["source"] == "computed"
+        assert entry["shards_from_cache"] == 0
 
     def test_double_crash_still_converges(self, tmp_path):
         reference, _bench = _run_csv(tmp_path, "ref2", jobs=1)
-        crashed, _bench = _run_csv(
+        crashed, bench = _run_csv(
             tmp_path,
             "crash2",
             jobs=2,
             crash_plan={("FANOUT", 0): 2, ("FANOUT", 2): 1},
         )
         assert crashed == reference
-
-
-class TestSpeculation:
-    def test_straggler_speculation_keeps_bytes_identical(self, tmp_path):
-        reference, _bench = _run_csv(
-            tmp_path, "ref", spec=SLOW_STRAGGLER_SPEC, jobs=1
-        )
-        manifest_path = tmp_path / "spec.json"
-        speculated, bench = _run_csv(
-            tmp_path,
-            "spec",
-            spec=SLOW_STRAGGLER_SPEC,
-            jobs=2,
-            speculate=True,
-            manifest_path=manifest_path,
-        )
-        assert speculated == reference
-        assert bench["speculation"] is not None
-        # The tail drains while the cost-6 straggler still runs, so a
-        # twin must have been launched on the idle worker.
-        assert bench["speculation"]["launched"] >= 1
-        session = json.loads(manifest_path.read_text())["sessions"][-1]
-        assert session["speculate"] is True
-        assert session["speculated"] >= 1
-
-    def test_diverging_duplicate_is_a_hard_error(self):
-        key = ("FANOUT", 0)
-        original = ShardResult("FANOUT", 0, ("real",), 0, 0.01)
-        tampered = ShardResult("FANOUT", 0, ("fake",), 0, 0.01)
-        state: dict = dict(
-            now=1.0,
-            specs={"FANOUT": FAST_SPEC},
-            seed=0,
-            cache=None,
-            manifest=None,
-            executor=InlineExecutor(),
-            collected={key: original},
-            shard_sources={key: "computed"},
-            queue_waits={},
-            submit_times={},
-            digests={},
-            speculated={key},
-            speculation={"launched": 1, "wins": 0, "checked": 0},
-            remaining={"FANOUT": 0},
-            merge_experiment=lambda _id: None,
-            say=lambda _line: None,
-        )
-        with pytest.raises(RuntimeError, match="nondeterministic"):
-            _handle_completion(
-                Completion(key, attempt=1000, result=tampered), **state
-            )
-        # A bit-identical duplicate is counted, not fatal.
-        duplicate = ShardResult("FANOUT", 0, ("real",), 0, 0.02)
-        _handle_completion(
-            Completion(key, attempt=1001, result=duplicate), **state
-        )
-        assert state["speculation"]["checked"] == 2
+        assert bench["experiments"]["FANOUT"]["retries"] == 3
 
 
 class TestShardCacheAndResume:
@@ -250,77 +163,33 @@ class TestShardCacheAndResume:
             cache.put_shard(
                 spec, 0, index, execute_shard(spec, 0, make_shard(spec, 0, index))
             )
-        manifest_path = tmp_path / "resume.json"
         reference, _bench = _run_csv(tmp_path, "ref", jobs=1)
-        resumed, _bench = _run_csv(
+        resumed, bench = _run_csv(
             tmp_path,
             "resumed",
-            jobs=1,
+            jobs=2,
             cache=ResultCache(tmp_path / "cache"),
-            manifest_path=manifest_path,
-            resume=True,
         )
         assert resumed == reference
-        session = json.loads(manifest_path.read_text())["sessions"][-1]
-        assert session["shard_cache_hits"] == 3
-        assert session["computed"] == 1
+        entry = bench["experiments"]["FANOUT"]
+        assert entry["cached"] is False
+        assert entry["shards"] == 4
+        assert entry["shards_from_cache"] == 3
+        assert entry["retries"] == 0
 
-    def test_second_resume_session_appends_counters(self, tmp_path):
-        manifest_path = tmp_path / "two.json"
+    def test_second_run_is_served_whole_from_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _run_csv(
-            tmp_path,
-            "first",
-            jobs=1,
-            cache=ResultCache(cache_dir),
-            manifest_path=manifest_path,
+        _data, first = _run_csv(
+            tmp_path, "first", jobs=1, cache=ResultCache(cache_dir)
         )
-        _run_csv(
-            tmp_path,
-            "second",
-            jobs=1,
-            cache=ResultCache(cache_dir),
-            manifest_path=manifest_path,
-            resume=True,
+        assert first["experiments"]["FANOUT"]["shards_from_cache"] == 0
+        _data, second = _run_csv(
+            tmp_path, "second", jobs=1, cache=ResultCache(cache_dir)
         )
-        manifest = json.loads(manifest_path.read_text())
-        assert len(manifest["sessions"]) == 2
-        first, second = manifest["sessions"]
-        assert first["computed"] == 4
-        # The whole experiment was cached at merge, so the second
-        # session serves it at experiment granularity.
-        assert second["experiment_cache_hits"] == 1
-        assert second["computed"] == 0
-
-    def test_resume_refuses_a_different_runs_manifest(self, tmp_path):
-        manifest_path = tmp_path / "other.json"
-        _run_csv(tmp_path, "seed0", jobs=1, manifest_path=manifest_path)
-        with pytest.raises(ValueError, match="different run"):
-            _run_csv(
-                tmp_path,
-                "seed9",
-                jobs=1,
-                seed=9,
-                manifest_path=manifest_path,
-                resume=True,
-            )
-
-    def test_fresh_run_supersedes_a_stale_manifest(self, tmp_path):
-        manifest_path = tmp_path / "stale.json"
-        manifest_path.write_text('{"version": 999}')
-        _data, _bench = _run_csv(
-            tmp_path, "fresh", jobs=1, manifest_path=manifest_path
-        )
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == 1
-        assert manifest["sessions"][-1]["completed_run"] is True
-
-    def test_run_key_tracks_specs_and_seed(self):
-        spec = REGISTRY["FIG4"]
-        assert run_key([spec], 0, False) != run_key([spec], 1, False)
-        assert run_key([spec], 0, False) != run_key([spec], 0, True)
-        assert run_key([spec], 0, False) == run_key([spec], 0, False)
-
+        # The whole experiment was cached at merge, so the second run
+        # serves it at experiment granularity.
+        assert second["experiments"]["FANOUT"]["cached"] is True
+        assert second["computed_wall_s"] == 0.0
 
 class TestBenchReport:
     def test_speedup_vs_serial_computed_only_drops_on_cache_hits(
@@ -347,23 +216,6 @@ class TestBenchReport:
         assert entry["merge_s"] >= 0
         assert entry["queue_wait_s"] >= 0
         assert entry["shards_from_cache"] == 0
-
-
-class TestManifestUnit:
-    def test_mark_shard_done_updates_counters_and_persists(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = RunManifest.open(path, "k", 0)
-        manifest.begin_session("inline", 1, False)
-        manifest.register_experiment("X", 2)
-        manifest.mark_shard_done("X", 0, "computed", 0.5, 0.1)
-        manifest.mark_shard_done("X", 1, "shard-cache", 0.0, 0.0)
-        on_disk = json.loads(path.read_text())
-        session = on_disk["sessions"][-1]
-        assert session["computed"] == 1
-        assert session["shard_cache_hits"] == 1
-        assert manifest.done_count("X") == 2
-        assert manifest.shard_entry("X", 0)["source"] == "computed"
-        assert manifest.shard_entry("X", 9) is None
 
 
 class TestCLIRunnerV2:
@@ -393,10 +245,21 @@ class TestCLIRunnerV2:
                      "2", "--inject-crash", "MAP-ISL:0"]) == 2
         assert "not in this run" in capsys.readouterr().err
 
-    def test_run_all_resume_conflicts_with_no_cache(self, capsys):
-        code = main(["run-all", "--only", "FIG4", "--resume", "--no-cache"])
-        assert code == 2
-        assert "--no-cache" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-all", "--resume"],
+            ["run-all", "--speculate"],
+            ["run-all", "--manifest", "m.json"],
+            ["run", "FIG4", "--speculate"],
+            ["run", "FIG4", "--manifest", "m.json"],
+        ],
+    )
+    def test_removed_runner_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_all_workqueue_crash_matches_serial(
         self, tmp_path, monkeypatch, capsys
@@ -407,43 +270,47 @@ class TestCLIRunnerV2:
             "--csv-dir", "serial", "--bench", "serial.json",
         ]
         assert main(serial) == 0
-        fleet = [
+        crashed = [
             "run-all", "--only", "MAP-ISL", "--no-cache", "--jobs", "2",
-            "--speculate",
             "--inject-crash", "MAP-ISL:1",
-            "--manifest", "manifest.json",
-            "--csv-dir", "fleet", "--bench", "fleet.json",
+            "--csv-dir", "crashed", "--bench", "crashed.json",
         ]
-        assert main(fleet) == 0
-        capsys.readouterr()
+        assert main(crashed) == 0
+        assert "MAP-ISL" in capsys.readouterr().out
         serial_csv = (tmp_path / "serial" / "MAP-ISL.csv").read_bytes()
-        fleet_csv = (tmp_path / "fleet" / "MAP-ISL.csv").read_bytes()
-        assert fleet_csv == serial_csv
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["sessions"][-1]["retried"] == 1
-        bench = json.loads((tmp_path / "fleet.json").read_text())
+        crashed_csv = (tmp_path / "crashed" / "MAP-ISL.csv").read_bytes()
+        assert crashed_csv == serial_csv
+        bench = json.loads((tmp_path / "crashed.json").read_text())
         assert bench["backend"] == "workqueue"
-        assert bench["manifest"] == "manifest.json"
+        assert bench["experiments"]["MAP-ISL"]["retries"] == 1
 
-    def test_run_resume_defaults_manifest_under_cache(
+    def test_run_resume_serves_shards_from_default_cache(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["run", "MAP-ISL", "--resume"]) == 0
-        capsys.readouterr()
-        manifest_path = (
-            tmp_path / "cache" / "manifests" / "MAP-ISL-seed0.json"
-        )
-        assert manifest_path.is_file()
-        first = json.loads(manifest_path.read_text())["sessions"][-1]
-        assert first["computed"] == 4
-        # Second invocation resumes: nothing recomputed.
+        first = capsys.readouterr()
+        assert "4 shard(s), 0 from cache" in first.err
+        assert "MAP-ISL" in first.out
+        # Drop the whole-experiment entry and one shard entry: the state
+        # an interrupted run leaves behind.
+        cache_dir = tmp_path / "cache"
+        for path in [*cache_dir.glob("*.json"), *cache_dir.glob("*.pkl")][:2]:
+            path.unlink()
         assert main(["run", "MAP-ISL", "--resume"]) == 0
-        capsys.readouterr()
-        sessions = json.loads(manifest_path.read_text())["sessions"]
-        assert len(sessions) == 2
-        assert sessions[-1]["computed"] == 0
+        second = capsys.readouterr()
+        assert "4 shard(s), 3 from cache" in second.err
+        assert second.out == first.out
+        # A third invocation is served at experiment granularity.
+        assert main(["run", "MAP-ISL", "--resume"]) == 0
+        assert "cached" in capsys.readouterr().err
+
+    def test_run_crash_retry_is_reported_on_stderr(self, capsys):
+        assert main(["run", "MAP-ISL", "--jobs", "2",
+                     "--inject-crash", "MAP-ISL:0"]) == 0
+        err = capsys.readouterr().err
+        assert "shard 0 retried after 1 worker loss(es)" in err
 
 
 class TestLPTOrdering:

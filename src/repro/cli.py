@@ -43,12 +43,11 @@ Commands
                            on any finding not waived inline with
                            ``# reprolint: allow REP00X (reason)``
 ``bench [--quick] [--only NAME,NAME] [--output PATH]
-        [--check BASELINE] [--threshold F] [--min-speedup F] [--list]``
+        [--check BASELINE] [--threshold F] [--min-efficiency F] [--list]``
                            run the headless perf suite, write
                            ``BENCH_perf.json`` and (with ``--check``)
-                           fail on >25% throughput regression against
-                           the committed baseline or on the vectorized
-                           calibration fast path dropping below 3x
+                           fail on >25% throughput or ratio regression
+                           against the committed baseline
 ``trace <id> [--seed N] [--jobs N] [--out PATH] [--format chrome|jsonl]``
                            run one experiment observed and summarize its
                            sim-time spans; ``--out`` writes a Chrome
@@ -570,7 +569,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         report,
         load_report(baseline_path),
         threshold=args.threshold,
-        min_speedup=args.min_speedup,
         min_efficiency=args.min_efficiency,
     )
     if failures:
@@ -806,12 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="max tolerated throughput drop vs baseline (default 0.25)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=3.0,
-        help="required vectorized calibration speedup (default 3.0)",
     )
     bench_parser.add_argument(
         "--min-efficiency",

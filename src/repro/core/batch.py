@@ -1,9 +1,9 @@
 """Batched multi-device engine: one SoA step advances N devices at once.
 
 PR 4 vectorized the signal chain across *samples* of one device
-(``measure_array``/``codes_for_voltages``/``update_batch``).  This module
-plays the same trick across *devices*: a :class:`DeviceBatch` holds the
-firmware-visible state of N heterogeneous devices as structure-of-arrays
+(``ideal_voltage_array``/``codes_for_voltages``/``update_batch``).  This
+module plays the same trick across *devices*: a :class:`DeviceBatch` holds
+the firmware-visible state of N heterogeneous devices as structure-of-arrays
 (held voltages, filter rings, fold-back latches, debounce candidates …)
 and steps the whole fleet with a fixed set of numpy operations per tick —
 sensing → ADC quantization → median filter → island lookup → cursor
@@ -73,6 +73,7 @@ from repro.sensors.surfaces import (
     Surface,
 )
 from repro.signal.filters import MedianFilter
+from repro.signal.scalar import clamp
 from repro.sim.streams import BATCH_STREAM
 
 __all__ = [
@@ -106,9 +107,15 @@ SIGNAL_FAULT_KINDS = frozenset(
 )
 
 #: Pre-drawn pool depth per stream; refills are amortized scalar calls.
-_POOL = 64
+_POOL = 256
 
 _SMOOTHING_CHOICES = (1, 3, 5)
+#: Comparators of a 5-input sorting network (every input order sorts).
+_SORT5 = ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2))
+#: Idle ring slots alternate +inf and -inf, so a 5-sort of any ring puts
+#: its median at slot 2 (odd count) or halfway between slots 1 and 2
+#: (even count), whatever the window and the count.
+_RING_PAD = (np.inf, -np.inf, np.inf, -np.inf, np.inf)
 _RANGE_CM = (5.0, 28.0)
 _ISLAND_FILL = 0.62
 _TICK_HZ = 50.0
@@ -352,7 +359,7 @@ class _DeviceBuild:
         Filled from each island's inclusive ``[code_low, code_high]``
         range — ``n_slots`` slice assignments, not 1024 ``lookup`` calls.
         """
-        row = np.full(1024, -1, dtype=np.int64)
+        row = np.full(1024, -1, dtype=np.int16)  # a slot is below 1024
         for island in self.island_map.islands:
             row[island.code_low : island.code_high + 1] = island.slot
         return row
@@ -554,13 +561,15 @@ class ScalarDeviceEngine:
                     self._corrupt.uniform(build.floor_voltage, build.peak_voltage)
                 )
             else:
-                noisy = ideal + self._noise.normal(0.0, build.noise_sigma)
-                self._held = float(np.clip(noisy, 0.0, build.saturation))
+                noisy = ideal + (
+                    0.0 + build.noise_sigma * self._noise.standard_normal()
+                )
+                self._held = clamp(noisy, 0.0, build.saturation)
         volts = self._held
         if self._faults is not None:
             override = self._faults.sensor_override(now)
             if override is not None:
-                volts = float(np.clip(override, 0.0, build.saturation))
+                volts = clamp(override, 0.0, build.saturation)
         # ADC conversion through the real component (hook + clip included)
         self._volts = volts
         self.raw_code = self._adc.sample(now, 0)
@@ -776,7 +785,7 @@ class DeviceBatch:
         self._max_code = adc_params.max_code
         self._inl_lsb = adc_params.inl_lsb
         self._adc_noise_rms = adc_params.noise_lsb_rms
-        self._ring_base = np.arange(n) * max(_SMOOTHING_CHOICES)
+        self._lanes = np.arange(n)
         self._span_sample_every = max(int(span_sample_every), 0)
         self.reset()
 
@@ -843,13 +852,14 @@ class DeviceBatch:
         self._all_held = False
         self._last_cycle = np.full(n, -1, dtype=np.int64)
 
-        # median-filter rings: slots not yet written since the last
-        # (re)start hold +inf, so a plain row sort puts the ``count``
-        # live values first, as MedianFilter.update sees them
-        self._ring = np.full((n, max(_SMOOTHING_CHOICES)), np.inf)
+        # median-filter rings, one row per slot and one lane per device;
+        # slots not written since the last (re)start hold _RING_PAD
+        self._ring = np.empty((len(_RING_PAD), n))
+        self._ring[:] = np.array(_RING_PAD)[:, None]
         self._ring_flat = self._ring.reshape(-1)
         self._ring_pos = np.zeros(n, dtype=np.int64)
         self._ring_count = np.zeros(n, dtype=np.int64)
+        self._ring_full = False  # every ring holds a full window
 
         # firmware state, -1 sentinels matching the oracle
         self.raw_code = np.zeros(n, dtype=np.int64)
@@ -891,7 +901,8 @@ class DeviceBatch:
                 if reset:
                     self._ring_count[row] = 0
                     self._ring_pos[row] = 0
-                    self._ring[row] = np.inf
+                    self._ring[:, row] = _RING_PAD
+                    self._ring_full = False
                     self.last_valid[row] = -1
                     self.latched[row] = False
                     self.streak[row] = 0
@@ -938,9 +949,10 @@ class DeviceBatch:
             gate = self._gate_pool.take(fresh_rows)
             corrupt = gate < self._corruption_p[fresh_rows]
             if corrupt.any():
+                clean = ~corrupt
                 corrupt_rows = fresh_rows[corrupt]
-                clean_rows = fresh_rows[~corrupt]
-                ideal = ideal[~corrupt]
+                clean_rows = fresh_rows[clean]
+                ideal = ideal[clean]
                 n_corrupt = int(corrupt_rows.size)
                 self.corrupted[corrupt_rows] += 1
                 self._held[corrupt_rows] = self._corrupt_pool.take(
@@ -950,9 +962,9 @@ class DeviceBatch:
                 clean_rows = fresh_rows
             if clean_rows.size:
                 noisy = ideal + self._noise_pool.take(clean_rows)
-                self._held[clean_rows] = np.minimum(
-                    np.maximum(noisy, 0.0), self._saturation[clean_rows]
-                )
+                np.maximum(noisy, 0.0, out=noisy)
+                np.minimum(noisy, self._saturation[clean_rows], out=noisy)
+                self._held[clean_rows] = noisy
 
         volts = self._held
         if overrides:
@@ -968,7 +980,10 @@ class DeviceBatch:
         adc_noise = self._adc_pool.values[:, self._adc_cursor]
         self._adc_cursor += 1
         fraction = volts / self._v_ref
-        bow = np.clip(fraction, 0.0, 1.0)
+        # min/max stand in for np.clip (same codes: they can differ only
+        # in the sign of a zero, which the integer code drops)
+        bow = np.maximum(fraction, 0.0)
+        np.minimum(bow, 1.0, out=bow)
         bow *= np.pi
         np.sin(bow, out=bow)
         bow *= self._inl_lsb
@@ -976,7 +991,8 @@ class DeviceBatch:
         code += bow
         code += adc_noise
         np.rint(code, out=code)  # np.round's own loop at 0 decimals
-        np.clip(code, 0, self._max_code, out=code)
+        np.maximum(code, 0.0, out=code)
+        np.minimum(code, self._max_code, out=code)
         codes = code.astype(np.int64)
         for row in adc_fault_rows:
             faults = self._faults[row]
@@ -985,33 +1001,40 @@ class DeviceBatch:
             codes[row] = min(max(hooked, 0), self._max_code)
         self.raw_code = codes
 
-        # median filter (count-aware ring, matches MedianFilter.update)
-        self._ring_flat[self._ring_base + self._ring_pos] = codes
+        # median filter (count-aware ring, matches MedianFilter.update):
+        # a sorting network over the five slot rows, lane by lane
+        self._ring_flat[self._ring_pos * n + self._lanes] = codes
         self._ring_pos += 1
         self._ring_pos %= self._window
-        self._ring_count = np.minimum(self._ring_count + 1, self._window)
-        work = np.sort(self._ring, axis=1).reshape(-1)
-        middle = self._ring_base + self._ring_count // 2
-        upper = work[middle]
-        median = np.where(
-            (self._ring_count & 1) == 1,
-            upper,
-            0.5 * (work[middle - 1] + upper),
-        )
+        if not self._ring_full:
+            np.minimum(self._ring_count + 1, self._window,
+                       out=self._ring_count)
+            self._ring_full = bool((self._ring_count == self._window).all())
+        slots = list(self._ring.copy())
+        spare = np.empty(n)
+        for low, high in _SORT5:
+            np.minimum(slots[low], slots[high], out=spare)
+            np.maximum(slots[low], slots[high], out=slots[high])
+            slots[low], spare = spare, slots[low]
+        median = slots[2]
+        if not self._ring_full:
+            even = (self._ring_count & 1) == 0
+            median[even] = 0.5 * (slots[1][even] + median[even])
         filtered = np.round(median).astype(np.int64)
         self.filtered_code = filtered
 
-        # fold-back latch + re-entry hysteresis (Firmware._process_code)
+        # fold-back latch + re-entry hysteresis (Firmware._process_code);
+        # ``a ^ b`` below is ``a & ~b`` where ``b`` is a subset of ``a``
         above = filtered > self._fast_threshold
         new_latches = above & ~self.latched
         self.latches += new_latches
         self.latched |= above
-        below = ~above & self.latched
+        below = self.latched ^ above
         held_latched = below & (filtered > self._reentry)
-        unlatch = below & ~held_latched
+        unlatch = below ^ held_latched
         np.putmask(self.latched, unlatch, False)
         np.putmask(self.last_valid, unlatch, -1)
-        active = ~above & ~held_latched
+        active = ~(above | held_latched)
 
         # plausibility gate
         suspicious = (
@@ -1022,23 +1045,22 @@ class DeviceBatch:
         self.streak += suspicious
         self.rejections += suspicious
         rejected = suspicious & (self.streak < 3)
-        accepted = active & ~rejected
+        accepted = active ^ rejected
         np.putmask(self.streak, accepted, 0)
         np.copyto(self.last_valid, filtered, where=accepted)
 
         # island lookup + selection debounce (Firmware._apply_slot_lookup)
         slot = self._lut_flat[self._lut_base + filtered]
         np.copyto(self.current_slot, slot, where=accepted)
-        gap = slot < 0
-        np.putmask(self.candidate, accepted & gap, -1)
-        acting = accepted & ~gap
+        acting = accepted & (slot >= 0)
+        np.putmask(self.candidate, accepted ^ acting, -1)  # in a gap
         same_as_confirmed = acting & (slot == self.confirmed)
-        changed = acting & ~same_as_confirmed
+        changed = acting ^ same_as_confirmed
         fresh_candidate = changed & (slot != self.candidate)
         np.copyto(self.candidate, slot, where=fresh_candidate)
         np.putmask(self.candidate_since, fresh_candidate, now)
-        confirm = changed & ~(
-            (now - self.candidate_since) < self._confirm_cutoff
+        confirm = changed & (
+            (now - self.candidate_since) >= self._confirm_cutoff
         )
         np.copyto(self.confirmed, slot, where=confirm)
         np.putmask(self.candidate, confirm, -1)
@@ -1064,14 +1086,13 @@ class DeviceBatch:
         The fold-back branch stays per-element through the real scalar
         method: numpy's SIMD ``**`` differs from libm by 1 ulp (PR 4).
         """
-        floor_v = self._floor_v[device_rows]
         peak_d = self._peak_d[device_rows]
         max_range = self._max_range[device_rows]
-        out = floor_v.copy()
         positive = distance > 0.0
-        fold = positive & (distance < peak_d)
-        ranged = positive & ~fold & (distance <= max_range)
+        ranged = positive & (distance >= peak_d) & (distance <= max_range)
         if not ranged.all():
+            fold = positive & (distance < peak_d)
+            out = self._floor_v[device_rows]
             ranged_rows = device_rows[ranged]
             d = distance[ranged]
             out[ranged] = (

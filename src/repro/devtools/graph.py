@@ -67,7 +67,7 @@ class SymbolInfo:
     ``kind`` is ``"class"``, ``"function"``, ``"const"`` (a literal
     assignment whose value the table records) or ``"assign"`` (a
     non-literal assignment).  Class methods are recorded under dotted
-    names (``"GP2D120.measure_array"``).
+    names (``"GP2D120.ideal_voltage_array"``).
     """
 
     name: str

@@ -62,18 +62,6 @@ PARITY_PAIRS: tuple[ParityPair, ...] = (
         "PR 4 vectorized transfer curve",
     ),
     ParityPair(
-        "sensors/gp2d120.py",
-        "GP2D120.output_voltage",
-        "GP2D120.output_voltage_array",
-        "PR 4 vectorized noisy output incl. zero-order hold",
-    ),
-    ParityPair(
-        "sensors/gp2d120.py",
-        "GP2D120._measure",
-        "GP2D120.measure_array",
-        "PR 4 vectorized measurement incl. RNG stream equality",
-    ),
-    ParityPair(
         "signal/filters.py",
         "ExponentialMovingAverage.update",
         "ExponentialMovingAverage.update_batch",

@@ -127,8 +127,7 @@ class Histogram:
         "max",
         "_memo_value",
         "_memo_bin",
-        "_memo_num",
-        "_memo_k",
+        "_memo_scaled",
     )
 
     def __init__(
@@ -156,15 +155,15 @@ class Histogram:
         # paying Fraction's per-observe gcd normalization on the hot path.
         self._sum_num = 0
         self._sum_shift = 0
-        # Single-entry memo of the last observed value's (bin index,
-        # numerator, denominator shift).  Instrumented loops often feed a
-        # histogram the same value every tick (modeled stage costs are
-        # constants), and a repeat cannot change min/max — so the repeat
-        # path skips the NaN check, the bisect and as_integer_ratio.
+        # Single-entry memo of the last observed value's bin index and
+        # numerator at the current sum scale.  Instrumented loops often
+        # feed a histogram the same value every tick (modeled stage costs
+        # are constants), and a repeat cannot change min/max or the sum
+        # scale — so the repeat path skips the NaN check, the bisect,
+        # as_integer_ratio and the rescaling.
         self._memo_value: Optional[float] = None
         self._memo_bin = 0
-        self._memo_num = 0
-        self._memo_k = 0
+        self._memo_scaled = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
@@ -179,30 +178,27 @@ class Histogram:
         if value == self._memo_value:
             self.counts[self._memo_bin] += 1
             self.count += 1
-            num, shift = self._memo_num, self._memo_k
-        else:
-            if math.isnan(value):
-                raise ValueError(
-                    f"histogram {self.name!r}: NaN observation"
-                )
-            num, den = value.as_integer_ratio()
-            shift = den.bit_length() - 1
-            index = bisect.bisect_right(self._edges, value)
-            self.counts[index] += 1
-            self.count += 1
-            self._memo_value = value
-            self._memo_bin = index
-            self._memo_num = num
-            self._memo_k = shift
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
+            self._sum_num += self._memo_scaled
+            return
+        if math.isnan(value):
+            raise ValueError(f"histogram {self.name!r}: NaN observation")
+        num, den = value.as_integer_ratio()
+        shift = den.bit_length() - 1
+        index = bisect.bisect_right(self._edges, value)
+        self.counts[index] += 1
+        self.count += 1
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
         if shift > self._sum_shift:
-            self._sum_num = (
-                self._sum_num << (shift - self._sum_shift)
-            ) + num
+            self._sum_num = (self._sum_num << (shift - self._sum_shift)) + num
             self._sum_shift = shift
+            scaled = num
         else:
-            self._sum_num += num << (self._sum_shift - shift)
+            scaled = num << (self._sum_shift - shift)
+            self._sum_num += scaled
+        self._memo_value = value
+        self._memo_bin = index
+        self._memo_scaled = scaled
 
     @property
     def sum(self) -> Fraction:

@@ -8,9 +8,10 @@ baseline.  Two kinds of number come out:
 * ``units_per_s`` — absolute throughput (events, samples or islands per
   second of host wall-clock).  Machine-dependent; the regression gate
   compares it against a baseline produced on the same runner class.
-* ``derived`` ratios — e.g. the vectorized-vs-scalar calibration-sweep
-  speedup.  Dimensionless and machine-independent, so the gate can
-  enforce them anywhere (the fast path must stay >= 3x).
+* ``derived`` ratios — e.g. the batched-vs-scalar device speedup.
+  Dimensionless and machine-independent, so the floors that
+  ``tests/test_perf_bench.py`` holds the committed baseline to apply on
+  any host.
 
 ``units_per_s`` is best-of-N.  A ratio of two benchmarks
 (:data:`PAIRED_RATIOS`) is measured *paired*: every round times its
@@ -44,19 +45,16 @@ __all__ = [
     "format_report",
 ]
 
-#: Gate defaults: max tolerated throughput drop vs baseline, the
-#: minimum vectorized calibration-sweep speedup the fast path must keep,
-#: and the minimum worker utilisation the scheduler must sustain on the
-#: skewed fan-out workload (full mode only — quick shards are too small
-#: to amortize worker handoff).
+#: Gate defaults: max tolerated throughput drop vs baseline, and the
+#: minimum worker utilisation the scheduler must sustain on the skewed
+#: fan-out workload (full mode only — quick shards are too small to
+#: amortize worker handoff).
 DEFAULT_THRESHOLD = 0.25
-DEFAULT_MIN_SPEEDUP = 3.0
 DEFAULT_MIN_EFFICIENCY = 0.8
 
 #: Derived ratio -> (numerator, denominator) benchmark names, each
 #: measured paired when both benchmarks run (see the module docstring).
 PAIRED_RATIOS: dict[str, tuple[str, str]] = {
-    "calib_vector_speedup": ("calib-sweep-vectorized", "calib-sweep-scalar"),
     "obs_enabled_ratio": ("device-second-observed", "device-second"),
     "batch_speedup": ("device-second-batched", "device-second"),
 }
@@ -134,13 +132,12 @@ class _Best:
 # ---------------------------------------------------------------------------
 
 
-def _calib_sweep(quick: bool, vectorized: bool) -> Callable[[], int]:
-    """The Figure-4 sampling sweep, scalar vs batched.
+def _calib_sweep(quick: bool) -> Callable[[], int]:
+    """The Figure-4 sampling sweep: GP2D120 read throughput.
 
     Times exactly the loop that :func:`repro.sensors.calibration.calibrate`
     runs per grid point (one fresh measurement cycle per reading), without
-    the curve fits — the fits cost the same on both paths and would only
-    dilute the speedup the gate watches.
+    the curve fits, so the sensor reads dominate the timing.
     """
     from repro.sensors.gp2d120 import (
         GP2D120,
@@ -158,14 +155,9 @@ def _calib_sweep(quick: bool, vectorized: bool) -> Callable[[], int]:
         total = 0
         for distance in distances:
             clock += 0.5
-            if vectorized:
-                times = clock + cycle * 1.05 * np.arange(1, readings + 1)
-                sensor.output_voltage_array(times, float(distance))
-                clock = float(times[-1])
-            else:
-                for _ in range(readings):
-                    clock += cycle * 1.05
-                    sensor.output_voltage(clock, float(distance))
+            for _ in range(readings):
+                clock += cycle * 1.05
+                sensor.output_voltage(clock, float(distance))
             total += readings
         return total
 
@@ -408,14 +400,7 @@ def _runner_fanout(quick: bool) -> Callable[[], tuple[int, dict]]:
 #: name -> (factory(quick) -> workload, unit name).  The factory imports
 #: lazily so ``repro bench --list`` stays fast and dependency-light.
 BENCHMARKS: dict[str, tuple[Callable[[bool], Workload], str]] = {
-    "calib-sweep-scalar": (
-        lambda quick: _calib_sweep(quick, vectorized=False),
-        "samples",
-    ),
-    "calib-sweep-vectorized": (
-        lambda quick: _calib_sweep(quick, vectorized=True),
-        "samples",
-    ),
+    "calib-sweep-scalar": (_calib_sweep, "samples"),
     "fig4-end-to-end": (_fig4_end_to_end, "samples"),
     "island-map": (_island_map, "islands"),
     "kernel-events": (_kernel_events, "events"),
@@ -504,11 +489,6 @@ def run_benchmarks(
     derived: dict[str, float] = {
         key: statistics.median(values) for key, values in ratio_rounds.items()
     }
-    if "calib_vector_speedup" in derived:
-        say(
-            "calibration fast path: "
-            f"{derived['calib_vector_speedup']:.2f}x scalar throughput"
-        )
     study = records.get("user-study-throughput")
     if study is not None:
         # Surfaced as a named derived value so dashboards and the gate
@@ -556,7 +536,6 @@ def check_report(
     current: dict,
     baseline: dict,
     threshold: float = DEFAULT_THRESHOLD,
-    min_speedup: float = DEFAULT_MIN_SPEEDUP,
     min_efficiency: float = DEFAULT_MIN_EFFICIENCY,
 ) -> list[str]:
     """Regression gate: failure messages, empty when the gate passes.
@@ -568,12 +547,9 @@ def check_report(
     * every derived ratio must likewise stay within ``threshold`` of its
       baseline value, again same-mode only: ratios are
       machine-independent but *not* workload-size-independent (the
-      vectorized sweep amortizes numpy dispatch better on the full
+      batched engine amortizes numpy dispatch better on the full
       workload, so quick-mode speedups run measurably lower than
       full-mode ones on the same machine and code);
-    * the calibration fast path must stay at least ``min_speedup`` times
-      faster than the scalar reference in **every** mode, baseline or
-      not — this absolute floor is what the CI quick run gates on;
     * the scheduler must keep at least ``min_efficiency`` worker
       utilisation on the skewed fan-out, full mode only: quick-mode
       shards are deliberately small, so worker handoff overhead
@@ -611,13 +587,6 @@ def check_report(
                 f"derived {key}: {measured_value:.2f} fell more than "
                 f"{threshold:.0%} below baseline {pinned_value:.2f}"
             )
-    speedup = current.get("derived", {}).get("calib_vector_speedup")
-    if speedup is not None and speedup < min_speedup:
-        failures.append(
-            f"calibration fast path speedup {speedup:.2f}x is below the "
-            f"required {min_speedup:.1f}x — the vectorized sensing path "
-            "regressed toward the scalar loop"
-        )
     efficiency = current.get("derived", {}).get("scheduler_efficiency")
     if (
         efficiency is not None

@@ -82,7 +82,6 @@ def calibrate(
     distances_cm: np.ndarray | None = None,
     readings_per_point: int = 16,
     settle_time_s: float = 0.5,
-    vectorized: bool = True,
 ) -> CalibrationResult:
     """Run the Figure 4/5 sweep on one sensor specimen.
 
@@ -97,20 +96,19 @@ def calibrate(
     readings_per_point:
         ADC readings averaged per grid point (each lands in a different
         sensor measurement cycle, so each carries independent noise).
+        Must be at least 1.
     settle_time_s:
         Simulated dwell before sampling starts at each point.
-    vectorized:
-        Use the batched sensing fast path (``output_voltage_array``).
-        Byte-identical to the sample-at-a-time loop — the committed FIG4/
-        FIG5 goldens pin this — just several times faster; ``False`` keeps
-        the scalar reference path for the perf benchmarks and the
-        equivalence property tests.
 
     Returns
     -------
     CalibrationResult
         Samples plus both fitted curves.
     """
+    if readings_per_point < 1:
+        raise ValueError(
+            f"readings_per_point must be at least 1, got {readings_per_point}"
+        )
     if distances_cm is None:
         distances_cm = np.arange(SENSOR_MIN_CM, SENSOR_MAX_CM + 0.5, 1.0)
     distances = np.sort(np.asarray(distances_cm, dtype=float))
@@ -123,34 +121,18 @@ def calibrate(
     samples = []
     clock = 0.0
     cycle = sensor.params.cycle_time_s
-    if vectorized:
-        # Build the exact clock sequence of the scalar loop (same float
-        # additions in the same order), then push every reading through
-        # the sensor in one batched call per grid point.
-        for distance in distances:
-            clock += settle_time_s
-            dwell_from = clock
-            times = np.empty(readings_per_point)
-            for i in range(readings_per_point):
-                clock += cycle * 1.05  # ensure a fresh measurement cycle
-                times[i] = clock
-            readings = sensor.output_voltage_array(times, float(distance))
-            samples.append(_summarize(distance, readings, readings_per_point))
-            if obs.enabled:
-                _observe_point(obs, dwell_from, clock, distance,
-                               readings_per_point)
-    else:
-        for distance in distances:
-            clock += settle_time_s
-            dwell_from = clock
-            readings = np.empty(readings_per_point)
-            for i in range(readings_per_point):
-                clock += cycle * 1.05  # ensure a fresh measurement cycle
-                readings[i] = sensor.output_voltage(clock, float(distance))
-            samples.append(_summarize(distance, readings, readings_per_point))
-            if obs.enabled:
-                _observe_point(obs, dwell_from, clock, distance,
-                               readings_per_point)
+    for distance in distances:
+        clock += settle_time_s
+        dwell_from = clock
+        at = float(distance)
+        readings = np.empty(readings_per_point)
+        for i in range(readings_per_point):
+            clock += cycle * 1.05  # ensure a fresh measurement cycle
+            readings[i] = sensor.output_voltage(clock, at)
+        samples.append(_summarize(distance, readings, readings_per_point))
+        if obs.enabled:
+            _observe_point(obs, dwell_from, clock, distance,
+                           readings_per_point)
 
     voltages = np.array([s.mean_voltage for s in samples])
     return CalibrationResult(
@@ -167,9 +149,8 @@ def _observe_point(
 ) -> None:
     """Span + histogram bookkeeping for one calibration grid point.
 
-    ``start``/``end`` come from the sweep's manual sim clock (the same
-    float sequence on the vectorized and scalar paths), so an observed
-    FIG4 run produces identical spans regardless of path or job count.
+    ``start``/``end`` come from the sweep's manual sim clock, so an
+    observed FIG4 run produces identical spans regardless of job count.
     """
     obs.emit_span(
         "calibration.point",
@@ -186,7 +167,7 @@ def _observe_point(
 def _summarize(
     distance: float, readings: np.ndarray, readings_per_point: int
 ) -> CalibrationSample:
-    """One grid point's statistics (shared by both calibrate paths)."""
+    """One grid point's statistics."""
     return CalibrationSample(
         distance_cm=float(distance),
         mean_voltage=float(readings.mean()),

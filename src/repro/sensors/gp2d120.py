@@ -35,6 +35,7 @@ from repro.sensors.surfaces import (
     AmbientLight,
     Surface,
 )
+from repro.signal.scalar import clamp
 
 __all__ = ["GP2D120Params", "GP2D120", "SENSOR_MIN_CM", "SENSOR_MAX_CM"]
 
@@ -193,7 +194,7 @@ class GP2D120:
         else:
             voltage = params.floor_voltage
         voltage *= self.surface.gain_factor
-        return float(np.clip(voltage, 0.0, params.saturation_voltage))
+        return clamp(voltage, 0.0, params.saturation_voltage)
 
     def ideal_voltage_array(self, distances_cm: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`ideal_voltage`: one array op per regime.
@@ -201,8 +202,8 @@ class GP2D120:
         Bit-equal to calling :meth:`ideal_voltage` element by element (the
         property tests in ``tests/test_vectorized_sensing.py`` pin this):
         the same IEEE-754 operations run in the same order per element,
-        only batched.  This is the fast path under the calibration sweeps
-        and the island-map construction.
+        only batched.  The island-map construction and the SENS-FOLD sweep
+        run on it.
         """
         params = self.params
         d = np.atleast_1d(np.asarray(distances_cm, dtype=float))
@@ -213,8 +214,8 @@ class GP2D120:
         if fold.any():
             # Per-element on purpose: numpy's vectorized pow can differ
             # from libm's (scalar **) by 1 ulp, which would break the
-            # bit-equality contract.  The hot paths (calibration sweeps,
-            # island maps) never touch the fold-back, so nothing is lost.
+            # bit-equality contract.  The island maps never touch the
+            # fold-back, so nothing is lost there.
             span = params.peak_voltage - params.floor_voltage
             floor = params.floor_voltage
             peak = params.peak_distance_cm
@@ -251,117 +252,30 @@ class GP2D120:
         if self.fault_hook is not None:
             override = self.fault_hook(time_s, self._held_voltage)
             if override is not None:
-                return float(
-                    np.clip(override, 0.0, self.params.saturation_voltage)
+                return clamp(
+                    float(override), 0.0, self.params.saturation_voltage
                 )
         return self._held_voltage
 
-    def output_voltage_array(
-        self, times_s: "np.ndarray", distances_cm: "np.ndarray"
-    ) -> "np.ndarray":
-        """Batched :meth:`output_voltage` over paired time/distance samples.
-
-        Bit-equal to ``n`` sequential scalar calls, including the RNG
-        stream and the zero-order-hold state left on the sensor: the cycle
-        indices are computed in one array op, only samples landing in a
-        fresh cycle trigger a measurement (in sample order, so the noise
-        draws consume the generator exactly as the scalar loop would), and
-        held samples forward-fill vectorized.  Sensors with a fault hook
-        fall back to the scalar loop — the hook is a per-sample callable.
-        """
-        times, dists = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(times_s, dtype=float)),
-            np.atleast_1d(np.asarray(distances_cm, dtype=float)),
-        )
-        n = times.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=float)
-        if self.fault_hook is not None:
-            return np.array(
-                [self.output_voltage(t, d) for t, d in zip(times, dists)],
-                dtype=float,
-            )
-        cycles = (times / self.params.cycle_time_s).astype(np.int64)
-        # After sample i the held cycle index always equals cycles[i]
-        # (a measurement sets it; a skip implies it was already equal), so
-        # "fresh cycle" reduces to comparing consecutive cycle indices.
-        fresh = np.empty(n, dtype=bool)
-        fresh[0] = (
-            cycles[0] != self._last_cycle_index or self._held_voltage is None
-        )
-        np.not_equal(cycles[1:], cycles[:-1], out=fresh[1:])
-        measured_idx = np.flatnonzero(fresh)
-        out = np.empty(n, dtype=float)
-        measured = self.measure_array(dists[measured_idx])
-        out[measured_idx] = measured
-        if not fresh.all():
-            fill = np.maximum.accumulate(np.where(fresh, np.arange(n), -1))
-            lead = fill < 0
-            out = out[np.clip(fill, 0, None)]
-            if lead.any():
-                # fresh[0] is False, so a held voltage exists.
-                out[lead] = self._held_voltage
-        if measured_idx.size:
-            self._last_cycle_index = int(cycles[-1])
-            self._held_voltage = float(measured[-1])
-        return out
-
     def _measure(self, distance_cm: float) -> float:
-        return self._measure_from_ideal(self.ideal_voltage(distance_cm))
+        """One fresh measurement: the ideal voltage plus this cycle's noise.
 
-    def _measure_from_ideal(self, voltage: float) -> float:
-        """Apply the per-measurement noise model to an ideal voltage."""
-        if self.rng is None:
-            return voltage
-        if self.rng.random() < self.surface.corruption_probability:
-            # Beam deflected by a specular boundary: the spot lands at an
-            # essentially random position on the detector.
-            low = self.params.floor_voltage
-            high = self.params.peak_voltage
-            return float(self.rng.uniform(low, high))
-        noise_rms = self.params.noise_rms * self.ambient.noise_factor
-        noisy = voltage + self.rng.normal(0.0, noise_rms)
-        return float(np.clip(noisy, 0.0, self.params.saturation_voltage))
-
-    def measure_array(self, distances_cm: "np.ndarray") -> "np.ndarray":
-        """Batched measurement: one fresh reading per element.
-
-        The ideal transfer function is evaluated in one vectorized pass
-        (that is where the scalar path spends ~80% of its time); the noise
-        draws then consume the generator sample by sample, in element
-        order.  They cannot be hoisted into one ``rng.normal(size=n)``
-        call here — the specular-corruption gate interleaves a uniform
-        draw before every noise draw, and batching would reorder the
-        stream and silently change every committed golden.  (Generators
-        dedicated to a single draw type *can* batch; see
-        ``repro.sim.kernel.PeriodicTask`` jitter.)
+        ``0.0 + noise_rms * standard_normal()`` is the draw
+        ``rng.normal(0.0, noise_rms)`` makes, and :func:`clamp` is
+        ``float(np.clip(...))``, both without numpy's scalar dispatch.
         """
-        ideal = self.ideal_voltage_array(distances_cm)
+        voltage = self.ideal_voltage(distance_cm)
         rng = self.rng
         if rng is None:
-            return ideal
+            return voltage
         params = self.params
-        corruption = self.surface.corruption_probability
-        low = params.floor_voltage
-        high = params.peak_voltage
-        saturation = params.saturation_voltage
+        if rng.random() < self.surface.corruption_probability:
+            # Beam deflected by a specular boundary: the spot lands at an
+            # essentially random position on the detector.
+            return float(rng.uniform(params.floor_voltage, params.peak_voltage))
         noise_rms = params.noise_rms * self.ambient.noise_factor
-        random = rng.random
-        normal = rng.normal
-        uniform = rng.uniform
-        out = np.empty(ideal.shape[0], dtype=float)
-        for i in range(ideal.shape[0]):
-            if random() < corruption:
-                out[i] = uniform(low, high)
-            else:
-                noisy = ideal[i] + normal(0.0, noise_rms)
-                # branchy min/max is bit-equal to np.clip for finite input
-                out[i] = (
-                    0.0 if noisy < 0.0
-                    else saturation if noisy > saturation
-                    else noisy
-                )
-        return out
+        noisy = voltage + (0.0 + noise_rms * rng.standard_normal())
+        return clamp(noisy, 0.0, params.saturation_voltage)
 
     # ------------------------------------------------------------------
     # inversion helpers (used by the island mapping)

@@ -14,7 +14,7 @@ from repro.perf import (
     format_report,
     run_benchmarks,
 )
-from repro.perf.bench import DEFAULT_MIN_SPEEDUP, DEFAULT_THRESHOLD
+from repro.perf.bench import DEFAULT_THRESHOLD
 
 
 def _report(benchmarks, derived=None, quick=False):
@@ -64,17 +64,7 @@ class TestRunBenchmarks:
         entry = report["benchmarks"]["island-map"]
         assert entry["units"] > 0
         assert entry["units_per_s"] > 0
-        assert report["derived"] == {}  # no calib pair in the subset
-
-    def test_calib_pair_produces_speedup(self):
-        report = run_benchmarks(
-            only=["calib-sweep-scalar", "calib-sweep-vectorized"],
-            quick=True,
-        )
-        speedup = report["derived"]["calib_vector_speedup"]
-        # The acceptance bar for the fast path; quick mode must clear it
-        # too since CI gates on the quick run.
-        assert speedup >= DEFAULT_MIN_SPEEDUP
+        assert report["derived"] == {}  # no ratio pair in the subset
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown benchmarks"):
@@ -84,7 +74,6 @@ class TestRunBenchmarks:
         # BENCH_perf.json keys live in git; renames must be deliberate.
         assert {
             "calib-sweep-scalar",
-            "calib-sweep-vectorized",
             "kernel-events",
             "kernel-cancel-churn",
             "runner-fanout",
@@ -141,7 +130,7 @@ class TestPairedRatios:
 
 class TestCheckReport:
     def test_passes_when_identical(self):
-        baseline = _report({"a": 100.0}, {"calib_vector_speedup": 5.0})
+        baseline = _report({"a": 100.0}, {"batch_speedup": 25.0})
         assert check_report(baseline, baseline) == []
 
     def test_fails_on_throughput_regression(self):
@@ -163,45 +152,28 @@ class TestCheckReport:
     def test_quick_vs_full_skips_absolute_throughput(self):
         """Quick workloads are sized differently, so a quick run checked
         against the committed full baseline must skip throughput floors."""
-        baseline = _report({"a": 100.0}, {"calib_vector_speedup": 5.0})
-        current = _report(
-            {"a": 10.0}, {"calib_vector_speedup": 5.0}, quick=True
-        )
+        baseline = _report({"a": 100.0}, {"batch_speedup": 25.0})
+        current = _report({"a": 10.0}, {"batch_speedup": 25.0}, quick=True)
         assert check_report(current, baseline) == []
 
     def test_derived_ratio_relative_check_is_same_mode_only(self):
-        """Ratios are workload-size-dependent too (the vectorized sweep
+        """Ratios are workload-size-dependent too (the batched engine
         amortizes numpy dispatch better at full size), so the relative
-        comparison only holds within a mode; cross-mode runs gate on the
-        absolute min_speedup floor instead."""
-        baseline = _report({}, {"calib_vector_speedup": 6.0})
-        cross = _report({}, {"calib_vector_speedup": 4.0}, quick=True)
+        comparison only holds within a mode."""
+        baseline = _report({}, {"batch_speedup": 24.0})
+        cross = _report({}, {"batch_speedup": 16.0}, quick=True)
         assert check_report(cross, baseline) == []
-        same = _report({}, {"calib_vector_speedup": 4.0})
+        same = _report({}, {"batch_speedup": 16.0})
         failures = check_report(same, baseline)
-        assert any("calib_vector_speedup" in f for f in failures)
+        assert any("batch_speedup" in f for f in failures)
 
     def test_derived_missing_fails_even_across_modes(self):
-        baseline = _report({}, {"calib_vector_speedup": 6.0})
+        baseline = _report({}, {"batch_speedup": 24.0})
         current = _report({}, {}, quick=True)
         failures = check_report(current, baseline)
         assert failures == [
-            "derived calib_vector_speedup: in baseline but not measured"
+            "derived batch_speedup: in baseline but not measured"
         ]
-
-    def test_min_speedup_floor_holds_cross_mode(self):
-        """The CI quick run still fails if the fast path collapses."""
-        baseline = _report({}, {"calib_vector_speedup": 6.0})
-        current = _report({}, {"calib_vector_speedup": 2.0}, quick=True)
-        failures = check_report(current, baseline)
-        assert any("below the required 3.0x" in f for f in failures)
-
-    def test_min_speedup_floor_is_absolute(self):
-        """Even with a matching baseline, dropping under min_speedup fails
-        — the ISSUE's >=3x bar is not relative to anything."""
-        report = _report({}, {"calib_vector_speedup": 2.5})
-        failures = check_report(report, report)
-        assert any("below the required 3.0x" in f for f in failures)
 
     def test_custom_threshold(self):
         baseline = _report({"a": 100.0})
@@ -233,10 +205,10 @@ class TestCheckReport:
 class TestFormatReport:
     def test_renders_each_benchmark_and_ratio(self):
         text = format_report(
-            _report({"a": 100.0, "b": 2.0}, {"calib_vector_speedup": 5.0})
+            _report({"a": 100.0, "b": 2.0}, {"batch_speedup": 25.0})
         )
         assert "a" in text and "b" in text
-        assert "calib_vector_speedup: 5.00x" in text
+        assert "batch_speedup: 25.00x" in text
 
 
 class TestBenchCLI:
@@ -315,10 +287,6 @@ class TestCommittedBaseline:
         assert set(report["benchmarks"]) == set(BENCHMARKS)
         for entry in report["benchmarks"].values():
             assert entry["units_per_s"] > 0
-        # The committed baseline must itself satisfy the acceptance bar.
-        assert (
-            report["derived"]["calib_vector_speedup"] >= DEFAULT_MIN_SPEEDUP
-        )
         # Batched-engine acceptance: >= 20x device-seconds/s over the
         # scalar loop, and observability keeps >= 0.55x of null-recorder
         # throughput (the hot-path bugfix sweep's floor).

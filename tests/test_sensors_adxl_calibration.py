@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ class TestCalibration:
         sensor = GP2D120.specimen(rng)
         with pytest.raises(ValueError):
             calibrate(sensor, distances_cm=np.array([2.0, 10.0, 20.0]))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_fewer_than_one_reading_per_point(self, rng, count):
+        sensor = GP2D120.specimen(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" first
+            with pytest.raises(ValueError, match="readings_per_point"):
+                calibrate(sensor, readings_per_point=count)
+        surfaces = {"white_shirt": CLOTHING["white_shirt"]}
+        ambients = {"indoor": AMBIENT_CONDITIONS["indoor"]}
+        with pytest.raises(ValueError, match="readings_per_point"):
+            sweep_environments(rng, surfaces, ambients, readings_per_point=count)
 
     def test_std_reported_per_point(self, rng):
         sensor = GP2D120.specimen(rng)

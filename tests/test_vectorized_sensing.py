@@ -1,12 +1,11 @@
-"""Scalar/vectorized equivalence for the sensing fast path (PR 4).
+"""Scalar/vectorized equivalence of the GP2D120 transfer function.
 
-The vectorized transfer function and the batched sampling path are only
-allowed to exist because they are *bit-equal* to the scalar reference —
-the committed FIG4/FIG5 goldens depend on it.  These properties pin that
-equivalence across all three regimes of the transfer function (fold-back,
-monotone range, out of range), across corrupting surfaces that exercise
-the specular-corruption RNG gate, and for the zero-order-hold state the
-sensor carries between calls.
+``ideal_voltage_array`` is only allowed to exist because it is
+*bit-equal* to the scalar ``ideal_voltage`` — the island maps and the
+SENS-FOLD table depend on it.  These properties pin that equivalence
+across all three regimes of the transfer function (fold-back, monotone
+range, out of range).  The noisy read itself is pinned against its numpy
+formulation in ``tests/test_sensor_read.py``.
 """
 
 from __future__ import annotations
@@ -16,30 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sensors.calibration import calibrate
 from repro.sensors.gp2d120 import GP2D120, GP2D120Params
-from repro.sensors.surfaces import CLOTHING, REFERENCE_SURFACE
 
 # Spans every regime: contact/floor, fold-back, the monotone branch,
 # and beyond max range.
 _distances = st.floats(
     min_value=-1.0, max_value=40.0, allow_nan=False, allow_infinity=False
 )
-
-_CORRUPTING = CLOTHING["hi_vis_vest"]
-_HEAVILY_CORRUPTING = CLOTHING["mirror_patchwork"]
-
-
-def _paired_sensors(seed, surface=REFERENCE_SURFACE):
-    """Two sensors with identical params and identically-seeded RNGs."""
-    params = GP2D120.specimen(np.random.default_rng(seed)).params
-    scalar = GP2D120(
-        params=params, rng=np.random.default_rng(seed), surface=surface
-    )
-    batched = GP2D120(
-        params=params, rng=np.random.default_rng(seed), surface=surface
-    )
-    return scalar, batched
 
 
 class TestIdealVoltageArray:
@@ -75,135 +57,6 @@ class TestIdealVoltageArray:
         assert batched.tolist() == scalar
 
 
-class TestMeasureArray:
-    @given(
-        st.lists(_distances, min_size=1, max_size=48),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_rng_stream(self, distances, seed):
-        scalar_sensor, batched_sensor = _paired_sensors(seed)
-        batched = batched_sensor.measure_array(np.array(distances))
-        scalar = [scalar_sensor._measure(d) for d in distances]
-        assert batched.tolist() == scalar
-        # Both generators must land in the same state: nothing drawn
-        # out of order, nothing drawn extra.
-        assert (
-            scalar_sensor.rng.bit_generator.state
-            == batched_sensor.rng.bit_generator.state
-        )
-
-    @given(
-        st.lists(_distances, min_size=1, max_size=48),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from([_CORRUPTING, _HEAVILY_CORRUPTING]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_corruption_gate_consumes_stream_identically(
-        self, distances, seed, surface
-    ):
-        """Corrupting surfaces interleave uniform draws with normal draws;
-        the batched path must replay that interleaving exactly."""
-        scalar_sensor, batched_sensor = _paired_sensors(seed, surface)
-        batched = batched_sensor.measure_array(np.array(distances))
-        scalar = [scalar_sensor._measure(d) for d in distances]
-        assert batched.tolist() == scalar
-        assert (
-            scalar_sensor.rng.bit_generator.state
-            == batched_sensor.rng.bit_generator.state
-        )
-
-    def test_noise_free_sensor_returns_ideal(self):
-        sensor = GP2D120(rng=None)
-        d = np.array([2.0, 10.0, 35.0])
-        assert (
-            sensor.measure_array(d).tolist()
-            == sensor.ideal_voltage_array(d).tolist()
-        )
-
-
-class TestOutputVoltageArray:
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.floats(min_value=0.2, max_value=3.0),
-        st.integers(min_value=1, max_value=200),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_zero_order_hold_matches_scalar(self, seed, dt_scale, n):
-        """Time grids denser and sparser than the measurement cycle both
-        reproduce the scalar hold/refresh behaviour and final state."""
-        scalar_sensor, batched_sensor = _paired_sensors(seed)
-        cycle = scalar_sensor.params.cycle_time_s
-        times = np.cumsum(np.full(n, cycle * dt_scale))
-        distances = 5.0 + 20.0 * np.abs(np.sin(np.arange(n)))
-        batched = batched_sensor.output_voltage_array(times, distances)
-        scalar = [
-            scalar_sensor.output_voltage(t, d)
-            for t, d in zip(times, distances)
-        ]
-        assert batched.tolist() == scalar
-        assert (
-            batched_sensor._last_cycle_index
-            == scalar_sensor._last_cycle_index
-        )
-        assert batched_sensor._held_voltage == scalar_sensor._held_voltage
-        assert (
-            scalar_sensor.rng.bit_generator.state
-            == batched_sensor.rng.bit_generator.state
-        )
-
-    def test_resumes_held_state_across_calls(self):
-        """Chunked batched calls equal one scalar pass over the whole grid."""
-        scalar_sensor, batched_sensor = _paired_sensors(7)
-        cycle = scalar_sensor.params.cycle_time_s
-        times = np.cumsum(np.full(60, cycle * 0.4))  # many held samples
-        distances = np.full(60, 12.0)
-        out = np.concatenate([
-            batched_sensor.output_voltage_array(times[:1], distances[:1]),
-            batched_sensor.output_voltage_array(times[1:30], distances[1:30]),
-            batched_sensor.output_voltage_array(times[30:], distances[30:]),
-        ])
-        scalar = [
-            scalar_sensor.output_voltage(t, d)
-            for t, d in zip(times, distances)
-        ]
-        assert out.tolist() == scalar
-
-    def test_all_held_chunk_needs_no_measurement(self):
-        """A chunk entirely inside one cycle draws nothing from the RNG."""
-        _, sensor = _paired_sensors(3)
-        cycle = sensor.params.cycle_time_s
-        sensor.output_voltage_array(np.array([cycle * 1.5]), np.array([10.0]))
-        state_before = sensor.rng.bit_generator.state
-        out = sensor.output_voltage_array(
-            np.array([cycle * 1.6, cycle * 1.7]), np.array([10.0, 10.0])
-        )
-        assert sensor.rng.bit_generator.state == state_before
-        assert out[0] == out[1] == sensor._held_voltage
-
-    def test_empty_input(self):
-        sensor = GP2D120(rng=None)
-        assert sensor.output_voltage_array(
-            np.empty(0), np.empty(0)
-        ).shape == (0,)
-
-    def test_fault_hook_falls_back_to_scalar(self):
-        scalar_sensor, batched_sensor = _paired_sensors(11)
-        hook = lambda t, v: 1.234 if t > 0.1 else None  # noqa: E731
-        scalar_sensor.fault_hook = hook
-        batched_sensor.fault_hook = hook
-        cycle = scalar_sensor.params.cycle_time_s
-        times = np.cumsum(np.full(10, cycle * 1.1))
-        distances = np.full(10, 8.0)
-        batched = batched_sensor.output_voltage_array(times, distances)
-        scalar = [
-            scalar_sensor.output_voltage(t, d)
-            for t, d in zip(times, distances)
-        ]
-        assert batched.tolist() == scalar
-        assert 1.234 in batched
-
-
 class TestBatchedNormalDrawsMatchScalarStream:
     """The kernel's jitter batching relies on numpy's guarantee that
     ``rng.normal(size=n)`` consumes the stream exactly like n scalar
@@ -220,40 +73,6 @@ class TestBatchedNormalDrawsMatchScalarStream:
         scalar_rng = np.random.default_rng(seed)
         scalar = [scalar_rng.normal(0.0, 1.5) for _ in range(n)]
         assert batched.tolist() == scalar
-
-
-class TestCalibrateVectorized:
-    @pytest.mark.parametrize("seed", [0, 1, 42])
-    def test_vectorized_equals_scalar(self, seed):
-        params = GP2D120.specimen(np.random.default_rng(seed)).params
-        results = []
-        for vectorized in (False, True):
-            sensor = GP2D120(params=params, rng=np.random.default_rng(seed))
-            results.append(
-                calibrate(
-                    sensor, readings_per_point=8, vectorized=vectorized
-                )
-            )
-        scalar, batched = results
-        assert scalar.samples == batched.samples  # dataclass ==, exact
-        assert scalar.hyperbola == batched.hyperbola
-        assert scalar.power_law == batched.power_law
-
-    def test_vectorized_equals_scalar_on_corrupting_surface(self):
-        params = GP2D120.specimen(np.random.default_rng(5)).params
-        results = []
-        for vectorized in (False, True):
-            sensor = GP2D120(
-                params=params,
-                rng=np.random.default_rng(5),
-                surface=_HEAVILY_CORRUPTING,
-            )
-            results.append(
-                calibrate(
-                    sensor, readings_per_point=8, vectorized=vectorized
-                )
-            )
-        assert results[0].samples == results[1].samples
 
 
 class TestCycleTimeGuard:

@@ -9,7 +9,7 @@ for logging, as the original prototype streamed its debug state.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 __all__ = [
@@ -38,10 +38,25 @@ class InteractionEvent:
         return type(self).__name__
 
     def to_bytes(self) -> bytes:
-        """Serialize for the RF link (JSON keeps host tooling trivial)."""
-        record = {"kind": self.kind}
-        record.update(asdict(self))
+        """Serialize for the RF link (JSON keeps host tooling trivial).
+
+        The record is ``kind`` followed by every field in declaration
+        order, as ``dataclasses.asdict`` would give it, but read straight
+        off the instance: field values are scalars, strings or tuples of
+        strings, which ``asdict``'s deep copy would leave equal anyway.
+        """
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+        record: dict[str, object] = {"kind": cls.__name__}
+        for name in names:
+            record[name] = getattr(self, name)
         return json.dumps(record, separators=(",", ":")).encode()
+
+
+#: Field names per event class, in declaration order, filled on first use.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,7 @@ class Firmware:
         self._sim = board.sim
         self._filter = MedianFilter(self.config.smoothing_window)
         self._island_map: Optional[IslandMap] = None
+        self._island_maps: dict[int, IslandMap] = {}
         self._chunk = 0
         self._last_valid_code: Optional[int] = None
         self._suspicious_streak = 0
@@ -375,14 +376,7 @@ class Firmware:
         first = self._chunk * size
         entries_on_chunk = min(size, n_entries - first)
         entries_on_chunk = max(entries_on_chunk, 1)
-        self._island_map = build_island_map(
-            self._mapping_sensor(),
-            self.board.adc,
-            entries_on_chunk,
-            range_cm=self.config.range_cm,
-            island_fill=self.config.island_fill,
-            placement=self.config.placement,
-        )
+        self._island_map = self._island_map_for(entries_on_chunk)
         # The island table lives in the PIC's RAM: 6 bytes per island.
         self.board.mcu.free("island-table")
         self.board.mcu.allocate(
@@ -400,6 +394,27 @@ class Firmware:
         # A hand cannot move faster than ~150 cm/s; over one tick that
         # bounds how far the code can plausibly travel.
         self._max_plausible_delta = self._plausible_code_delta()
+
+    def _island_map_for(self, n_slots: int) -> IslandMap:
+        """The island map for ``n_slots`` entries, built once per firmware.
+
+        Its inputs (the mapping sensor's noise-free curve, the ADC, and
+        the configured range, fill and placement) never change after
+        construction, so every chunk page or zoom level with the same
+        slot count reuses one map.  An :class:`IslandMap` is read-only.
+        """
+        island_map = self._island_maps.get(n_slots)
+        if island_map is None:
+            island_map = build_island_map(
+                self._mapping_sensor(),
+                self.board.adc,
+                n_slots,
+                range_cm=self.config.range_cm,
+                island_fill=self.config.island_fill,
+                placement=self.config.placement,
+            )
+            self._island_maps[n_slots] = island_map
+        return island_map
 
     def _plausible_code_delta(self) -> int:
         sensor = self.board.distance_sensor

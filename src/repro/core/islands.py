@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -96,15 +97,23 @@ class IslandMap:
 
     Slots are ordered by distance (slot 0 nearest the body); since the
     sensor output falls with distance, slot 0 owns the highest codes.
+
+    A map is read-only (frozen islands in tuples and a read-only slot
+    mapping), so a firmware shares one map between every chunk page with
+    the same entry count.
     """
 
     def __init__(self, islands: list[Island], placement: Placement) -> None:
         if not islands:
             raise ValueError("an island map needs at least one island")
         self.placement = placement
-        self.islands = sorted(islands, key=lambda isl: isl.code_low)
-        self._lows = [isl.code_low for isl in self.islands]
-        self._by_slot = {isl.slot: isl for isl in self.islands}
+        self.islands: tuple[Island, ...] = tuple(
+            sorted(islands, key=lambda isl: isl.code_low)
+        )
+        self._lows = tuple(isl.code_low for isl in self.islands)
+        self._by_slot = MappingProxyType(
+            {isl.slot: isl for isl in self.islands}
+        )
         if len(self._by_slot) != len(self.islands):
             raise ValueError("duplicate slot numbers in island map")
         for earlier, later in zip(self.islands, self.islands[1:]):

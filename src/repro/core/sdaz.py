@@ -29,7 +29,6 @@ from typing import Optional
 
 from repro.core.events import ZoomChanged
 from repro.core.firmware import Firmware
-from repro.core.islands import build_island_map
 
 __all__ = ["SDAZFirmware"]
 
@@ -180,14 +179,7 @@ class SDAZFirmware(Firmware):
         else:
             start, end = self.window_range()
             n_slots = end - start + 1
-        self._island_map = build_island_map(
-            self._mapping_sensor(),
-            self.board.adc,
-            n_slots,
-            range_cm=self.config.range_cm,
-            island_fill=self.config.island_fill,
-            placement=self.config.placement,
-        )
+        self._island_map = self._island_map_for(n_slots)
         self.board.mcu.free("island-table")
         self.board.mcu.allocate(
             "island-table", ram_bytes=6 * self._island_map.n_slots

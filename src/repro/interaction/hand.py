@@ -26,6 +26,10 @@ __all__ = ["minimum_jerk", "Hand"]
 
 _TWO_PI = 2.0 * math.pi
 
+#: Most updates one tremor block pre-draws: a long window takes several
+#: blocks, which keeps the array (and the count loop) small.
+_MAX_BLOCK_UPDATES = 512
+
 
 def minimum_jerk(tau: float) -> float:
     """The minimum-jerk position profile on normalized time [0, 1].
@@ -92,6 +96,12 @@ class Hand:
         self._sim = sim
         self._write_pose = write_pose
         self._gauss = None if rng is None else rng.standard_normal
+        self._bit_generator = None if rng is None else rng.bit_generator
+        # The tremor block (see _draw_block): pre-drawn normals, the next
+        # one to use, and the generator state before the block was drawn.
+        self._draws: list[float] = []
+        self._next_draw = 0
+        self._state_before_draws: Optional[dict] = None
         self.tremor_rms_cm = float(tremor_rms_cm)
         self.tremor_hz = float(tremor_hz)
         self._update_period = 1.0 / float(update_hz)
@@ -171,12 +181,62 @@ class Hand:
         return voluntary
 
     def stop(self) -> None:
-        """Halt the hand updates (end of a session)."""
+        """Halt the hand updates (end of a session).
+
+        Unused tremor draws are given back, so the generator stands where
+        one-draw-per-update would have left it.
+        """
         self._task.stop()
+        self._return_draws()
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _draw_block(self) -> int:
+        """Pre-draw this window's tremor normals; the index of the first.
+
+        The participant generator is shared with the user model, but
+        inside a :meth:`~repro.sim.kernel.Simulator.run_until` window only
+        the hand draws from it: user code runs between windows.  So the
+        two normals of every update up to the window's horizon come from
+        one ``standard_normal(2 n)`` call, which is stream-identical to
+        the ``2 n`` scalar draws the updates would make one by one.  ``n``
+        is counted on the grid the kernel re-arms on (``t + period`` while
+        ``t <= horizon``).  With no horizon (``run``, ``run_while``,
+        ``step``) the update draws its own two normals: returns ``-1``.
+        :meth:`stop` and a tremor switched off mid-window give the unused
+        draws back; a window that a raising callback aborts does not.
+        """
+        horizon = self._sim.horizon
+        if horizon is None:
+            return -1
+        period = self._update_period
+        t = self._sim.now
+        n = 0
+        while t <= horizon and n < _MAX_BLOCK_UPDATES:
+            n += 1
+            t = t + period
+        assert self._bit_generator is not None and self._gauss is not None
+        self._state_before_draws = self._bit_generator.state
+        self._draws = self._gauss(2 * n).tolist()
+        self._next_draw = 0
+        return 0
+
+    def _return_draws(self) -> None:
+        """Rewind the generator past the block's unused draws.
+
+        Restores the state saved before the block and redraws the consumed
+        count, which leaves the stream where per-update draws would have.
+        """
+        used = self._next_draw
+        if used < len(self._draws):
+            assert self._bit_generator is not None and self._gauss is not None
+            self._bit_generator.state = self._state_before_draws
+            self._gauss(used)
+        self._draws = []
+        self._next_draw = 0
+        self._state_before_draws = None
+
     def _update(self) -> None:
         # One update: the tremor step, position() and the fatigue and pose
         # bookkeeping, fused into one frame.  Every float operation runs in
@@ -185,18 +245,30 @@ class Hand:
         dt = self._update_period
         gauss = self._gauss
         if gauss is None or rms <= 0.0:
+            if self._next_draw < len(self._draws):
+                self._return_draws()
             tremor = 0.0
         else:
+            i = self._next_draw
+            if i == len(self._draws):
+                i = self._draw_block()
+            if i < 0:
+                jitter = gauss()
+                broadband_z = gauss()
+            else:
+                draws = self._draws
+                jitter = draws[i]
+                broadband_z = draws[i + 1]
+                self._next_draw = i + 2
             # A noisy oscillator: sinusoid with phase-jittered frequency
             # plus a small broadband component — matches the 6–12 Hz
-            # tremor band.  ``0.0 + s * standard_normal()`` is
-            # ``rng.normal(0.0, s)``'s own sum on the same draw, without
-            # its per-call argument handling.
+            # tremor band.  ``0.0 + s * z`` is ``rng.normal(0.0, s)``'s own
+            # sum on the same standard-normal draw ``z``.
             phase = self._tremor_phase + (
-                _TWO_PI * self.tremor_hz * dt * (1.0 + (0.0 + 0.1 * gauss()))
+                _TWO_PI * self.tremor_hz * dt * (1.0 + (0.0 + 0.1 * jitter))
             )
             self._tremor_phase = phase
-            broadband = 0.0 + 0.6 * gauss()
+            broadband = 0.0 + 0.6 * broadband_z
             tremor = rms * (0.8 * math.sin(phase) + 0.45 * broadband)
         self._tremor_state = tremor
 

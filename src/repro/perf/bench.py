@@ -519,8 +519,13 @@ def run_benchmarks(
             "on the skewed fan-out"
         )
 
+    from repro.runner.cache import source_digest
+
     return {
         "generated_by": "python -m repro bench",
+        # The sources measured: a report whose digest differs from
+        # source_digest() was measured on other code.
+        "source_digest": source_digest(),
         "quick": quick,
         "rounds": rounds,
         "paired_rounds": paired_rounds,

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runner.cache import ResultCache
+from repro.runner.cache import ResultCache, source_digest
 from repro.runner.executors import (
     ShardExecutionError,
     ShardTask,
@@ -359,6 +359,9 @@ def run_experiments(
     )
     bench = {
         "generated_by": "python -m repro run-all",
+        # Which sources produced the report: compare with
+        # source_digest() to tell whether the artefact is current.
+        "source_digest": source_digest(),
         "jobs": jobs,
         "backend": backend_name,
         "seed": seed,

@@ -178,6 +178,7 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._finished = False
+        self._horizon: Optional[float] = None
         self._seed_seq = np.random.SeedSequence(seed)
         self._spawn_pool: list[np.random.SeedSequence] = []
         self.rng: np.random.Generator = np.random.default_rng(
@@ -211,6 +212,20 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def horizon(self) -> Optional[float]:
+        """End time of the :meth:`run_until` window now dispatching.
+
+        ``None`` outside a window and under :meth:`run`, :meth:`run_while`
+        and :meth:`step`, whose end is not a time known in advance.  Every
+        run method saves the value on entry and restores it on exit, so a
+        run nested inside a callback never clobbers its caller's horizon.
+        A periodic task may rely on it: each of its events on its own
+        ``t + period`` grid up to the horizon runs before the window
+        returns, unless the task stops or a callback raises.
+        """
+        return self._horizon
 
     @property
     def events_processed(self) -> int:
@@ -370,6 +385,7 @@ class Simulator:
         end_time: float,
         max_events: int,
         condition: Optional[Callable[[], bool]],
+        horizon: Optional[float] = None,
     ) -> int:
         """The event loop: every event of every run method executes here.
 
@@ -378,7 +394,8 @@ class Simulator:
         ``condition()`` (when given) before each one.  Cancelled heads are
         discarded *before* the time check, so a corpse at the head never
         lets a later live event slip past ``end_time``.  Returns the
-        number of events executed.
+        number of events executed.  :attr:`horizon` reads ``horizon``
+        while the loop runs and the caller's value again afterwards.
 
         A :class:`PeriodicTask`'s or :class:`BatchTask`'s event is
         re-armed in place once its callback returns and the task still
@@ -396,37 +413,42 @@ class Simulator:
         note_cancelled = self._note_cancelled
         obs_events = self._obs_events
         executed = 0
-        while executed < max_events and (condition is None or condition()):
-            while queue and queue[0][3].cancelled:
-                self._discard(heappop(queue)[3])
-            if not queue or queue[0][0] > end_time:
-                break
-            event = heappop(queue)[3]
-            event._cancel_hook = None
-            self._now = event.time
-            self._event_count += 1
-            _global_event_count += 1
-            if obs_events is not None:
-                obs_events.inc()
-            event.callback()
-            executed += 1
-            task = event.task
-            if task is not None and task._running:
-                time = self._now + (
-                    task._period if task._rng is None else task._next_delay()
-                )
-                seq = next(sequence)
-                event.time = time
-                event.seq = seq
-                event.cancelled = False
-                event._cancel_hook = note_cancelled
-                heappush(queue, (time, event.priority, seq, event))
-                self._finished = False
-                if (
-                    self._cancelled_in_queue > _COMPACT_MIN_CANCELLED
-                    and self._cancelled_in_queue * 2 > len(queue)
-                ):
-                    self._compact()
+        outer_horizon = self._horizon
+        self._horizon = horizon
+        try:
+            while executed < max_events and (condition is None or condition()):
+                while queue and queue[0][3].cancelled:
+                    self._discard(heappop(queue)[3])
+                if not queue or queue[0][0] > end_time:
+                    break
+                event = heappop(queue)[3]
+                event._cancel_hook = None
+                self._now = event.time
+                self._event_count += 1
+                _global_event_count += 1
+                if obs_events is not None:
+                    obs_events.inc()
+                event.callback()
+                executed += 1
+                task = event.task
+                if task is not None and task._running:
+                    time = self._now + (
+                        task._period if task._rng is None else task._next_delay()
+                    )
+                    seq = next(sequence)
+                    event.time = time
+                    event.seq = seq
+                    event.cancelled = False
+                    event._cancel_hook = note_cancelled
+                    heappush(queue, (time, event.priority, seq, event))
+                    self._finished = False
+                    if (
+                        self._cancelled_in_queue > _COMPACT_MIN_CANCELLED
+                        and self._cancelled_in_queue * 2 > len(queue)
+                    ):
+                        self._compact()
+        finally:
+            self._horizon = outer_horizon
         return executed
 
     def step(self) -> bool:
@@ -447,7 +469,7 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) is before now ({self._now})"
             )
-        self._dispatch(end_time, _NO_LIMIT, None)
+        self._dispatch(end_time, _NO_LIMIT, None, end_time)
         self._now = end_time
 
     def run(self, max_events: Optional[int] = None) -> None:

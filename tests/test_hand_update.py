@@ -197,3 +197,189 @@ class TestHoldAtRejectsNonFinite:
         device = DistScroll(build_menu(["a", "b", "c"]), seed=0)
         device.hold_at(12.5)
         assert device.distance_cm == 12.5
+
+
+# ---------------------------------------------------------------------------
+# the per-window tremor block at the edges of a window
+# ---------------------------------------------------------------------------
+#: Steps of a driving plan.  ``until``/``while``/``step``/``run`` advance
+#: the simulator through each run method; ``move`` starts a reach and
+#: ``draw`` is user code drawing from the shared generator between
+#: windows; ``stop_at``/``rms_at`` schedule a stop or a tremor change
+#: inside a later window; ``nested`` schedules a callback that runs a
+#: ``run_until`` or ``run_while`` from inside a window.
+plan_steps = st.one_of(
+    st.tuples(st.just("until"), st.floats(0.0, 0.4)),
+    st.tuples(st.just("while"), st.floats(0.0, 0.4), st.integers(0, 60)),
+    st.tuples(st.just("step"), st.integers(1, 6)),
+    st.tuples(st.just("run"), st.integers(1, 40)),
+    st.tuples(st.just("move"), st.floats(-3.0, 35.0), st.floats(0.05, 0.8)),
+    st.tuples(st.just("draw"), st.integers(1, 3)),
+    st.tuples(st.just("stop_at"), st.floats(0.0, 0.3)),
+    st.tuples(
+        st.just("rms_at"), st.floats(0.0, 0.3), st.sampled_from([0.0, 0.08])
+    ),
+    st.tuples(
+        st.just("nested"),
+        st.floats(0.0, 0.2),
+        st.floats(0.0, 0.3),
+        st.sampled_from(["until", "while"]),
+    ),
+)
+
+
+def _has_live_events(sim: Simulator) -> bool:
+    return any(not entry[3].cancelled for entry in sim._queue)
+
+
+def _drive(hand: Hand, poses: list, rng, step) -> None:
+    sim = hand._sim
+    kind, *args = step
+    if kind == "until":
+        sim.run_until(sim.now + args[0])
+    elif kind == "while":
+        limit = len(poses) + args[1]
+        sim.run_while(lambda: len(poses) < limit, sim.now + args[0])
+    elif kind == "step":
+        for _ in range(args[0]):
+            sim.step()
+    elif kind == "run":
+        if _has_live_events(sim):
+            sim.run(max_events=args[0])
+    elif kind == "move":
+        hand.move_to(*args)
+    elif kind == "draw":
+        if rng is not None:
+            rng.random(args[0])
+    elif kind == "stop_at":
+        sim.schedule(args[0], hand.stop)
+    elif kind == "rms_at":
+        sim.schedule(
+            args[0], lambda: setattr(hand, "tremor_rms_cm", args[1])
+        )
+    else:
+        delay, span, inner = args
+
+        def nested() -> None:
+            if inner == "until":
+                sim.run_until(sim.now + span)
+            else:
+                sim.run_while(lambda: True, sim.now + span)
+
+        sim.schedule(delay, nested)
+
+
+class TestTremorBlockMatchesPerUpdateDraws:
+    """The block-drawing hand against the per-update reference, driven
+    through every run method, stops and tremor changes inside windows,
+    nested runs and user draws between windows."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start=st.floats(0.0, 35.0),
+        rms=st.sampled_from([0.0, 0.08, 0.3]),
+        with_rng=st.booleans(),
+        plan=st.lists(plan_steps, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_poses_path_fatigue_and_stream_position(
+        self, seed, start, rms, with_rng, plan
+    ):
+        hands, rngs = _twin_hands(seed, start, rms, with_rng)
+        for (hand, poses), rng in zip(hands, rngs):
+            for step in plan:
+                _drive(hand, poses, rng, step)
+            hand._sim.run_until(hand._sim.now + 0.3)
+        (fused, fused_poses), (ref, ref_poses) = hands
+        assert fused_poses == ref_poses
+        assert fused.total_path_cm == ref.total_path_cm
+        assert fused.fatigue_units == ref.fatigue_units
+        assert fused._tremor_phase == ref._tremor_phase
+        assert fused._tremor_state == ref._tremor_state
+        if with_rng:
+            assert rngs[0].random() == rngs[1].random()
+
+    def test_stop_mid_window_gives_back_the_unused_draws(self):
+        hands, rngs = _twin_hands(11, 15.0, 0.08, with_rng=True)
+        for hand, _poses in hands:
+            hand._sim.schedule(0.2, hand.stop)
+            hand._sim.run_until(1.0)
+        fused = hands[0][0]
+        assert not fused._task.running
+        assert fused._draws == []
+        assert hands[0][1] == hands[1][1]
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_an_update_exactly_on_the_horizon_belongs_to_the_window(self):
+        # 1/128 s is exact in binary, so updates land on each window end.
+        runs = []
+        for windowed in (True, False):
+            sim = Simulator(seed=0)
+            rng = np.random.default_rng(5)
+            poses: list[float] = []
+            hand = Hand(sim, poses.append, update_hz=128.0, rng=rng)
+            for end in (0.25, 0.5, 0.75):
+                if windowed:
+                    sim.run_until(end)
+                    assert hand._next_draw == len(hand._draws)
+                else:
+                    sim.run_while(lambda: True, end)
+                rng.random()
+            runs.append((poses, rng.random()))
+        assert len(runs[0][0]) == 1 + 96 + 1
+        assert runs[0] == runs[1]
+
+    def test_one_block_per_window_outside_which_updates_draw_alone(self):
+        sim = Simulator(seed=0)
+        hand = Hand(sim, lambda _pose: None, rng=np.random.default_rng(3))
+        sim.run_until(0.1)
+        # Updates at 0, 1/120, ... up to 0.1 s: 13 of them, two normals each.
+        assert len(hand._draws) == 2 * 13
+        assert hand._next_draw == len(hand._draws)
+        sim.run_while(lambda: True, 0.2)
+        sim.step()
+        assert hand._next_draw == len(hand._draws)
+        assert sim.horizon is None
+
+
+class TestSimulatorHorizon:
+    def test_only_run_until_opens_a_window(self):
+        sim = Simulator(seed=0)
+        seen = []
+        task = PeriodicTask(sim, 0.1, lambda: seen.append(sim.horizon))
+        sim.run_until(0.25)
+        sim.run_while(lambda: True, 0.35)
+        sim.step()
+        sim.run(max_events=1)
+        task.stop()
+        assert seen == [0.25, 0.25, None, None, None]
+        assert sim.horizon is None
+
+    def test_nested_runs_restore_the_outer_horizon(self):
+        sim = Simulator(seed=0)
+        seen = []
+
+        def nested() -> None:
+            seen.append(sim.horizon)
+            sim.run_until(sim.now + 0.1)
+            seen.append(sim.horizon)
+            sim.run_while(lambda: True, sim.now + 0.1)
+            seen.append(sim.horizon)
+
+        sim.schedule(0.1, nested)
+        sim.schedule(0.15, lambda: seen.append(sim.horizon))
+        sim.schedule(0.25, lambda: seen.append(sim.horizon))
+        sim.run_until(1.0)
+        assert seen == [1.0, 0.2, 1.0, None, 1.0]
+        assert sim.horizon is None
+
+    def test_a_raising_callback_restores_the_horizon(self):
+        sim = Simulator(seed=0)
+
+        def boom() -> None:
+            raise RuntimeError("boom")
+
+        sim.schedule(0.1, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(1.0)
+        assert sim.horizon is None

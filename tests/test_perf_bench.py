@@ -66,6 +66,13 @@ class TestRunBenchmarks:
         assert entry["units_per_s"] > 0
         assert report["derived"] == {}  # no ratio pair in the subset
 
+    def test_report_names_its_sources(self):
+        from repro.runner.cache import source_digest
+
+        report = run_benchmarks(only=["island-map"], quick=True)
+        assert report["source_digest"] == source_digest()
+        assert len(report["source_digest"]) == 64
+
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown benchmarks"):
             run_benchmarks(only=["nope"])

@@ -19,6 +19,7 @@ from repro.runner import (
     ResultCache,
     make_shards,
     run_experiments,
+    source_digest,
     spawn_shard_seeds,
 )
 from repro.sim import kernel
@@ -160,6 +161,13 @@ class TestBenchReport:
         assert entry["events_per_s"] > 0
         assert entry["cached"] is False
         assert on_disk["speedup_vs_serial_computed_only"] > 0
+
+    def test_bench_json_names_its_sources(self, tmp_path):
+        bench_path = tmp_path / "BENCH_runner.json"
+        run_experiments(["MAP-ISL"], seed=0, jobs=1, bench_path=bench_path)
+        on_disk = json.loads(bench_path.read_text())
+        assert on_disk["source_digest"] == source_digest()
+        assert len(on_disk["source_digest"]) == 64
 
     def test_cached_run_reports_original_cost(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -124,6 +124,22 @@ class Firmware:
         self._filter = MedianFilter(self.config.smoothing_window)
         self._island_map: Optional[IslandMap] = None
         self._island_maps: dict[int, IslandMap] = {}
+        # Fixed for the firmware's life, like the island maps built from
+        # it: the mapping curve, the fold-back thresholds and the
+        # plausibility bound.
+        self._map_sensor = self._mapping_sensor()
+        near = self.config.range_cm[0]
+        self._fast_threshold_code = board.adc.code_for_voltage(
+            self._map_sensor.ideal_voltage(near - 0.45)
+        )
+        # Unlatch the fold-back hold only once the reading is clearly on
+        # the usable branch again (shallow aliases stay above this code).
+        self._reentry_code = board.adc.code_for_voltage(
+            self._map_sensor.ideal_voltage(near + 1.5)
+        )
+        # A hand cannot move faster than ~150 cm/s; over one tick that
+        # bounds how far the code can plausibly travel.
+        self._max_plausible_delta = self._plausible_code_delta()
         self._chunk = 0
         self._last_valid_code: Optional[int] = None
         self._suspicious_streak = 0
@@ -382,18 +398,6 @@ class Firmware:
         self.board.mcu.allocate(
             "island-table", ram_bytes=6 * self._island_map.n_slots
         )
-        mapping_sensor = self._mapping_sensor()
-        self._fast_threshold_code = self.board.adc.code_for_voltage(
-            mapping_sensor.ideal_voltage(self.config.range_cm[0] - 0.45)
-        )
-        # Unlatch the fold-back hold only once the reading is clearly on
-        # the usable branch again (shallow aliases stay above this code).
-        self._reentry_code = self.board.adc.code_for_voltage(
-            mapping_sensor.ideal_voltage(self.config.range_cm[0] + 1.5)
-        )
-        # A hand cannot move faster than ~150 cm/s; over one tick that
-        # bounds how far the code can plausibly travel.
-        self._max_plausible_delta = self._plausible_code_delta()
 
     def _island_map_for(self, n_slots: int) -> IslandMap:
         """The island map for ``n_slots`` entries, built once per firmware.
@@ -406,7 +410,7 @@ class Firmware:
         island_map = self._island_maps.get(n_slots)
         if island_map is None:
             island_map = build_island_map(
-                self._mapping_sensor(),
+                self._map_sensor,
                 self.board.adc,
                 n_slots,
                 range_cm=self.config.range_cm,

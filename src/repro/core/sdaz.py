@@ -184,14 +184,6 @@ class SDAZFirmware(Firmware):
         self.board.mcu.allocate(
             "island-table", ram_bytes=6 * self._island_map.n_slots
         )
-        mapping_sensor = self._mapping_sensor()
-        self._fast_threshold_code = self.board.adc.code_for_voltage(
-            mapping_sensor.ideal_voltage(self.config.range_cm[0] - 0.45)
-        )
-        self._reentry_code = self.board.adc.code_for_voltage(
-            mapping_sensor.ideal_voltage(self.config.range_cm[0] + 1.5)
-        )
-        self._max_plausible_delta = self._plausible_code_delta()
 
     # ------------------------------------------------------------------
     # slot handling with zoom transitions

@@ -1,12 +1,12 @@
 """REP009 — scalar↔vectorized dual paths must stay paired and tested.
 
-The perf work (PR 4) and the batch engine (PR 7) deliberately maintain
-*two* implementations of the hot paths: a scalar reference (the oracle)
-and a vectorized/batched fast path, with bit-equality tests welding
-them together.  That discipline rots silently — someone renames the
-scalar method, drops it from ``__all__``, or deletes the equality test,
-and the oracle quietly stops guarding anything.  This rule keeps the
-registry of known pairs honest, project-wide:
+The perf work deliberately maintains *two* implementations of some hot
+paths: a scalar reference (the oracle) and a vectorized fast path, with
+bit-equality tests welding them together.  That discipline rots
+silently — someone renames the scalar method, drops it from
+``__all__``, or deletes the equality test, and the oracle quietly stops
+guarding anything.  This rule keeps the registry of known pairs
+honest, project-wide:
 
 * both halves of each pair still exist in their module,
 * the owning top-level symbol is exported (``__all__`` or public name),
@@ -42,8 +42,8 @@ class ParityPair:
     """One scalar↔vectorized pair the tree promises to keep bit-equal.
 
     ``scalar``/``vector`` are symbol names within ``module`` — dotted
-    for methods (``"GP2D120._measure"``), plain for top-level classes
-    (``"ScalarDeviceEngine"``).
+    for methods (``"GP2D120.ideal_voltage"``), plain for top-level
+    classes and functions.
     """
 
     module: str
@@ -91,13 +91,6 @@ PARITY_PAIRS: tuple[ParityPair, ...] = (
         "RateLimiter.update_batch",
         "PR 4 filter fast path",
     ),
-    ParityPair(
-        "core/batch.py",
-        "ScalarDeviceEngine",
-        "DeviceBatch",
-        "PR 7 SoA engine vs scalar oracle (stepping code written twice"
-        " on purpose)",
-    ),
 )
 
 
@@ -114,7 +107,7 @@ class DualPathParityRule(ProjectRule):
     severity = Severity.ERROR
     rationale = (
         "The tree keeps deliberate duplicate implementations — a scalar"
-        " oracle next to each vectorized/batched fast path (PR 4, PR 7) —"
+        " oracle next to each vectorized fast path —"
         " welded together by bit-equality tests.  A rename, an `__all__`"
         " drop, or a deleted test silently disarms the oracle; the"
         " registry in `repro/devtools/rules/parity.py` plus this check"
@@ -122,9 +115,9 @@ class DualPathParityRule(ProjectRule):
         " file."
     )
     example = (
-        "# parity.py registers (\"core/batch.py\", \"ScalarDeviceEngine\","
-        " \"DeviceBatch\")\n"
-        "# ...but core/batch.py no longer defines ScalarDeviceEngine"
+        "# parity.py registers (\"sensors/gp2d120.py\","
+        " \"GP2D120.ideal_voltage\", \"GP2D120.ideal_voltage_array\")\n"
+        "# ...but sensors/gp2d120.py no longer defines ideal_voltage_array"
     )
     escape_hatch = (
         "Retiring a dual path legitimately means deleting its"

@@ -1,6 +1,6 @@
 """REP006 — SeedSequence spawn-key streams must not collide.
 
-The batched engine (PR 7) and the persona engine (PR 6) both derive
+The fleet device model and the persona engine both derive
 dedicated RNG streams via ``SeedSequence(entropy, spawn_key=(DOMAIN,
 ...))``.  Spawn keys are just tuples: two modules that pick the same
 first element and overlapping trailing elements silently share bit

@@ -1,11 +1,11 @@
-"""FLEET — a heterogeneous device fleet stepped by the batched engine.
+"""FLEET — a heterogeneous device fleet, one scalar engine per device.
 
-The population study (PR 6) made a million *analytic* users cheap; this
+The population study made a million *analytic* users cheap; this
 experiment runs a fleet of full signal-chain devices — per-device sensor
 specimens, surfaces, ambient light, filter windows, island maps, fault
-schedules — through :class:`repro.core.batch.DeviceBatch`, the
-structure-of-arrays engine, driven by a single kernel
-:class:`~repro.sim.kernel.BatchTask` per block.
+schedules — as blocks of :class:`repro.core.batch.ScalarDeviceEngine`
+(:class:`repro.core.batch.DeviceBatch`), each block stepped by one
+kernel :class:`~repro.sim.kernel.PeriodicTask`.
 
 Shard discipline mirrors the ``userblocks`` study: every device's spec
 and RNG streams derive from ``(seed, device_index)`` alone
@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.batch import DeviceBatch, derive_device_spec
 from repro.experiments.harness import ExperimentResult
 from repro.interaction.personas import parse_spec
-from repro.sim.kernel import BatchTask, Simulator
+from repro.sim.kernel import PeriodicTask, Simulator
 
 __all__ = [
     "run_device_block",
@@ -33,7 +33,7 @@ __all__ = [
     "TICK_HZ",
 ]
 
-#: Firmware main-loop rate the batch engine models (matches the scalar
+#: Firmware main-loop rate a fleet device models (matches the full
 #: device's 50 Hz tick).
 TICK_HZ = 50.0
 
@@ -50,7 +50,7 @@ def run_device_block(
 
     The fleet shard unit: a fresh kernel drives one
     :class:`~repro.core.batch.DeviceBatch` via a single
-    :class:`~repro.sim.kernel.BatchTask`, so the whole block is one
+    :class:`~repro.sim.kernel.PeriodicTask`, so the whole block is one
     event per tick no matter how many devices it holds.  Fault schedules
     land on every ``fault_every``-th *absolute* device index, keeping
     the assignment independent of the block layout.
@@ -72,7 +72,7 @@ def run_device_block(
     ]
     batch = DeviceBatch(specs, seed=seed)
     sim = Simulator(seed=seed)
-    task = BatchTask(sim, 1.0 / TICK_HZ, batch.step)
+    task = PeriodicTask(sim, 1.0 / TICK_HZ, lambda: batch.step(sim.now))
     sim.run_while(lambda: True, max_time=duration_s)
     task.stop()
     return batch.result_rows()
@@ -108,7 +108,7 @@ def finalize_fleet(
     result = ExperimentResult(
         experiment_id="FLEET",
         title=(
-            f"Batched device fleet: {n_devices} devices x {duration_s} s "
+            f"Device fleet: {n_devices} devices x {duration_s} s "
             f"({personas} personas)"
         ),
         columns=(
@@ -140,8 +140,8 @@ def finalize_fleet(
     )
     result.note(f"per-device row digest: {_fleet_digest(rows)}")
     result.note(
-        "stepped by repro.core.batch.DeviceBatch — one kernel event per "
-        "tick per block, scalar engine is the bit-equality oracle"
+        "one repro.core.batch.ScalarDeviceEngine per device, each block "
+        "of devices stepped by one kernel event per tick"
     )
     return result
 

@@ -91,8 +91,7 @@ class ADC:
     times and endpoint noise.  A block of pre-drawn noise would take
     values meant for those other draws and shift every later one, so
     every ARENA output would change.  Pooling is only stream-identical
-    on a dedicated noise stream, as :class:`~repro.core.batch.DeviceBatch`
-    has.
+    on a dedicated noise stream that nothing else reads.
 
     A conversion is scalar Python with no numpy call but the draw, and
     every substitution is exact: :func:`~repro.signal.scalar.clamp`

@@ -8,7 +8,7 @@ baseline.  Two kinds of number come out:
 * ``units_per_s`` — absolute throughput (events, samples or islands per
   second of host wall-clock).  Machine-dependent; the regression gate
   compares it against a baseline produced on the same runner class.
-* ``derived`` ratios — e.g. the batched-vs-scalar device speedup.
+* ``derived`` ratios — e.g. observed-vs-plain device throughput.
   Dimensionless and machine-independent, so the floors that
   ``tests/test_perf_bench.py`` holds the committed baseline to apply on
   any host.
@@ -56,7 +56,6 @@ DEFAULT_MIN_EFFICIENCY = 0.8
 #: measured paired when both benchmarks run (see the module docstring).
 PAIRED_RATIOS: dict[str, tuple[str, str]] = {
     "obs_enabled_ratio": ("device-second-observed", "device-second"),
-    "batch_speedup": ("device-second-batched", "device-second"),
 }
 
 
@@ -280,45 +279,6 @@ def _device_second_observed(quick: bool) -> Callable[[], int]:
     return workload
 
 
-def _device_second_batched(quick: bool) -> Callable[[], int]:
-    """Device-seconds per wall-second on the structure-of-arrays path.
-
-    Steps a heterogeneous fleet (mixed personas, surfaces, filter
-    windows, fault schedules) through one
-    :class:`repro.core.batch.DeviceBatch` driven by a kernel
-    :class:`~repro.sim.kernel.BatchTask` — the FLEET experiment's hot
-    loop.  Units are device-ticks, directly comparable to
-    ``device-second`` events: the ``batch_speedup`` derived metric is
-    the whole point of the batched engine (ROADMAP item 2).
-
-    The fleet is built once in the factory (construction is island-map
-    bound and amortizes over any real run); each round re-arms the same
-    batch via ``reset()``, which drops every RNG stream (each is rebuilt
-    from the seed on its first draw) and state array so rounds are
-    identical work.
-    """
-    from repro.core.batch import DeviceBatch, derive_device_spec
-    from repro.sim.kernel import BatchTask, Simulator
-
-    n_devices = 256 if quick else 1024
-    seconds = 2.0 if quick else 10.0
-    specs = [
-        derive_device_spec(seed=1, index=i, fault_every=8)
-        for i in range(n_devices)
-    ]
-    batch = DeviceBatch(specs, seed=1)
-
-    def workload() -> int:
-        batch.reset()
-        sim = Simulator(seed=1)
-        task = BatchTask(sim, 1.0 / 50.0, batch.step)
-        sim.run_while(lambda: True, max_time=seconds)
-        task.stop()
-        return sim.batch_units_processed
-
-    return workload
-
-
 def _user_study_throughput(quick: bool) -> Callable[[], int]:
     """Population-study participants per second (``--users`` path).
 
@@ -407,7 +367,6 @@ BENCHMARKS: dict[str, tuple[Callable[[bool], Workload], str]] = {
     "kernel-cancel-churn": (_kernel_cancel_churn, "events"),
     "device-second": (_device_second, "events"),
     "device-second-observed": (_device_second_observed, "events"),
-    "device-second-batched": (_device_second_batched, "device-ticks"),
     "user-study-throughput": (_user_study_throughput, "users"),
     "technique-arena": (_technique_arena, "users"),
     "runner-fanout": (_runner_fanout, "iterations"),
@@ -499,13 +458,6 @@ def run_benchmarks(
             "observability enabled: "
             f"{derived['obs_enabled_ratio']:.2f}x null-recorder throughput"
         )
-    if "batch_speedup" in derived:
-        # Device-ticks vs kernel events of the same 50 Hz firmware loop:
-        # how much the SoA engine buys over stepping devices one by one.
-        say(
-            "batched engine: "
-            f"{derived['batch_speedup']:.1f}x scalar device throughput"
-        )
     fanout = records.get("runner-fanout")
     if fanout is not None and "scheduler_efficiency" in fanout.notes:
         # Worker utilisation on the skewed fan-out — measured inside
@@ -551,10 +503,9 @@ def check_report(
       differently, so quick-vs-full throughput is not comparable);
     * every derived ratio must likewise stay within ``threshold`` of its
       baseline value, again same-mode only: ratios are
-      machine-independent but *not* workload-size-independent (the
-      batched engine amortizes numpy dispatch better on the full
-      workload, so quick-mode speedups run measurably lower than
-      full-mode ones on the same machine and code);
+      machine-independent but *not* workload-size-independent (a
+      quick run's fixed costs weigh differently on each half of a
+      ratio);
     * the scheduler must keep at least ``min_efficiency`` worker
       utilisation on the skewed fan-out, full mode only: quick-mode
       shards are deliberately small, so worker handoff overhead

@@ -30,8 +30,8 @@ Sharding strategies
     ``(seed, user_index)`` alone, so the shard layout — and therefore
     ``--jobs`` — cannot affect the merged bytes.  FLEET uses the same
     blocks over *device* indices (``n_users_param="n_devices"``): each
-    block steps one structure-of-arrays
-    :class:`repro.core.batch.DeviceBatch`.
+    block steps one :class:`repro.core.batch.DeviceBatch`, a scalar
+    engine per device.
 """
 
 from __future__ import annotations

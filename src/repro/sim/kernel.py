@@ -41,23 +41,14 @@ __all__ = [
     "Event",
     "Simulator",
     "Process",
-    "RecurringTask",
     "PeriodicTask",
-    "BatchTask",
     "global_events_processed",
-    "global_batch_units_processed",
 ]
 
 #: Process-wide count of executed events across every Simulator instance.
 #: The parallel experiment runner reads this to report events/second per
 #: work unit (and to prove that a cache hit recomputed nothing).
 _global_event_count = 0
-
-#: Process-wide count of batch work units (device-ticks) reported via
-#: :meth:`Simulator.note_batch_units`.  One :class:`BatchTask` event can
-#: advance hundreds of devices; the event count alone would make batched
-#: runs look idle, so throughput reporting adds these units.
-_global_batch_units = 0
 
 #: Heap entries are plain ``(time, priority, seq, event)`` tuples so that
 #: ``heappush``/``heappop`` compare via the C tuple fast path instead of a
@@ -85,11 +76,6 @@ _NO_LIMIT = 1 << 62
 def global_events_processed() -> int:
     """Total events executed by all simulators in this process."""
     return _global_event_count
-
-
-def global_batch_units_processed() -> int:
-    """Total batch work units reported by all simulators in this process."""
-    return _global_batch_units
 
 
 class SimulationError(RuntimeError):
@@ -127,10 +113,9 @@ class Event:
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        #: The :class:`PeriodicTask` or :class:`BatchTask` this event fires
-        #: for; the kernel re-arms such an event in place after its
-        #: callback returns.
-        self.task: Optional[RecurringTask] = None
+        #: The :class:`PeriodicTask` this event fires for; the kernel
+        #: re-arms such an event in place after its callback returns.
+        self.task: Optional[PeriodicTask] = None
         #: Owning simulator's dead-event accounting; detached once the
         #: event leaves the queue so late cancels cannot skew the count.
         self._cancel_hook = cancel_hook
@@ -200,10 +185,6 @@ class Simulator:
                 "kernel.events.dispatched"
             )
             self._obs_recorder = recorder
-        self._batch_units = 0
-        # Created lazily on the first note_batch_units call so that runs
-        # which never batch keep their metric snapshots unchanged.
-        self._obs_batch_units: Optional["Counter"] = None
 
     # ------------------------------------------------------------------
     # clock and RNG
@@ -233,38 +214,9 @@ class Simulator:
         return self._event_count
 
     @property
-    def batch_units_processed(self) -> int:
-        """Device-ticks folded into batch events (see :class:`BatchTask`).
-
-        A batch event dispatches as *one* kernel event but advances many
-        devices; this counter keeps throughput accounting honest by
-        recording the per-device work units alongside ``events_processed``.
-        """
-        return self._batch_units
-
-    @property
     def finished(self) -> bool:
         """Whether :meth:`run` drained the queue (resets on new events)."""
         return self._finished
-
-    def note_batch_units(self, n: int) -> None:
-        """Record ``n`` per-device work units performed by a batch event.
-
-        Called by :class:`BatchTask` after each batched step so benchmarks
-        can report device-seconds per wall-second even though the kernel
-        only saw a single event. The ``kernel.batch.units`` counter is
-        created lazily so observed runs without batching keep byte-identical
-        metric snapshots.
-        """
-        global _global_batch_units
-        self._batch_units += n
-        _global_batch_units += n
-        if self._obs_recorder is not None:
-            if self._obs_batch_units is None:
-                metrics = self._obs_recorder.metrics
-                assert metrics is not None
-                self._obs_batch_units = metrics.counter("kernel.batch.units")
-            self._obs_batch_units.inc(n)
 
     def _spawn_child(self) -> np.random.SeedSequence:
         """Next child seed, served from a pre-spawned pool.
@@ -397,13 +349,13 @@ class Simulator:
         number of events executed.  :attr:`horizon` reads ``horizon``
         while the loop runs and the caller's value again afterwards.
 
-        A :class:`PeriodicTask`'s or :class:`BatchTask`'s event is
-        re-armed in place once its callback returns and the task still
-        runs: the same ``Event`` object goes back on the heap at
-        ``now + delay`` with a fresh sequence number, followed by the same
-        compaction check as :meth:`schedule` — exactly the
-        ``schedule(delay, ...)`` the task would otherwise make, so dispatch
-        order is unchanged.  This is the kernel's only re-arm site.
+        A :class:`PeriodicTask`'s event is re-armed in place once its
+        callback returns and the task still runs: the same ``Event``
+        object goes back on the heap at ``now + delay`` with a fresh
+        sequence number, followed by the same compaction check as
+        :meth:`schedule` — exactly the ``schedule(delay, ...)`` the task
+        would otherwise make, so dispatch order is unchanged.  This is the
+        kernel's only re-arm site.
         """
         global _global_event_count
         queue = self._queue
@@ -461,7 +413,9 @@ class Simulator:
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then set the clock.
 
-        Events scheduled exactly at ``end_time`` do run.
+        Events scheduled exactly at ``end_time`` do run.  The clock ends
+        at ``end_time``, or later if a callback's nested run already
+        moved it past: it never moves backwards.
         """
         if math.isnan(end_time):
             raise SimulationError("run_until(nan): the end time must be a number")
@@ -470,7 +424,7 @@ class Simulator:
                 f"run_until({end_time}) is before now ({self._now})"
             )
         self._dispatch(end_time, _NO_LIMIT, None, end_time)
-        self._now = end_time
+        self._now = max(self._now, end_time)
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains (or ``max_events`` executed).
@@ -577,58 +531,16 @@ class Process:
         self._pending = self._sim.schedule(float(delay), self._resume)
 
 
-class RecurringTask:
-    """Base of :class:`PeriodicTask` and :class:`BatchTask`.
-
-    A recurring task owns one :class:`Event` for its whole life.  While the
-    task runs, the simulator's event loop re-arms that event in place after
-    each invocation: ``period`` seconds later, or after a jittered delay
-    when the task draws timing jitter.
-    """
-
-    _period: float
-    _rng: Optional[np.random.Generator] = None
-    _running: bool
-    _event: Optional[Event]
-
-    def _arm(
-        self,
-        sim: Simulator,
-        callback: Callable[[], None],
-        phase: Optional[float],
-    ) -> None:
-        """Schedule the first invocation and adopt its event."""
-        self._running = True
-        first = self._period if phase is None else float(phase)
-        self._event = sim.schedule(first, callback)
-        self._event.task = self
-
-    @property
-    def period(self) -> float:
-        """Nominal period in seconds."""
-        return self._period
-
-    @property
-    def running(self) -> bool:
-        """Whether the task will fire again."""
-        return self._running
-
-    def stop(self) -> None:
-        """Cancel any pending invocation and stop rescheduling."""
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _next_delay(self) -> float:
-        return self._period
-
-
-class PeriodicTask(RecurringTask):
+class PeriodicTask:
     """A callback invoked at a fixed period until stopped.
 
     This is the backbone of every polling loop in the hardware simulation:
     ADC sampling, firmware ticks, display refresh, battery discharge.
+
+    The task owns one :class:`Event` for its whole life.  While the task
+    runs, the simulator's event loop re-arms that event in place after
+    each invocation: ``period`` seconds later, or after a jittered delay
+    when the task draws timing jitter.
 
     Parameters
     ----------
@@ -665,7 +577,28 @@ class PeriodicTask(RecurringTask):
         # ``rng.normal(size=n)`` is stream-identical to n scalar draws.
         self._jitter_pool: Optional[np.ndarray] = None
         self._jitter_index = 0
-        self._arm(sim, callback, phase)
+        self._running = True
+        first = self._period if phase is None else float(phase)
+        event = sim.schedule(first, callback)
+        event.task = self
+        self._event: Optional[Event] = event
+
+    @property
+    def period(self) -> float:
+        """Nominal period in seconds."""
+        return self._period
+
+    @property
+    def running(self) -> bool:
+        """Whether the task will fire again."""
+        return self._running
+
+    def stop(self) -> None:
+        """Cancel any pending invocation and stop rescheduling."""
+        self._running = False
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
 
     def _next_delay(self) -> float:
         if self._rng is None:
@@ -680,55 +613,6 @@ class PeriodicTask(RecurringTask):
         delay = self._period + float(self._jitter_pool[self._jitter_index])
         self._jitter_index += 1
         return max(delay, self._period * 0.1)
-
-
-class BatchTask(RecurringTask):
-    """A periodic *batch event*: one kernel event advancing many devices.
-
-    The structure-of-arrays engine (:class:`repro.core.batch.DeviceBatch`)
-    steps N devices in a single call; scheduling one kernel event per device
-    would put the event loop itself back on the hot path. A ``BatchTask``
-    dispatches as a single :class:`Event` per period and reports the
-    per-device work it performed via :meth:`Simulator.note_batch_units`, so
-    ``events_processed`` counts kernel dispatches while
-    ``batch_units_processed`` counts device-ticks.
-
-    Unlike :class:`PeriodicTask` there is no jitter option: the batch engine
-    owns all per-device randomness through its spawn-key streams, and the
-    batch boundary must stay on the exact tick grid for the scalar oracle to
-    replay it.
-
-    Parameters
-    ----------
-    sim:
-        The simulator to schedule on.
-    period:
-        Seconds between batch steps (must be > 0).
-    step:
-        Called with the current simulated time; returns the number of
-        per-device units processed this step.
-    phase:
-        Delay before the first invocation; defaults to one full period.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: float,
-        step: Callable[[float], int],
-        phase: Optional[float] = None,
-    ) -> None:
-        if not period > 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self._sim = sim
-        self._period = float(period)
-        self._step = step
-        self._arm(sim, self._tick, phase)
-
-    def _tick(self) -> None:
-        units = self._step(self._sim.now)
-        if units:
-            self._sim.note_batch_units(units)
 
 
 def drain(sim: Simulator, events: Iterable[tuple[float, Callable[[], None]]]) -> None:

@@ -5,9 +5,8 @@ Every module that derives dedicated RNG streams with an explicit
 domain tag here, once.  The first element of a spawn key is a namespace:
 two modules that pick the same tag and overlapping trailing elements
 silently share bit streams, which couples experiments that must be
-independent (PR 7 had to hand-audit exactly this when the batch engine
-grew its per-device streams next to the persona engine's per-user
-streams).
+independent (the fleet devices' per-device streams sit next to the
+persona engine's per-user streams, and a shared tag would couple them).
 
 The reprolint rule ``REP006`` (:mod:`repro.devtools.rules.rngstreams`)
 enforces the convention project-wide: a spawn-key tuple whose first
@@ -43,9 +42,9 @@ PERSONA_STREAM = 0x9E37
 #: glove slips and paging jitter for one participant's task battery.
 TRIAL_STREAM = 0x79B9
 
-#: Per-device streams of the batched multi-device engine
-#: (`repro.core.batch`): spec/specimen/corruption/noise/ADC/glitch
-#: sub-streams, one family per fleet index.
+#: Per-device streams of FLEET's device model (`repro.core.batch`):
+#: spec/specimen/corruption/noise/ADC/glitch sub-streams, one family per
+#: fleet index.
 BATCH_STREAM = 0xBA7C
 
 #: Per-shard seed derivation of the parallel runner

@@ -1,40 +1,32 @@
-"""Tests for the batched multi-device engine (repro.core.batch).
+"""Tests for FLEET's device model (repro.core.batch).
 
-The structure-of-arrays engine must be a *bit-equality* twin of the
-scalar per-device engine — same RNG streams, same IEEE op order, same
-state machine — across every regime the fleet can hit: mixed personas
-and gloves, corrupting surfaces, active fault windows, and observe=On.
-The scalar engine is the oracle; whenever the two disagree by even one
-bit, the batch path is wrong.
+A :class:`DeviceBatch` is a block of :class:`ScalarDeviceEngine`s.  A
+device in a block must compute exactly what the same device computes
+alone — same RNG streams, same state machine — across every regime the
+fleet can hit: mixed personas and gloves, corrupting surfaces, active
+fault windows, and observe=On.  FLEET's shard invariance rests on it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import (
-    _POOL,
     DeviceBatch,
     ScalarDeviceEngine,
     derive_device_spec,
     device_stream,
 )
 from repro.obs.recorder import Recorder, use_recorder
-from repro.sim.kernel import (
-    BatchTask,
-    SimulationError,
-    Simulator,
-    global_batch_units_processed,
-)
+from repro.sim.kernel import PeriodicTask, Simulator
 
 TICK = 1.0 / 50.0
 
 
 def run_both(seed, indices, ticks, fault_every=0, duration_hint_s=2.0):
-    """Step a batch and its scalar twins over the same tick grid."""
+    """Step a block and lone engines of its devices over one tick grid."""
     specs = [
         derive_device_spec(
             seed,
@@ -66,7 +58,7 @@ def assert_bit_equal(batch, scalars):
 
 
 class TestScalarVsBatchedEquality:
-    """The hypothesis property suite: batch == oracle, bit for bit."""
+    """A device in a block equals the same device stepped alone."""
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -121,30 +113,11 @@ class TestScalarVsBatchedEquality:
         assert packed.state(3) == lone.state(0)
         assert packed.counters(3) == lone.counters(0)
 
-    @pytest.mark.parametrize("seed", [5, 23])
-    def test_long_run_crosses_pool_refills(self, seed):
-        """Past several pool depths: every stream refills mid-run."""
-        ticks = 3 * _POOL
-        batch, scalars = run_both(
-            seed, range(6), ticks, fault_every=2, duration_hint_s=ticks * TICK
-        )
-        assert_bit_equal(batch, scalars)
-        assert min(batch.fresh) > _POOL  # the gate pools refilled too
-
-    def test_reset_replays_identically(self):
-        batch, scalars = run_both(7, range(8), 100, fault_every=4)
-        first = [batch.state(row) for row in range(8)]
-        batch.reset()
-        now = 0.0
-        for _ in range(100):
-            now += TICK
-            batch.step(now)
-        assert [batch.state(row) for row in range(8)] == first
-        assert_bit_equal(batch, scalars)
-
 
 class TestRngStreamPins:
-    """Pin the numpy facts the batched draws rely on."""
+    """Pin the numpy fact block draws rely on: ``n`` draws in one call are
+    stream-identical to ``n`` scalar draws (``PeriodicTask``'s jitter pool
+    depends on it)."""
 
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 64))
     @settings(max_examples=30, deadline=None)
@@ -193,64 +166,6 @@ class TestDeviceBatchShape:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):
             DeviceBatch([], seed=0)
-
-
-class TestBatchTask:
-    def test_accounting_counts_device_ticks(self):
-        specs = [derive_device_spec(42, i) for i in range(10)]
-        batch = DeviceBatch(specs, seed=42)
-        sim = Simulator(seed=42)
-        before = global_batch_units_processed()
-        task = BatchTask(sim, TICK, batch.step)
-        sim.run_while(lambda: True, max_time=1.0)
-        task.stop()
-        assert batch.ticks == 49  # the tick landing on max_time won't fire
-        assert sim.batch_units_processed == 10 * batch.ticks
-        assert global_batch_units_processed() - before == 10 * batch.ticks
-        # Each batch tick is ONE kernel event regardless of fleet size.
-        assert sim.events_processed == batch.ticks
-
-    def test_stop_halts_recurrence(self):
-        sim = Simulator(seed=0)
-        fired = []
-        task = BatchTask(sim, 0.1, lambda now: fired.append(now) or 3)
-        sim.run(max_events=2)
-        task.stop()
-        assert not task.running
-        sim.run()
-        assert len(fired) == 2
-        assert sim.batch_units_processed == 6
-
-    def test_zero_units_is_not_recorded(self):
-        sim = Simulator(seed=0)
-        task = BatchTask(sim, 0.1, lambda now: 0)
-        sim.run(max_events=3)
-        task.stop()
-        assert sim.batch_units_processed == 0
-
-    def test_rejects_nonpositive_period(self):
-        sim = Simulator(seed=0)
-        with pytest.raises(SimulationError):
-            BatchTask(sim, 0.0, lambda now: 1)
-
-    def test_observed_batch_units_counter(self):
-        recorder = Recorder()
-        with use_recorder(recorder):
-            sim = Simulator(seed=1)
-            task = BatchTask(sim, 0.05, lambda now: 7)
-            sim.run(max_events=4)
-            task.stop()
-        snapshot = recorder.metrics.snapshot()
-        assert snapshot["kernel.batch.units"]["value"] == 28
-
-    def test_unbatched_observed_run_creates_no_batch_counter(self):
-        """Lazy counter: metric snapshots of non-batch runs stay stable."""
-        recorder = Recorder()
-        with use_recorder(recorder):
-            sim = Simulator(seed=1)
-            sim.schedule(0.1, lambda: None)
-            sim.run()
-        assert "kernel.batch.units" not in recorder.metrics.snapshot()
 
 
 class TestDevicebatchSharder:
@@ -343,19 +258,26 @@ class TestDevicebatchSharder:
 
 class TestFleetKernelDriveMatchesOracle:
     def test_kernel_tick_grid_equals_manual_grid(self):
-        """BatchTask fires on the same accumulated grid the oracle uses."""
+        """FLEET's PeriodicTask fires on the accumulated ``t + period`` grid."""
         specs = [derive_device_spec(9, i, fault_every=4) for i in range(6)]
         batch = DeviceBatch(specs, seed=9)
         sim = Simulator(seed=9)
         times = []
 
-        def step(now):
-            times.append(now)
-            return batch.step(now)
+        def step():
+            times.append(sim.now)
+            batch.step(sim.now)
 
-        task = BatchTask(sim, TICK, step)
+        task = PeriodicTask(sim, TICK, step)
         sim.run_while(lambda: True, max_time=1.0)
         task.stop()
+        assert batch.ticks == 49  # the tick landing on max_time won't fire
+        # One kernel event per tick, whatever the block's size.
+        assert sim.events_processed == batch.ticks
+        now = 0.0
+        for fired in times:
+            now += TICK
+            assert fired == now
         scalars = [ScalarDeviceEngine(spec, seed=9) for spec in specs]
         for now in times:
             for engine in scalars:
@@ -363,16 +285,15 @@ class TestFleetKernelDriveMatchesOracle:
         assert_bit_equal(batch, scalars)
 
     def test_pow_foldback_region_stays_scalar(self):
-        """Devices that wander into fold-back still match the oracle.
+        """Devices that wander into fold-back match their lone engines.
 
-        numpy's vectorized ``**`` differs from libm by 1 ulp (PR 4), so
-        the fold-back branch must stay per-element; seeds that latch
-        exercise it.
+        The fold-back branch of ``GP2D120.ideal_voltage`` uses ``**``;
+        seeds that latch exercise it.
         """
         found = False
         for seed in range(40):
             batch, scalars = run_both(seed, range(6), 120, fault_every=2)
             assert_bit_equal(batch, scalars)
-            if any(batch.latches[row] > 0 for row in range(6)):
+            if any(batch.counters(row)[2] > 0 for row in range(6)):
                 found = True
         assert found, "no fleet latched fold-back in 40 seeds"

@@ -2,9 +2,11 @@
 
 ``Firmware._rebuild_islands`` runs on every chunk page.  Its inputs are
 fixed for the firmware's life, so the map for a given entry count is
-built once and shared.  Paging a 40-entry menu through every chunk and
-back must highlight exactly what fresh per-page builds highlight, and a
-shared map must not be mutable.
+built once and shared, and the fold-back thresholds and plausibility
+bound are derived once at construction.  Paging a 40-entry menu through
+every chunk and back must highlight exactly what fresh per-page builds
+highlight, a shared map must not be mutable, and the thresholds must
+equal what a per-page derivation gives.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.device import DistScroll
 from repro.core.islands import build_island_map
 from repro.core.menu import build_menu
 from repro.core.sdaz import SDAZFirmware
+from repro.sensors.gp2d120 import GP2D120
 
 
 class _NeverKeeps(dict):
@@ -94,6 +97,81 @@ class TestIslandMapReuse:
         device.firmware._set_zoom("fine")
         device.firmware._set_zoom("coarse")
         assert device.firmware.island_map is coarse
+
+
+def _thresholds(firmware) -> tuple[int, int, int]:
+    return (
+        firmware._fast_threshold_code,
+        firmware._reentry_code,
+        firmware._max_plausible_delta,
+    )
+
+
+def _derived_thresholds(device: DistScroll) -> tuple[int, int, int]:
+    """The thresholds as a per-page derivation computes them."""
+    config = device.config
+    adc = device.board.adc
+    board_sensor = device.board.distance_sensor
+    mapping = board_sensor if config.factory_calibrated else GP2D120(rng=None)
+    near = config.range_cm[0]
+    travel = 150.0 * config.firmware_period_s
+
+    def code(sensor, distance: float) -> int:
+        return adc.code_for_voltage(sensor.ideal_voltage(distance))
+
+    return (
+        code(mapping, near - 0.45),
+        code(mapping, near + 1.5),
+        abs(code(board_sensor, near) - code(board_sensor, near + travel))
+        + 24,
+    )
+
+
+class TestFixedThresholds:
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_paged_firmware_keeps_derived_thresholds(self, calibrated):
+        labels = [f"Item {i:02d}" for i in range(40)]
+        device = DistScroll(
+            build_menu(labels),
+            config=DeviceConfig(chunk_size=12, factory_calibrated=calibrated),
+            seed=4,
+        )
+        firmware = device.firmware
+        expected = _derived_thresholds(device)
+        for _ in range(firmware.n_chunks + 1):
+            assert _thresholds(firmware) == expected
+            device.click("aux")
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_sdaz_zoom_keeps_derived_thresholds(self, calibrated):
+        labels = [f"Item {i:02d}" for i in range(60)]
+        device = DistScroll(
+            build_menu(labels),
+            config=DeviceConfig(
+                long_menu_mode="sdaz", chunk_size=0,
+                factory_calibrated=calibrated,
+            ),
+            seed=1,
+        )
+        firmware = device.firmware
+        expected = _derived_thresholds(device)
+        for zoom in ("fine", "coarse", "fine"):
+            firmware._set_zoom(zoom)
+            assert _thresholds(firmware) == expected
+
+    def test_calibration_changes_the_thresholds(self):
+        """The uncalibrated build maps through the datasheet part."""
+        labels = [f"Item {i:02d}" for i in range(40)]
+        devices = [
+            DistScroll(
+                build_menu(labels),
+                config=DeviceConfig(factory_calibrated=calibrated),
+                seed=4,
+            )
+            for calibrated in (True, False)
+        ]
+        calibrated, generic = (_thresholds(d.firmware) for d in devices)
+        assert calibrated[:2] != generic[:2]
 
 
 class TestIslandMapIsReadOnly:

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import (
-    BatchTask,
     PeriodicTask,
     Process,
     SimulationError,
@@ -341,19 +340,13 @@ class TestInPlaceRearm:
         sim.run_until(1.0)
         assert fired == [0.25, 0.5, 0.75, 1.0]
 
-    def test_batch_task_keeps_one_event(self, sim):
+    def test_task_stopped_between_runs_fires_no_more(self, sim):
         steps = []
-
-        def step(now: float) -> int:
-            steps.append(now)
-            return 3
-
-        task = BatchTask(sim, 0.25, step)
+        task = PeriodicTask(sim, 0.25, lambda: steps.append(sim.now))
         event = task._event
         sim.run_until(1.0)
         assert task._event is event
         assert steps == [0.25, 0.5, 0.75, 1.0]
-        assert sim.batch_units_processed == 12
         task.stop()
         sim.run_until(2.0)
         assert len(steps) == 4

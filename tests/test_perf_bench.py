@@ -137,7 +137,7 @@ class TestPairedRatios:
 
 class TestCheckReport:
     def test_passes_when_identical(self):
-        baseline = _report({"a": 100.0}, {"batch_speedup": 25.0})
+        baseline = _report({"a": 100.0}, {"obs_enabled_ratio": 0.6})
         assert check_report(baseline, baseline) == []
 
     def test_fails_on_throughput_regression(self):
@@ -159,27 +159,27 @@ class TestCheckReport:
     def test_quick_vs_full_skips_absolute_throughput(self):
         """Quick workloads are sized differently, so a quick run checked
         against the committed full baseline must skip throughput floors."""
-        baseline = _report({"a": 100.0}, {"batch_speedup": 25.0})
-        current = _report({"a": 10.0}, {"batch_speedup": 25.0}, quick=True)
+        baseline = _report({"a": 100.0}, {"obs_enabled_ratio": 0.6})
+        current = _report({"a": 10.0}, {"obs_enabled_ratio": 0.6}, quick=True)
         assert check_report(current, baseline) == []
 
     def test_derived_ratio_relative_check_is_same_mode_only(self):
-        """Ratios are workload-size-dependent too (the batched engine
-        amortizes numpy dispatch better at full size), so the relative
+        """Ratios are workload-size-dependent too (a quick run's fixed
+        costs weigh differently on each half of a ratio), so the relative
         comparison only holds within a mode."""
-        baseline = _report({}, {"batch_speedup": 24.0})
-        cross = _report({}, {"batch_speedup": 16.0}, quick=True)
+        baseline = _report({}, {"obs_enabled_ratio": 0.6})
+        cross = _report({}, {"obs_enabled_ratio": 0.4}, quick=True)
         assert check_report(cross, baseline) == []
-        same = _report({}, {"batch_speedup": 16.0})
+        same = _report({}, {"obs_enabled_ratio": 0.4})
         failures = check_report(same, baseline)
-        assert any("batch_speedup" in f for f in failures)
+        assert any("obs_enabled_ratio" in f for f in failures)
 
     def test_derived_missing_fails_even_across_modes(self):
-        baseline = _report({}, {"batch_speedup": 24.0})
+        baseline = _report({}, {"obs_enabled_ratio": 0.6})
         current = _report({}, {}, quick=True)
         failures = check_report(current, baseline)
         assert failures == [
-            "derived batch_speedup: in baseline but not measured"
+            "derived obs_enabled_ratio: in baseline but not measured"
         ]
 
     def test_custom_threshold(self):
@@ -212,10 +212,10 @@ class TestCheckReport:
 class TestFormatReport:
     def test_renders_each_benchmark_and_ratio(self):
         text = format_report(
-            _report({"a": 100.0, "b": 2.0}, {"batch_speedup": 25.0})
+            _report({"a": 100.0, "b": 2.0}, {"obs_enabled_ratio": 0.6})
         )
         assert "a" in text and "b" in text
-        assert "batch_speedup: 25.00x" in text
+        assert "obs_enabled_ratio: 0.60x" in text
 
 
 class TestBenchCLI:
@@ -294,10 +294,8 @@ class TestCommittedBaseline:
         assert set(report["benchmarks"]) == set(BENCHMARKS)
         for entry in report["benchmarks"].values():
             assert entry["units_per_s"] > 0
-        # Batched-engine acceptance: >= 20x device-seconds/s over the
-        # scalar loop, and observability keeps >= 0.55x of null-recorder
-        # throughput (the hot-path bugfix sweep's floor).
-        assert report["derived"]["batch_speedup"] >= 20.0
+        # Observability keeps >= 0.55x of null-recorder throughput (the
+        # hot-path bugfix sweep's floor).
         assert report["derived"]["obs_enabled_ratio"] >= 0.55
         # Runner-v2 acceptance: the scheduler keeps >= 0.8 worker
         # utilisation on the skewed fan-out (cost-aware LPT ordering +

@@ -98,6 +98,17 @@ class TestScheduling:
         sim.run_until(1.0)
         assert fired == [1]
 
+    def test_nested_run_until_past_the_end_keeps_the_clock(self, sim):
+        """A callback's nested run past the outer end never rewinds."""
+        order = []
+        sim.schedule(0.1, lambda: sim.run_until(2.0))
+        sim.schedule(1.5, lambda: order.append(("late", sim.now)))
+        sim.run_until(1.0)
+        assert sim.now == 2.0
+        sim.schedule(0.0, lambda: order.append(("next", sim.now)))
+        sim.run_until(3.0)
+        assert order == [("late", 1.5), ("next", 2.0)]
+
 
 class TestDeterminism:
     def test_same_seed_same_rng_stream(self):

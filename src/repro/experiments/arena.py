@@ -23,8 +23,10 @@ quantify the slowdown.
 
 Speed, accuracy, error recovery and fatigue fold into the exact
 streaming aggregators of :mod:`repro.analysis.stats`, O(1) state per
-technique × scenario no matter the population.  ``docs/ARENA.md`` is
-rendered from this module by ``scripts/generate_arena_md.py``.
+technique × scenario no matter the population.  ``docs/ARENA.md``
+shows this experiment's registry run (``repro run ARENA --seed 0``),
+rendered by ``scripts/generate_experiments_md.py`` from the same pass as
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

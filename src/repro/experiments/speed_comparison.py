@@ -5,9 +5,10 @@ techniques.  So far, we only know that Fitt's Law holds for scrolling."
 
 Protocol: every technique from the Related Work runs the same
 (start, target) ladders over several menu lengths.  Reported per
-technique x menu length: mean selection time and error rate.  Separately,
-DistScroll's (ID, MT) pairs are regressed to confirm Fitts's law holds in
-the full closed loop — the paper's one known quantitative anchor.
+technique x menu length: mean selection time and error rate.  Each
+technique's (ID, MT) pairs are also regressed, one ``fitts`` note per
+fit, to confirm Fitts's law holds in DistScroll's full closed loop — the
+paper's one known quantitative anchor.
 
 Expected shape: button scrolling is linear in scroll *distance* (good for
 neighbours, bad for far targets); tilt rate-control sits between; the
@@ -41,10 +42,12 @@ def run_speed_comparison(
         "touch",
     ),
     glove_key: str = "none",
-) -> tuple[ExperimentResult, ExperimentResult]:
+) -> ExperimentResult:
     """Run the cross-technique comparison plus the Fitts regression.
 
-    Returns ``(comparison_table, fitts_table)``.
+    Each technique with at least three distinct indices of difficulty
+    gets one ``fitts <technique>: a=..., b=... s/bit, r2=..., n=...``
+    note for its MT = a + b*ID fit; notes stay out of the CSV bytes.
     """
     comparison = ExperimentResult(
         experiment_id="EXT-SPEED",
@@ -58,10 +61,10 @@ def run_speed_comparison(
             "one_handed",
         ),
     )
-    fitts_rows = ExperimentResult(
-        experiment_id="EXT-SPEED/fitts",
-        title="Fitts's-law regression per technique (MT = a + b*ID)",
-        columns=("technique", "a_s", "b_s_per_bit", "r2", "n"),
+    comparison.note(
+        "expected shape: buttons grow linearly with target distance; "
+        "position-control (distscroll, yoyo) grow logarithmically; "
+        "wheel and touch need the second hand"
     )
     glove = GLOVES[glove_key]
     master = np.random.default_rng(seed)
@@ -94,20 +97,18 @@ def run_speed_comparison(
             )
         if len(set(np.round(ids_all, 3))) >= 3:
             fit = fit_fitts(np.asarray(ids_all), np.asarray(times_all))
-            fitts_rows.add_row(tech_name, fit.a, fit.b, fit.r2, fit.n)
+            comparison.note(
+                f"fitts {tech_name}: a={fit.a:.4g} s, b={fit.b:.4g} s/bit, "
+                f"r2={fit.r2:.4g}, n={fit.n}"
+            )
 
     comparison.note(
-        "expected shape: buttons grow linearly with target distance; "
-        "position-control (distscroll, yoyo) grow logarithmically; "
-        "wheel and touch need the second hand"
-    )
-    fitts_rows.note(
         "paper §7: 'we only know that Fitt's Law holds for scrolling' — "
         "the closed-loop distscroll regression shows a reliably positive "
         "slope; r2 is modest because total task time folds in reaction, "
         "verification and button noise on top of the movement component"
     )
-    return comparison, fitts_rows
+    return comparison
 
 
 def run_distance_profile(

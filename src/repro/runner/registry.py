@@ -154,7 +154,6 @@ REGISTRY: Dict[str, ExperimentSpec] = dict(
         _spec(
             "EXT-SPEED",
             "repro.experiments.speed_comparison:run_speed_comparison",
-            result_index=0,
         ),
         _spec(
             "EXT-SPEED-PROFILE",

@@ -601,8 +601,6 @@ class PeriodicTask:
             self._event = None
 
     def _next_delay(self) -> float:
-        if self._rng is None:
-            return self._period
         if self._jitter_pool is None or self._jitter_index >= len(
             self._jitter_pool
         ):

@@ -13,6 +13,21 @@ from repro.sensors.gp2d120 import GP2D120
 from repro.sim.kernel import Simulator
 
 
+@pytest.fixture(scope="session")
+def registry_results() -> dict:
+    """Every ``REGISTRY`` id at seed 0, inline and uncached, run once.
+
+    The one pass the experiment pins digest and EXPERIMENTS.md /
+    docs/ARENA.md render from: exactly what ``repro run <ID> --seed 0``
+    computes.  Read-only: tests must not mutate the results.
+    """
+    from repro.runner.pool import run_experiments
+    from repro.runner.registry import REGISTRY
+
+    results, _bench = run_experiments(list(REGISTRY), seed=0, jobs=1, cache=None)
+    return results
+
+
 @pytest.fixture
 def sim() -> Simulator:
     """A fresh deterministic simulator."""

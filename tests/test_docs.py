@@ -1,6 +1,6 @@
 """Documentation is executable: doctests + generated-docs drift checks.
 
-Two guarantees, both tier-1:
+Three guarantees, all tier-1:
 
 * Every ``>>>`` example in the README and under ``docs/`` actually runs
   and prints what it claims (``doctest.testfile`` over each markdown
@@ -11,12 +11,17 @@ Two guarantees, both tier-1:
   gate).  The byte-level assertion is version-pinned because
   ``ast.unparse`` output varies across interpreters; other versions
   still assert the generator runs and covers its target packages.
+* EXPERIMENTS.md and ``docs/ARENA.md`` match what
+  ``scripts/generate_experiments_md.py`` renders from the session's one
+  registry pass (the ``registry_results`` fixture, the same results the
+  experiment pins digest), so every table is ``repro run <ID> --seed 0``.
 """
 
 from __future__ import annotations
 
 import doctest
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -143,19 +148,49 @@ class TestTechniquesMd:
         assert generator.main(["--check"]) == 0
 
 
-class TestArenaMd:
-    """docs/ARENA.md matches a fresh run of the tournament."""
+class TestExperimentsMd:
+    """EXPERIMENTS.md holds one section per registry id, as `repro run` prints it."""
 
     def _generator(self):
-        return _import_generator("generate_arena_md")
+        return _import_generator("generate_experiments_md")
 
-    def test_arena_md_is_current(self):
-        generator = self._generator()
-        rendered = generator.render()
+    def test_experiments_md_is_current(self, registry_results):
+        rendered = self._generator().render(registry_results)["EXPERIMENTS.md"]
+        committed = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert rendered == committed, (
+            "EXPERIMENTS.md is stale - run "
+            "`python scripts/generate_experiments_md.py`"
+        )
+
+    def test_one_section_per_registry_id(self):
+        from repro.runner.registry import REGISTRY
+
+        ids = [eid for eid, _heading, _text in self._generator().SECTIONS]
+        assert Counter(ids) == Counter(list(REGISTRY))
+
+    def test_fig5_block_is_repro_run_stdout(self, capsys):
+        from repro import cli
+
+        headings = {eid: heading for eid, heading, _ in self._generator().SECTIONS}
+        assert cli.main(["run", "FIG5", "--seed", "0"]) == 0
+        stdout = capsys.readouterr().out
+        text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        section = text.split(f"## FIG5 — {headings['FIG5']}\n", 1)[1]
+        assert section.split("```\n")[1] == stdout
+
+
+class TestArenaMd:
+    """docs/ARENA.md renders ARENA's result from the same registry pass."""
+
+    def _generator(self):
+        return _import_generator("generate_experiments_md")
+
+    def test_arena_md_is_current(self, registry_results):
+        rendered = self._generator().render(registry_results)["docs/ARENA.md"]
         committed = (REPO / "docs" / "ARENA.md").read_text(encoding="utf-8")
         assert rendered == committed, (
             "docs/ARENA.md is stale - run "
-            "`python scripts/generate_arena_md.py`"
+            "`python scripts/generate_experiments_md.py`"
         )
 
     def test_leaderboard_lists_every_technique(self):
@@ -165,16 +200,23 @@ class TestArenaMd:
         for key in ARENA_ROSTER:
             assert key in committed
 
-    def test_generator_check_mode(self, tmp_path, monkeypatch, capsys):
+    def test_generator_check_mode(
+        self, registry_results, tmp_path, monkeypatch, capsys
+    ):
+        """--check names each stale file; one pass renders both."""
         generator = self._generator()
-        # A 2-user tournament keeps the three renders this test needs
-        # fast; the drift test above runs the committed parameters.
-        monkeypatch.setattr(generator, "ARENA_USERS", 2)
-        stale = tmp_path / "ARENA.md"
-        stale.write_text("out of date\n", encoding="utf-8")
-        monkeypatch.setattr(generator, "OUTPUT", stale)
+        monkeypatch.setattr(generator, "run_registry", lambda: registry_results)
         monkeypatch.setattr(generator, "REPO", tmp_path)
+        (tmp_path / "EXPERIMENTS.md").write_text("out of date\n")
         assert generator.main(["--check"]) == 1
-        assert "stale" in capsys.readouterr().err
-        assert generator.main([]) == 0
+        err = capsys.readouterr().err
+        assert "EXPERIMENTS.md is stale" in err
+        assert "docs/ARENA.md is stale" in err
+        assert generator.main([]) == 0  # regenerates both
         assert generator.main(["--check"]) == 0
+        (tmp_path / "docs" / "ARENA.md").write_text("out of date\n")
+        capsys.readouterr()
+        assert generator.main(["--check"]) == 1
+        err = capsys.readouterr().err
+        assert "docs/ARENA.md is stale" in err
+        assert "EXPERIMENTS.md is stale" not in err

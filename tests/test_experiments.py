@@ -8,6 +8,7 @@ flat, what explodes) rather than absolute numbers.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestUserStudy:
 
 class TestSpeedComparison:
     def test_buttons_linear_distscroll_flat(self):
-        comparison, fitts = run_speed_comparison(
+        comparison = run_speed_comparison(
             seed=1,
             menu_lengths=(6, 18),
             repetitions=2,
@@ -177,21 +178,25 @@ class TestSpeedComparison:
         assert dist_growth < button_growth
 
     def test_six_techniques_at_two_menu_lengths(self):
-        comparison, _fitts = run_speed_comparison(
+        comparison = run_speed_comparison(
             seed=1, menu_lengths=(8, 20), repetitions=4
         )
         assert len(comparison.rows) == 12  # 6 techniques x 2 lengths
 
     def test_fitts_holds_for_distscroll(self):
-        _, fitts = run_speed_comparison(
+        comparison = run_speed_comparison(
             seed=3,
             menu_lengths=(8, 24),
             repetitions=4,
             techniques=("distscroll",),
         )
-        assert fitts.rows, "no regression produced"
-        row = fitts.rows[0]
-        b, r2 = row[2], row[3]
+        fits = [
+            note for note in comparison.notes
+            if note.startswith("fitts distscroll:")
+        ]
+        assert fits, "no regression produced"
+        match = re.search(r"b=(\S+) s/bit, r2=(\S+),", fits[0])
+        b, r2 = float(match.group(1)), float(match.group(2))
         assert b > 0.0  # positive slope: harder targets take longer
         # Total task time includes reaction/verify/press noise, so the
         # ID-only regression explains a modest share — but reliably > 0.

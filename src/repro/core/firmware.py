@@ -140,6 +140,12 @@ class Firmware:
         # A hand cannot move faster than ~150 cm/s; over one tick that
         # bounds how far the code can plausibly travel.
         self._max_plausible_delta = self._plausible_code_delta()
+        # How long a new island must persist before the highlight moves
+        # (see _apply_slot_lookup).
+        self._confirm_window_s = (
+            self.config.confirm_samples
+            * board.distance_sensor.params.cycle_time_s
+        )
         self._chunk = 0
         self._last_valid_code: Optional[int] = None
         self._suspicious_streak = 0
@@ -191,6 +197,14 @@ class Firmware:
             # The fusion routine and second ADC channel cost extra code.
             board.mcu.allocate("fusion-code", flash_bytes=1_800, ram_bytes=24)
 
+        self._buttons = tuple(board.buttons.values())
+        # The main loop's fixed work, charged to the cycle budget once
+        # per tick.
+        self._tick_cycles = 0
+        for _stage, cycles in self._tick_stages():
+            self._tick_cycles += cycles
+        self._period = self.config.firmware_period_s
+
         # Observability binds once at construction (see repro.obs): the
         # per-tick fast path stays a single None check when disabled.
         recorder = active_recorder()
@@ -205,7 +219,7 @@ class Firmware:
         self._wire_buttons()
         self._rebuild_islands()
 
-        period = self.config.firmware_period_s
+        period = self._period
         self._main_task = PeriodicTask(self._sim, period, self._tick, phase=period)
         self._render_task = PeriodicTask(
             self._sim,
@@ -393,6 +407,14 @@ class Firmware:
         entries_on_chunk = min(size, n_entries - first)
         entries_on_chunk = max(entries_on_chunk, 1)
         self._island_map = self._island_map_for(entries_on_chunk)
+        # The entry each slot highlights on this page, fixed until the
+        # next rebuild.
+        n_slots = self._island_map.n_slots
+        self._slot_entries = tuple(
+            min(first + self._local_index_for_slot(slot, n_slots),
+                n_entries - 1)
+            for slot in range(n_slots)
+        )
         # The island table lives in the PIC's RAM: 6 bytes per island.
         self.board.mcu.free("island-table")
         self.board.mcu.allocate(
@@ -450,7 +472,8 @@ class Firmware:
             return
         board = self.board
         now = self._sim.now
-        self._service_faults(now)
+        if board.fault_plan is not None:
+            self._service_faults(now)
         if board.battery.browned_out:
             plan = board.fault_plan
             if plan is not None and (
@@ -475,30 +498,43 @@ class Firmware:
             self._last_valid_code = None
             self._display_dirty = True
         mcu = board.mcu
-        mcu.begin_tick()
+        mcu.begin_tick(self._tick_cycles)
 
-        for button in board.buttons.values():
-            button.poll(now)
-            mcu.execute(_COST_BUTTON_POLL)
+        for button in self._buttons:
+            # poll() changes nothing while the contact, the debounce
+            # candidate and the debounced state agree: every tick between
+            # presses.
+            if (
+                button.button._closed != button._candidate
+                or button._candidate != button._stable_state
+            ):
+                button.poll(now)
 
         self.raw_code = board.adc.sample(now, ADC_CHANNEL_DISTANCE)
-        mcu.execute(_COST_ADC_SAMPLE)
         self.filtered_code = int(round(self._filter.update(self.raw_code)))
-        mcu.execute(_COST_FILTER_PER_SAMPLE * self.config.smoothing_window)
 
         if self._fusion is not None:
             spare_code = board.adc.sample(now, ADC_CHANNEL_DISTANCE_SPARE)
-            mcu.execute(_COST_ADC_SAMPLE + _COST_FUSION)
             self._process_code_fused(self.filtered_code, spare_code, now)
         else:
             self._process_code(self.filtered_code, now)
-        mcu.execute(_COST_ISLAND_LOOKUP)
 
-        period = self.config.firmware_period_s
+        period = self._period
         mcu.consume_power(period)
         board.battery.draw(_DISPLAY_CURRENT_MA, period)
         if self._obs is not None:
             self._record_tick_obs(now)
+
+    def _tick_stages(self) -> tuple[tuple[str, int], ...]:
+        """Each main-loop stage's instruction cost in one tick."""
+        fused = self._fusion is not None
+        return (
+            ("buttons", _COST_BUTTON_POLL * len(self._buttons)),
+            ("adc", _COST_ADC_SAMPLE * (2 if fused else 1)),
+            ("filter", _COST_FILTER_PER_SAMPLE * self.config.smoothing_window),
+            ("fusion", _COST_FUSION if fused else 0),
+            ("island-lookup", _COST_ISLAND_LOOKUP),
+        )
 
     def _record_tick_obs(self, now: float) -> None:
         """Emit the per-stage spans and histograms for one main-loop tick.
@@ -533,23 +569,13 @@ class Firmware:
         per tick with the same ``cursor + duration`` op sequence as the
         unrolled loop, keeping exported trace bytes identical.
         """
-        fused = self._fusion is not None
-        stages = (
-            ("buttons", _COST_BUTTON_POLL * len(self.board.buttons)),
-            ("adc", _COST_ADC_SAMPLE * (2 if fused else 1)),
-            ("filter", _COST_FILTER_PER_SAMPLE * self.config.smoothing_window),
-            ("fusion", _COST_FUSION if fused else 0),
-            ("island-lookup", _COST_ISLAND_LOOKUP),
-        )
         mips = self.board.mcu.params.mips
         metrics = obs.metrics
         spans: list[_TickObsStage] = []
         observations: list[tuple[Any, float]] = []
-        total = 0
-        for stage, cycles in stages:
+        for stage, cycles in self._tick_stages():
             if cycles == 0:
                 continue
-            total += cycles
             attrs = {"cycles": cycles}
             spans.append(
                 (
@@ -570,10 +596,10 @@ class Firmware:
         observations.append(
             (
                 metrics.histogram("firmware.tick.cycles", low=1.0, high=1e6),
-                float(total),
+                float(self._tick_cycles),
             )
         )
-        tick_attrs = {"cycles": total}
+        tick_attrs = {"cycles": self._tick_cycles}
         return (
             tuple(spans),
             tick_attrs,
@@ -623,7 +649,7 @@ class Firmware:
 
     def _apply_slot_lookup(self, code: int, now: float) -> None:
         """Map a trusted code through the islands to the highlight."""
-        slot = self.island_map.lookup(code)
+        slot = self._island_map.lookup(code)
         self.current_slot = slot
         if slot is None:
             self._candidate_slot = None
@@ -634,24 +660,18 @@ class Firmware:
         # so counting firmware ticks would double-count one measurement —
         # the confirmation window is expressed in sensor-cycle time.)
         if slot != self._confirmed_slot:
-            cycle = self.board.distance_sensor.params.cycle_time_s
-            needed = self.config.confirm_samples * cycle
             if slot != self._candidate_slot:
                 self._candidate_slot = slot
                 self._candidate_since = now
-            if now - self._candidate_since < needed - 1e-9:
+            if now - self._candidate_since < self._confirm_window_s - 1e-9:
                 return
             self._confirmed_slot = slot
             self._candidate_slot = None
             if self._obs is not None:
                 self._obs.counter("firmware.debounce.confirmations")
-        n_slots = self.island_map.n_slots
-        local = self._local_index_for_slot(slot, n_slots)
-        size = self._effective_chunk_size()
-        index = self._chunk * size + local
-        index = min(index, len(self.cursor.entries) - 1)
+        index = self._slot_entries[slot]
         previous = self.cursor.highlight
-        if self.cursor.set_highlight(index):
+        if index != previous and self.cursor.set_highlight(index):
             self._display_dirty = True
             self._emit(
                 HighlightChanged(
@@ -693,7 +713,7 @@ class Firmware:
         if not self.config.fast_scroll_enabled:
             return
         self._fast_active = True
-        self._fast_accumulator += self.config.firmware_period_s
+        self._fast_accumulator += self._period
         step_period = 1.0 / self.config.fast_scroll_rate_hz
         while self._fast_accumulator >= step_period:
             self._fast_accumulator -= step_period

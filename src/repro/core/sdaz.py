@@ -200,12 +200,10 @@ class SDAZFirmware(Firmware):
             self._candidate_slot = None
             return
         if slot != getattr(self, "_confirmed_slot", None):
-            cycle = self.board.distance_sensor.params.cycle_time_s
-            needed = self.config.confirm_samples * cycle
             if slot != getattr(self, "_candidate_slot", None):
                 self._candidate_slot = slot
                 self._candidate_since = now
-            if now - self._candidate_since < needed - 1e-9:
+            if now - self._candidate_since < self._confirm_window_s - 1e-9:
                 return
             self._confirmed_slot = slot
             self._candidate_slot = None

@@ -17,6 +17,8 @@ only mildly — the paper's whole premise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.baselines import ALL_TECHNIQUES
@@ -108,8 +110,18 @@ def run_stocktaking_by_glove(
             report["mean_item_time_s"],
             report["wrong_activations"],
         )
-    result.note(
-        "one-handed logging keeps working through every glove class; only "
-        "the button fumbles slow the thickest mittens"
-    )
+    result.note(_stocktaking_note(result))
     return result
+
+
+def _stocktaking_note(result: ExperimentResult) -> str:
+    """The slowest glove against the fastest, and the wrong activations."""
+    slowest = min(result.rows, key=lambda row: row[1])
+    fastest = max(result.rows, key=lambda row: row[1])
+    wrong = math.fsum(row[3] for row in result.rows)
+    return (
+        f"slowest: {slowest[0]} at {slowest[1]:.3g} items/min vs "
+        f"{fastest[1]:.3g} for {fastest[0]} "
+        f"({slowest[1] / fastest[1] - 1.0:+.0%}); {wrong:.0f} wrong "
+        "activations across all gloves"
+    )

@@ -109,9 +109,22 @@ def run_layouts(
                 penalty,
             )
 
-    result.note(
-        "expected: the 3-button prototype penalizes left-handers; the "
-        "slidable and single-large-button designs are hand-neutral, and "
-        "the large button shrugs off arctic mittens (area scaling)"
-    )
+    result.note(_layouts_note(result, gloves))
     return result
+
+
+def _layouts_note(result: ExperimentResult, gloves: tuple[str, ...]) -> str:
+    """Per glove: every layout's left-handed penalty, and the surest layouts."""
+    parts = []
+    for glove in gloves:
+        rows = [row for row in result.rows if row[1] == glove]
+        penalties = ", ".join(f"{row[0]} {row[4]:.3g} s" for row in rows)
+        largest = max(rows, key=lambda row: row[4])[0]
+        fewest = min(row[3] for row in rows)
+        surest = ", ".join(row[0] for row in rows if row[3] == fewest)
+        parts.append(
+            f"{glove}: left-handed penalty {penalties} (largest: "
+            f"{largest}); fewest button misses {surest} ({fewest:.3g} per "
+            "trial)"
+        )
+    return "measured: " + "; ".join(parts)

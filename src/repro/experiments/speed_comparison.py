@@ -150,11 +150,32 @@ def run_distance_profile(
                 float(np.mean(durations)),
                 errors / repetitions,
             )
-    result.note(
-        "expected crossover: buttons beat everything for distance 1-2, "
-        "then grow linearly; distscroll stays near-flat beyond ~3 entries"
-    )
+    result.note(_profile_note(result))
     return result
+
+
+def _profile_note(result: ExperimentResult) -> str:
+    """Each technique's growth and the distscroll/buttons crossover, as measured."""
+    means: dict[str, dict[int, float]] = {}
+    for technique, distance, mean, _errors in result.rows:
+        means.setdefault(technique, {})[distance] = mean
+    growth = "; ".join(
+        f"{technique} {by[min(by)]:.3g} s at distance {min(by)} -> "
+        f"{by[max(by)]:.3g} s at {max(by)}"
+        for technique, by in means.items()
+    )
+    note = f"measured: {growth}"
+    dist, buttons = means.get("distscroll"), means.get("buttons")
+    if dist and buttons:
+        ahead = [d for d in dist if d in buttons and dist[d] < buttons[d]]
+        if ahead:
+            note += (
+                "; distscroll is faster than buttons at distance "
+                + ", ".join(str(d) for d in ahead)
+            )
+        else:
+            note += "; buttons are faster than distscroll at every distance"
+    return note
 
 
 def _ladder(n_entries: int, repetitions: int) -> list[tuple[int, int]]:

@@ -109,6 +109,14 @@ class ADC:
     def __post_init__(self) -> None:
         self._channels: dict[int, AnalogSource] = {}
         self.conversions = 0
+        # ``params`` is frozen, so the conversion constants are read once
+        # here rather than through its properties on every sample.
+        params = self.params
+        self._max_code = params.max_code
+        self._n_codes = self._max_code + 1
+        self._v_ref = params.v_ref
+        self._inl_lsb = params.inl_lsb
+        self._noise_lsb_rms = params.noise_lsb_rms
         from repro.obs.recorder import active_recorder
 
         recorder = active_recorder()
@@ -155,7 +163,7 @@ class ADC:
         if self.fault_hook is not None:
             code = int(
                 clamp(self.fault_hook(time_s, channel, code), 0,
-                      self.params.max_code)
+                      self._max_code)
             )
         return code
 
@@ -189,11 +197,21 @@ class ADC:
         return np.clip(np.round(codes), 0, params.max_code).astype(np.int64)
 
     def _quantize(self, voltage: float) -> int:
-        params = self.params
-        fraction = voltage / params.v_ref
-        code = fraction * (params.max_code + 1)
-        # Integral non-linearity: a half-sine bow peaking mid-scale.
-        code += params.inl_lsb * math.sin(math.pi * clamp(fraction, 0.0, 1.0))
+        fraction = voltage / self._v_ref
+        code = fraction * self._n_codes
+        # Integral non-linearity: a half-sine bow peaking mid-scale.  The
+        # two clamps below are clamp() inlined, op for op.
+        bow = fraction
+        if bow < 0.0:
+            bow = 0.0
+        if bow > 1.0:
+            bow = 1.0
+        code += self._inl_lsb * math.sin(math.pi * bow)
         if self.rng is not None:
-            code += 0.0 + params.noise_lsb_rms * self.rng.standard_normal()
-        return int(clamp(round(code), 0, params.max_code))
+            code += 0.0 + self._noise_lsb_rms * self.rng.standard_normal()
+        rounded = round(code)
+        if rounded < 0:
+            rounded = 0
+        if rounded > self._max_code:
+            rounded = self._max_code
+        return rounded

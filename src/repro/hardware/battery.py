@@ -14,6 +14,7 @@ must not silently run the simulated battery flat.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,6 +65,7 @@ class Battery:
         #: Optional fault hook ``() -> volts`` of *extra* terminal sag (a
         #: failing cell or corroded connector); see :mod:`repro.faults`.
         self.fault_hook: Optional[Callable[[], float]] = None
+        self._safe_charge_mah, self._safe_load_ma = self._no_brownout_region()
 
     @property
     def state_of_charge(self) -> float:
@@ -108,8 +110,53 @@ class Battery:
 
     @property
     def browned_out(self) -> bool:
-        """Whether the regulator has dropped out."""
+        """Whether the regulator has dropped out.
+
+        Exactly ``terminal_voltage() < cutoff_voltage``.  Inside the
+        region :meth:`_no_brownout_region` proves safe the answer is
+        ``False`` without evaluating the curve.
+        """
+        if (
+            self.fault_hook is None
+            and self._charge_mah >= self._safe_charge_mah
+            and self._load_ma <= self._safe_load_ma
+        ):
+            return False
         return self.terminal_voltage() < self.params.cutoff_voltage
+
+    def _no_brownout_region(self) -> tuple[float, float]:
+        """``(charge floor mAh, load ceiling mA)`` where no brownout is possible.
+
+        The floor sits at the lowest curve knot whose voltage ``v``
+        exceeds the cutoff.  At or above it :meth:`open_circuit_voltage`
+        is at least ``v`` in floating point: the state of charge is at
+        least the knot's (division rounds monotonically), and since the
+        curve rises, every segment from there adds a non-negative
+        ``slope * (soc - x0)`` to a knot voltage of at least ``v``.  The
+        ceiling starts at the headroom ``(v - cutoff) / R`` and steps down
+        an ulp at a time until ``v - sag`` rounds to at least the cutoff;
+        sag and subtraction round monotonically too, so any load at or
+        below it keeps :meth:`terminal_voltage` off the cutoff.  With no
+        knot above the cutoff, or a non-positive capacity or resistance,
+        the region is empty.
+        """
+        cutoff = self.params.cutoff_voltage
+        capacity = self.params.capacity_mah
+        resistance = self.params.internal_resistance_ohm
+        if capacity <= 0.0 or resistance <= 0.0:
+            return math.inf, -math.inf
+        for soc, volts in zip(self._SOC_TUPLE, self._OCV_TUPLE):
+            if volts > cutoff:
+                break
+        else:
+            return math.inf, -math.inf
+        charge = soc * capacity
+        while charge / capacity < soc:
+            charge = math.nextafter(charge, math.inf)
+        load = (volts - cutoff) / resistance * 1000.0
+        while load > 0.0 and volts - load / 1000.0 * resistance < cutoff:
+            load = math.nextafter(load, -math.inf)
+        return charge, load
 
     def draw(self, current_ma: float, duration_s: float) -> None:
         """Consume charge: ``current_ma`` for ``duration_s`` seconds."""

@@ -153,10 +153,16 @@ class PIC18F452:
     # ------------------------------------------------------------------
     # cycle accounting
     # ------------------------------------------------------------------
-    def begin_tick(self) -> None:
-        """Start a new firmware tick's instruction budget."""
-        self._instructions_this_tick = 0
+    def begin_tick(self, instructions: int = 0) -> None:
+        """Start a new firmware tick's instruction budget.
+
+        ``instructions`` charges the tick's fixed work up front: the
+        counters end exactly as ``begin_tick()`` followed by
+        :meth:`execute` calls summing to it would leave them.
+        """
+        self._instructions_this_tick = instructions
         self.ticks += 1
+        self.total_instructions += instructions
 
     def execute(self, instructions: int) -> None:
         """Account for executed instructions within the current tick."""

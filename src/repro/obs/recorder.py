@@ -66,6 +66,33 @@ def _clean_attrs(attrs: Optional[dict[str, Any]]) -> dict[str, Any]:
     return {key: attrs[key] for key in sorted(attrs)}
 
 
+def _sequence_records(
+    name: str,
+    start: float,
+    depth: int,
+    _attrs: dict[str, Any],
+    attr_items: tuple[tuple[str, Any], ...],
+    children: tuple[
+        tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]], ...
+    ],
+) -> tuple[list[float], list[tuple[str, float, int, tuple[tuple[str, Any], ...]]]]:
+    """The ``spans`` channel records of one :meth:`Recorder.emit_span_sequence`.
+
+    Children first, each as ``_finish`` records a span, then the parent.
+    """
+    times: list[float] = []
+    values: list[tuple[str, float, int, tuple[tuple[str, Any], ...]]] = []
+    cursor = start
+    for child, duration, _child_attrs, child_items in children:
+        end = cursor + duration
+        times.append(cursor)
+        values.append((child, end, depth + 1, child_items))
+        cursor = end
+    times.append(start)
+    values.append((name, cursor, depth, attr_items))
+    return times, values
+
+
 class Recorder:
     """Collects metrics and spans for one observed run.
 
@@ -82,7 +109,10 @@ class Recorder:
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.metrics = MetricRegistry()
-        self.spans: list[dict[str, Any]] = []
+        self._spans: list[dict[str, Any]] = []
+        # Span sequences recorded but not yet expanded into ``_spans``:
+        # (name, start, depth, attrs, attr_items, children), oldest first.
+        self._sequences: list[tuple[Any, ...]] = []
         self._stack: list[tuple[str, float, dict[str, Any]]] = []
         self._tracer = tracer
         # Per-kind instrument caches for the name-keyed conveniences
@@ -147,6 +177,13 @@ class Recorder:
         """Current span nesting depth."""
         return len(self._stack)
 
+    @property
+    def spans(self) -> list[dict[str, Any]]:
+        """Every completed span as a dict, in completion order."""
+        if self._sequences:
+            self._expand_sequences()
+        return self._spans
+
     def begin_span(
         self,
         name: str,
@@ -198,49 +235,57 @@ class Recorder:
         is the per-tick path of a precomputed instrumentation plan: the
         caller supplies each ``attrs`` already key-sorted plus its
         ``tuple(sorted(attrs.items()))`` form and promises never to
-        mutate either, so the same objects are stored by reference on
-        every call instead of copied and sorted per span.  Spans,
-        tracer records and their order are byte-identical to
-        ``begin_span(name, start)``, one :meth:`emit_span` per child,
+        mutate them or ``children``.  The call keeps one tuple; the span
+        dicts and the tracer's ``spans`` records are built from it, with
+        the same additions, when :attr:`spans` or the channel is next
+        read.  Spans, tracer records and their order are byte-identical
+        to ``begin_span(name, start)``, one :meth:`emit_span` per child,
         then ``end_span(end, attrs)``.
         """
         start = float(start)
-        depth = len(self._stack)
-        spans = self.spans
-        times: list[float] = []
-        values: list[tuple[str, float, int, tuple[tuple[str, Any], ...]]] = []
+        children = tuple(children)
         cursor = start
-        for child, duration, child_attrs, child_items in children:
+        for child, duration, _child_attrs, _child_items in children:
             end = cursor + duration
             if end < cursor:
                 raise ValueError(
                     f"span {child!r} ends before it starts ({end} < {cursor})"
                 )
+            cursor = end
+        sequence = (name, start, len(self._stack), attrs, attr_items, children)
+        self._sequences.append(sequence)
+        if self._tracer is not None:
+            self._tracer.record_deferred(
+                channels.SPANS, _sequence_records, sequence
+            )
+
+    def _expand_sequences(self) -> None:
+        """Append the pending sequences' span dicts to ``_spans``, in order."""
+        spans = self._spans
+        for name, start, depth, attrs, _items, children in self._sequences:
+            cursor = start
+            for child, duration, child_attrs, _child_items in children:
+                end = cursor + duration
+                spans.append(
+                    {
+                        "name": child,
+                        "start": cursor,
+                        "end": end,
+                        "depth": depth + 1,
+                        "attrs": child_attrs,
+                    }
+                )
+                cursor = end
             spans.append(
                 {
-                    "name": child,
-                    "start": cursor,
-                    "end": end,
-                    "depth": depth + 1,
-                    "attrs": child_attrs,
+                    "name": name,
+                    "start": start,
+                    "end": cursor,
+                    "depth": depth,
+                    "attrs": attrs,
                 }
             )
-            times.append(cursor)
-            values.append((child, end, depth + 1, child_items))
-            cursor = end
-        spans.append(
-            {
-                "name": name,
-                "start": start,
-                "end": cursor,
-                "depth": depth,
-                "attrs": attrs,
-            }
-        )
-        if self._tracer is not None:
-            times.append(start)
-            values.append((name, cursor, depth, attr_items))
-            self._tracer.record_many(channels.SPANS, times, values)
+        self._sequences.clear()
 
     def _finish(
         self,

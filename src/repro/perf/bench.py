@@ -357,6 +357,30 @@ def _runner_fanout(quick: bool) -> Callable[[], tuple[int, dict]]:
     return workload
 
 
+def _lint_tree(quick: bool) -> Callable[[], int]:
+    """Every reprolint rule over the package's own source tree.
+
+    The work of ``repro lint`` on ``src/repro``, timed here rather than
+    under a wall-clock bound in the test suite: repeated best-of-N
+    rounds and the same-mode throughput gate tell a slower linter from
+    a busy host.  Both modes lint the whole tree; the project rules need
+    every file.
+    """
+    from pathlib import Path
+
+    import repro
+    from repro.devtools import LintEngine
+
+    root = Path(repro.__file__).resolve().parent
+    files = len(list(root.rglob("*.py")))
+
+    def workload() -> int:
+        LintEngine().lint_project(root)
+        return files
+
+    return workload
+
+
 #: name -> (factory(quick) -> workload, unit name).  The factory imports
 #: lazily so ``repro bench --list`` stays fast and dependency-light.
 BENCHMARKS: dict[str, tuple[Callable[[bool], Workload], str]] = {
@@ -370,6 +394,7 @@ BENCHMARKS: dict[str, tuple[Callable[[bool], Workload], str]] = {
     "user-study-throughput": (_user_study_throughput, "users"),
     "technique-arena": (_technique_arena, "users"),
     "runner-fanout": (_runner_fanout, "iterations"),
+    "lint-tree": (_lint_tree, "files"),
 }
 
 

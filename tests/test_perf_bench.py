@@ -84,6 +84,7 @@ class TestRunBenchmarks:
             "kernel-events",
             "kernel-cancel-churn",
             "runner-fanout",
+            "lint-tree",
         } <= set(BENCHMARKS)
 
     def test_runner_fanout_reports_scheduler_efficiency(self):

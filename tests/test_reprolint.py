@@ -12,7 +12,6 @@ import io
 import json
 import re
 import textwrap
-import time
 import tokenize
 from pathlib import Path
 
@@ -590,23 +589,21 @@ class TestLintCli:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def unwaived_tree_lint():
-    """One lint of the real tree with inline waivers off, and its time.
+    """One lint of the real tree with inline waivers off.
 
     The tests below only inspect findings, so they share this run: the
     waived findings show which waivers are used, and filtering them out
-    gives what the engine reports.
+    gives what the engine reports.  How long the lint takes is measured
+    by ``repro bench`` (``lint-tree``), not here.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine_module, "waived", lambda *_: False)
-        start = time.perf_counter()
-        findings = LintEngine().lint_project(SRC_ROOT)
-        elapsed = time.perf_counter() - start
-    return findings, elapsed
+        return LintEngine().lint_project(SRC_ROOT)
 
 
 class TestRepoIsClean:
     def test_tree_lints_clean(self, unwaived_tree_lint):
-        unwaived, elapsed = unwaived_tree_lint
+        unwaived = unwaived_tree_lint
         lines = {}
         findings = []
         for finding in unwaived:
@@ -622,8 +619,6 @@ class TestRepoIsClean:
         assert findings == [], "findings:\n" + "\n".join(
             f"{f.location()} {f.rule} {f.message}" for f in findings
         )
-        # acceptance criterion: every rule over src/repro in < 5 s
-        assert elapsed < 5.0, f"lint took {elapsed:.2f}s"
 
     def test_every_inline_waiver_is_used(self, unwaived_tree_lint):
         """A waiver whose finding is gone is stale: delete it."""
@@ -639,7 +634,7 @@ class TestRepoIsClean:
                     rel = path.relative_to(SRC_ROOT).as_posix()
                     waivers.add((match.group(1), rel, token.start[0]))
         assert waivers
-        findings, _elapsed = unwaived_tree_lint
+        findings = unwaived_tree_lint
         covered = {(f.rule, f.path, f.line) for f in findings}
         stale = sorted(
             (rule, path, line)

@@ -39,7 +39,7 @@ Commands
                            ranges, widths, coverage) for a configuration
 ``lint [--root DIR] [--format text|json] [--rules ID,ID]``
                            run the reprolint invariant checks (REP001-
-                           REP009) over the source tree; exits non-zero
+                           REP008) over the source tree; exits non-zero
                            on any finding not waived inline with
                            ``# reprolint: allow REP00X (reason)``
 ``bench [--quick] [--only NAME,NAME] [--output PATH]
@@ -456,7 +456,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.devtools import (
         LintEngine,
-        default_project_rules,
         default_rules,
         format_json,
         format_text,
@@ -472,11 +471,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"lint root {root} is not a directory", file=sys.stderr)
         return 2
 
-    per_file_rules = default_rules()
-    project_rules = default_project_rules()
-    known = {rule.rule_id for rule in per_file_rules} | {
-        rule.rule_id for rule in project_rules
-    }
+    rules = default_rules()
+    known = {rule.rule_id for rule in rules}
     if args.rules is not None:
         wanted = {
             token.strip().upper()
@@ -498,13 +494,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        per_file_rules = tuple(
-            r for r in per_file_rules if r.rule_id in wanted
-        )
-        project_rules = tuple(
-            r for r in project_rules if r.rule_id in wanted
-        )
-    engine = LintEngine(per_file_rules, project_rules)
+        rules = tuple(r for r in rules if r.rule_id in wanted)
+    engine = LintEngine(rules)
     findings = engine.lint_project(root)
     if args.format == "json":
         print(format_json(findings, engine.rule_ids(), str(root)), end="")
@@ -751,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     islands_parser.set_defaults(func=_cmd_islands)
 
     lint_parser = sub.add_parser(
-        "lint", help="run the reprolint invariant checks (REP001-REP009)"
+        "lint", help="run the reprolint invariant checks (REP001-REP008)"
     )
     lint_parser.add_argument(
         "--root",

@@ -21,7 +21,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LintContext",
-    "ProjectRule",
     "Rule",
     "attribute_chain",
     "waived",
@@ -158,35 +157,6 @@ class Rule(ast.NodeVisitor):
                 snippet=self.context.snippet(lineno),
             )
         )
-
-
-class ProjectRule:
-    """A whole-project invariant checker (phase-2, runs once per lint).
-
-    Unlike :class:`Rule`, which is instantiated per file, a project rule
-    sees the complete phase-1 view — the import graph, every file's
-    facts and source — via the engine's
-    :class:`~repro.devtools.engine.ProjectView`.  REP009 (dual-path
-    parity) is the canonical example: it cross-references a registry of
-    scalar↔vectorized pairs against module exports *and* the test tree.
-    """
-
-    rule_id: ClassVar[str] = "REP000"
-    title: ClassVar[str] = ""
-    severity: ClassVar[Severity] = Severity.ERROR
-    rationale: ClassVar[str] = ""
-    example: ClassVar[str] = ""
-    escape_hatch: ClassVar[str] = (
-        "Add `# reprolint: allow REP00X (reason)` on the flagged line or"
-        " the line above."
-    )
-
-    def run_project(self, view: "ProjectView") -> list[Finding]:
-        raise NotImplementedError
-
-
-if TYPE_CHECKING:
-    from repro.devtools.engine import ProjectView
 
 
 def attribute_chain(node: ast.AST) -> Sequence[str]:

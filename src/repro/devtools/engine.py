@@ -6,13 +6,9 @@ sites).  The facts link into a
 :class:`~repro.devtools.graph.ProjectGraph` giving the flow rules
 cross-module name resolution.
 
-Phase 2 runs two rule kinds:
-
-* per-file :class:`~repro.devtools.base.Rule` visitors (REP001–REP008),
-  each seeing the project graph through its
-  :class:`~repro.devtools.base.LintContext`;
-* whole-project :class:`~repro.devtools.base.ProjectRule` checks
-  (REP009), which also see the test tree.
+Phase 2 runs the per-file :class:`~repro.devtools.base.Rule` visitors
+(REP001–REP008), each seeing the project graph through its
+:class:`~repro.devtools.base.LintContext`.
 
 Finally the engine drops every finding covered by an inline
 ``# reprolint: allow REP00X (reason)`` waiver — the one escape hatch,
@@ -24,19 +20,15 @@ instead of stopping the run.
 from __future__ import annotations
 
 import ast
-import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Type
 
-from repro.devtools.base import LintContext, ProjectRule, Rule, waived
+from repro.devtools.base import LintContext, Rule, waived
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.graph import FileFacts, ProjectGraph, extract_facts
 
 __all__ = [
     "LintEngine",
-    "ProjectView",
-    "default_project_rules",
     "default_rules",
 ]
 
@@ -49,27 +41,6 @@ def default_rules() -> tuple[Type[Rule], ...]:
     from repro.devtools.rules import ALL_RULES
 
     return ALL_RULES
-
-
-def default_project_rules() -> tuple[Type[ProjectRule], ...]:
-    """The shipped whole-project rule set."""
-    from repro.devtools.rules import PROJECT_RULES
-
-    return PROJECT_RULES
-
-
-@dataclass
-class ProjectView:
-    """What a :class:`ProjectRule` may inspect: the whole phase-1 view."""
-
-    graph: ProjectGraph
-    sources: Mapping[str, str]
-    #: ``test file name -> text`` of the discovered test tree, or
-    #: ``None`` when the linted tree has no tests directory (fixtures).
-    tests_texts: Optional[Mapping[str, str]] = None
-
-    def source_for(self, path: str) -> Optional[str]:
-        return self.sources.get(path)
 
 
 def _read_source(
@@ -95,30 +66,18 @@ def _read_source(
 
 
 class LintEngine:
-    """Runs per-file and whole-project rules over a source tree.
+    """Runs per-file rules over a source tree.
 
     Parameters
     ----------
     rules:
         Per-file rule *classes* instantiated per file; defaults to the
         shipped REP001–REP008 set.
-    project_rules:
-        Whole-project rule classes run once per lint; defaults to the
-        shipped REP009 set.  Pass ``()`` to disable.
     """
 
-    def __init__(
-        self,
-        rules: Optional[Iterable[Type[Rule]]] = None,
-        project_rules: Optional[Iterable[Type[ProjectRule]]] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Iterable[Type[Rule]]] = None) -> None:
         self.rules: tuple[Type[Rule], ...] = (
             tuple(rules) if rules is not None else default_rules()
-        )
-        self.project_rules: tuple[Type[ProjectRule], ...] = (
-            tuple(project_rules)
-            if project_rules is not None
-            else default_project_rules()
         )
 
     # ------------------------------------------------------------------
@@ -128,18 +87,14 @@ class LintEngine:
         """Lint one source string as if it lived at relative ``path``.
 
         Single-file mode: the project graph contains just this file
-        (imports resolve nowhere) and project rules are skipped.
+        (imports resolve nowhere).
         """
-        return self._lint({path: source}, None, [])
+        return self._lint({path: source}, [])
 
-    def lint_project(
-        self, root: Path, *, tests_root: Optional[Path] = None
-    ) -> list[Finding]:
+    def lint_project(self, root: Path) -> list[Finding]:
         """Full two-phase lint of every ``*.py`` under ``root``.
 
-        ``tests_root`` overrides test-tree discovery (``None`` =
-        auto-discover next to or above ``root``).  Findings are sorted
-        stably.
+        Findings are sorted stably.
         """
         root = Path(root)
         errors: list[Finding] = []
@@ -151,10 +106,7 @@ class LintEngine:
             source = _read_source(file_path, rel_path, errors)
             if source is not None:
                 sources[rel_path] = source
-        if tests_root is None:
-            tests_root = self._discover_tests_root(root)
-        tests_texts = self._read_tests(root, tests_root, errors)
-        return self._lint(sources, tests_texts, errors, run_project_rules=True)
+        return self._lint(sources, errors)
 
     # ------------------------------------------------------------------
     # the two-phase core
@@ -162,9 +114,7 @@ class LintEngine:
     def _lint(
         self,
         sources: Mapping[str, str],
-        tests_texts: Optional[Mapping[str, str]],
         read_errors: Sequence[Finding],
-        run_project_rules: bool = False,
     ) -> list[Finding]:
         findings = list(read_errors)
 
@@ -192,7 +142,7 @@ class LintEngine:
             all_facts.append(extract_facts(path, source, tree))
         graph = ProjectGraph(all_facts)
 
-        # --- phase 2a: per-file rules --------------------------------
+        # --- phase 2: per-file rules ---------------------------------
         for facts in all_facts:
             path = facts.path
             context = LintContext(
@@ -201,14 +151,6 @@ class LintEngine:
             for rule_cls in self.rules:
                 if rule_cls.applies_to(path):
                     findings.extend(rule_cls(context).run(trees[path]))
-
-        # --- phase 2b: project rules ---------------------------------
-        if run_project_rules and self.project_rules:
-            view = ProjectView(
-                graph=graph, sources=sources, tests_texts=tests_texts
-            )
-            for project_rule_cls in self.project_rules:
-                findings.extend(project_rule_cls().run_project(view))
 
         # --- inline waivers, one check for every rule ----------------
         lines: dict[str, list[str]] = {}
@@ -227,40 +169,6 @@ class LintEngine:
     # helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _discover_tests_root(root: Path) -> Optional[Path]:
-        for candidate in (
-            root / "tests",
-            root.parent / "tests",
-            root.parent.parent / "tests",
-        ):
-            if candidate.is_dir() and any(candidate.glob("test_*.py")):
-                return candidate
-        return None
-
-    @staticmethod
-    def _read_tests(
-        root: Path, tests_root: Optional[Path], errors: list[Finding]
-    ) -> Optional[dict[str, str]]:
-        """Test-file texts keyed by ``tests_root``-relative name.
-
-        A test file that is not UTF-8 is reported relative to the lint
-        root (``../../tests/test_x.py`` for ``src/repro``) — once: one
-        under the lint root was already reported as a source file.
-        """
-        if tests_root is None:
-            return None
-        texts: dict[str, str] = {}
-        for test_file in sorted(tests_root.rglob("test_*.py")):
-            if _SKIP_DIRS.intersection(test_file.parts):
-                continue
-            rel_path = Path(os.path.relpath(test_file, root)).as_posix()
-            sink = errors if rel_path.startswith("../") else []
-            text = _read_source(test_file, rel_path, sink)
-            if text is not None:
-                texts[test_file.relative_to(tests_root).as_posix()] = text
-        return texts
-
-    @staticmethod
     def sort(findings: Sequence[Finding]) -> list[Finding]:
         """Stable presentation order: path, line, column, rule id."""
         return sorted(
@@ -268,7 +176,5 @@ class LintEngine:
         )
 
     def rule_ids(self) -> list[str]:
-        """Ids of all configured rules (per-file then project order)."""
-        return [rule.rule_id for rule in self.rules] + [
-            rule.rule_id for rule in self.project_rules
-        ]
+        """Ids of all configured rules, in order."""
+        return [rule.rule_id for rule in self.rules]

@@ -1,16 +1,15 @@
 """Phase 1 of the v2 lint engine: the project-wide symbol/import graph.
 
 The original reprolint rules were single-file AST visitors; the flow
-rule family (REP006–REP009) needs to answer cross-module questions —
+rule family (REP006–REP008) needs to answer cross-module questions —
 "which constant does this ``spawn_key`` element resolve to, and where
-is it defined?", "does any module re-use this stream domain?", "is the
-vectorized half of this scalar API actually exported?".  This module
-builds the substrate those rules share:
+is it defined?", "does any module re-use this stream domain?".  This
+module builds the substrate those rules share:
 
 * :class:`FileFacts` — everything the graph needs to know about one
   file, extracted by a pure function of the source text: imports,
-  top-level symbols with literal constant values, ``__all__`` exports,
-  and every ``SeedSequence(..., spawn_key=(...))`` call site.
+  top-level symbols with literal constant values, and every
+  ``SeedSequence(..., spawn_key=(...))`` call site.
 * :class:`ProjectGraph` — the linked view: dotted-import resolution by
   module-path suffix matching (works for ``src/repro`` and for fixture
   trees alike) and assignment-chain constant resolution across modules.
@@ -102,7 +101,6 @@ class FileFacts:
     parts: tuple[str, ...]
     imports: tuple[ImportRecord, ...]
     symbols: Mapping[str, SymbolInfo]
-    exports: Optional[tuple[str, ...]]
     spawn_sites: tuple[SpawnSite, ...]
 
 
@@ -134,20 +132,6 @@ def _literal_value(node: ast.AST) -> tuple[bool, ConstValue]:
     ):
         return True, -node.operand.value
     return False, None
-
-
-def _string_list(node: ast.AST) -> Optional[tuple[str, ...]]:
-    if not isinstance(node, (ast.List, ast.Tuple)):
-        return None
-    names: list[str] = []
-    for element in node.elts:
-        if not (
-            isinstance(element, ast.Constant)
-            and isinstance(element.value, str)
-        ):
-            return None
-        names.append(element.value)
-    return tuple(names)
 
 
 def _dotted_name(node: ast.AST) -> Optional[str]:
@@ -207,17 +191,12 @@ def extract_facts(path: str, source: str, tree: ast.Module) -> FileFacts:
     """Extract :class:`FileFacts` from one parsed module."""
     imports: list[ImportRecord] = []
     symbols: dict[str, SymbolInfo] = {}
-    exports: Optional[tuple[str, ...]] = None
 
     def record_assign(target: ast.expr, value: Optional[ast.AST], lineno: int) -> None:
-        nonlocal exports
         if not isinstance(target, ast.Name):
             return
         if target.id == "__all__" and value is not None:
-            listed = _string_list(value)
-            if listed is not None:
-                exports = listed
-            return
+            return  # the export list is not a symbol
         if value is None:
             symbols[target.id] = SymbolInfo(target.id, "assign", lineno)
             return
@@ -281,7 +260,6 @@ def extract_facts(path: str, source: str, tree: ast.Module) -> FileFacts:
         parts=_module_parts(path),
         imports=tuple(imports),
         symbols=symbols,
-        exports=exports,
         spawn_sites=tuple(collector.sites),
     )
 

@@ -14,24 +14,18 @@ REP007   float sums route through exact accumulators; fast-path
          pow stays per-element
 REP008   set iteration goes through ``sorted()`` on
          result-producing paths
-REP009   scalar↔vectorized pair registry: both halves exist, are
-         exported, and share a bit-equality test (project rule)
 =======  ==========================================================
 
 Adding a per-file rule: subclass :class:`repro.devtools.base.Rule` in a
 new module here, set ``rule_id``/``title``/exemptions + the
 ``rationale``/``example``/``escape_hatch`` docs metadata, implement the
 ``visit_*`` methods, and append the class to :data:`ALL_RULES`.
-Whole-project checks subclass
-:class:`repro.devtools.base.ProjectRule` and register in
-:data:`PROJECT_RULES` instead.
 """
 
 from repro.devtools.rules.channels import TraceChannelRegistryRule
 from repro.devtools.rules.floatdet import FloatDeterminismRule
 from repro.devtools.rules.hooks import FaultHookGuardRule
 from repro.devtools.rules.iterorder import IterationOrderRule
-from repro.devtools.rules.parity import DualPathParityRule
 from repro.devtools.rules.rng import SeededRngOnlyRule
 from repro.devtools.rules.rngstreams import RngStreamCollisionRule
 from repro.devtools.rules.simtime import SimTimeDisciplineRule
@@ -39,8 +33,6 @@ from repro.devtools.rules.wallclock import NoWallClockRule
 
 __all__ = [
     "ALL_RULES",
-    "PROJECT_RULES",
-    "DualPathParityRule",
     "FaultHookGuardRule",
     "FloatDeterminismRule",
     "IterationOrderRule",
@@ -62,6 +54,3 @@ ALL_RULES = (
     FloatDeterminismRule,
     IterationOrderRule,
 )
-
-#: Every shipped whole-project rule, in id order.
-PROJECT_RULES = (DualPathParityRule,)

@@ -156,6 +156,9 @@ class Button:
         self._rng = rng
         self._closed = False
         self._settled_state = False
+        # Generation of the latest bounce burst; older bursts' setters
+        # check it and stand down.
+        self._burst = 0
 
     @property
     def closed(self) -> bool:
@@ -173,22 +176,24 @@ class Button:
         self._start_bounce(final=False)
 
     def _start_bounce(self, final: bool) -> None:
+        self._burst += 1
         if self._rng is None or self.bounce_time_s <= 0:
             self._closed = final
             return
+        burst = self._burst
         n_transitions = int(self._rng.integers(2, 7))
         state = not final
         for i in range(n_transitions):
             at = self.bounce_time_s * float(self._rng.random())
             state = not state
-            self._sim.schedule(at, self._make_setter(state))
-        self._sim.schedule(self.bounce_time_s, self._make_setter(final))
+            self._sim.schedule(at, self._make_setter(state, burst))
+        self._sim.schedule(self.bounce_time_s, self._make_setter(final, burst))
 
-    def _make_setter(self, state: bool) -> Callable[[], None]:
+    def _make_setter(self, state: bool, burst: int) -> Callable[[], None]:
         def setter() -> None:
-            # A later finger action may have superseded this bounce burst.
-            self._closed = state if state != self._settled_state else self._settled_state
-            self._closed = state
+            # A later finger action supersedes this bounce burst.
+            if burst == self._burst:
+                self._closed = state
         return setter
 
 

@@ -363,8 +363,8 @@ def _lint_tree(quick: bool) -> Callable[[], int]:
     The work of ``repro lint`` on ``src/repro``, timed here rather than
     under a wall-clock bound in the test suite: repeated best-of-N
     rounds and the same-mode throughput gate tell a slower linter from
-    a busy host.  Both modes lint the whole tree; the project rules need
-    every file.
+    a busy host.  Both modes lint the whole tree; the flow rules resolve
+    names across every module.
     """
     from pathlib import Path
 

@@ -5,29 +5,21 @@ them to menu entries (a noisy reading flickering between two islands would
 make the selection jump).  These classes are small stateful filters suitable
 for sample-at-a-time use inside the firmware loop.
 
-Each filter also exposes an ``update_batch`` fast path for offline
-consumers (calibration sweeps, trace post-processing, benchmarks) that
-hold a whole signal in memory.  The batch variants run the *identical*
-floating-point recurrence with per-call overhead hoisted out of the loop,
-so their outputs are bit-equal to feeding :meth:`update` sample by sample
-— the filters are recurrences, and exact equality rules out any reordered
-summation — while running several times faster in CPython.
+The firmware runs :class:`MedianFilter` on every ADC sample, and the
+altitude game smooths its aircraft with :class:`ExponentialMovingAverage`.
+Both are recurrences fed one sample at a time, so the order of their
+floating-point operations is part of every pinned output.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 __all__ = [
     "ExponentialMovingAverage",
     "MedianFilter",
-    "MovingAverage",
-    "HysteresisQuantizer",
-    "RateLimiter",
 ]
 
 
@@ -56,69 +48,9 @@ class ExponentialMovingAverage:
             self._value += self.alpha * (float(sample) - self._value)
         return self._value
 
-    def update_batch(self, samples: Sequence[float]) -> np.ndarray:
-        """Feed many samples; bit-equal to repeated :meth:`update` calls."""
-        out = np.empty(len(samples), dtype=float)
-        alpha = self.alpha
-        value = self._value
-        for i, sample in enumerate(samples):
-            if value is None:
-                value = float(sample)
-            else:
-                value += alpha * (float(sample) - value)
-            out[i] = value
-        self._value = value
-        return out
-
     def reset(self) -> None:
         """Forget all history."""
         self._value = None
-
-
-class MovingAverage:
-    """Simple boxcar average over the last ``window`` samples."""
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._window = int(window)
-        self._buffer: deque[float] = deque(maxlen=self._window)
-        self._sum = 0.0
-
-    def update(self, sample: float) -> float:
-        """Feed one sample, return the mean of the current window."""
-        sample = float(sample)
-        if len(self._buffer) == self._window:
-            self._sum -= self._buffer[0]
-        self._buffer.append(sample)
-        self._sum += sample
-        return self._sum / len(self._buffer)
-
-    def update_batch(self, samples: Sequence[float]) -> np.ndarray:
-        """Feed many samples; bit-equal to repeated :meth:`update` calls."""
-        out = np.empty(len(samples), dtype=float)
-        buffer = self._buffer
-        window = self._window
-        running = self._sum
-        for i, sample in enumerate(samples):
-            sample = float(sample)
-            if len(buffer) == window:
-                running -= buffer[0]
-            buffer.append(sample)
-            running += sample
-            out[i] = running / len(buffer)
-        self._sum = running
-        return out
-
-    @property
-    def full(self) -> bool:
-        """Whether the window has filled up."""
-        return len(self._buffer) == self._window
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self._buffer.clear()
-        self._sum = 0.0
 
 
 class MedianFilter:
@@ -153,160 +85,7 @@ class MedianFilter:
             return ordered[middle]
         return 0.5 * (ordered[middle - 1] + ordered[middle])
 
-    def update_batch(self, samples: Sequence[float]) -> np.ndarray:
-        """Feed many samples; bit-equal to repeated :meth:`update` calls."""
-        out = np.empty(len(samples), dtype=float)
-        buffer = self._buffer
-        ordered = self._sorted
-        window = buffer.maxlen
-        for i, sample in enumerate(samples):
-            sample = float(sample)
-            if len(buffer) == window:
-                del ordered[bisect_left(ordered, buffer[0])]
-            buffer.append(sample)
-            insort(ordered, sample)
-            n = len(ordered)
-            middle = n // 2
-            if n % 2 == 1:
-                out[i] = ordered[middle]
-            else:
-                out[i] = 0.5 * (ordered[middle - 1] + ordered[middle])
-        return out
-
     def reset(self) -> None:
         """Forget all history."""
         self._buffer.clear()
         self._sorted.clear()
-
-
-class HysteresisQuantizer:
-    """Quantize a continuous signal to integer levels with hysteresis.
-
-    The current level only changes when the input moves more than
-    ``margin`` past a level boundary.  This is the generic mechanism behind
-    the paper's "islands": without hysteresis a reading sitting on a
-    boundary would flicker between adjacent entries.
-    """
-
-    def __init__(self, step: float, margin: float) -> None:
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        if not 0 <= margin < step / 2:
-            raise ValueError(
-                f"margin must be in [0, step/2), got {margin} for step {step}"
-            )
-        self.step = float(step)
-        self.margin = float(margin)
-        self._level: Optional[int] = None
-
-    @property
-    def level(self) -> Optional[int]:
-        """Current quantized level (``None`` before the first sample)."""
-        return self._level
-
-    def update(self, value: float) -> int:
-        """Feed one sample, return the (possibly unchanged) level."""
-        if self._level is None:
-            self._level = int(round(value / self.step))
-            return self._level
-        center = self._level * self.step
-        upper = center + self.step / 2 + self.margin
-        lower = center - self.step / 2 - self.margin
-        if value > upper:
-            self._level = int(round((value - self.margin) / self.step))
-        elif value < lower:
-            self._level = int(round((value + self.margin) / self.step))
-        return self._level
-
-    def update_batch(self, values: Sequence[float]) -> np.ndarray:
-        """Feed many samples; bit-equal to repeated :meth:`update` calls."""
-        out = np.empty(len(values), dtype=np.int64)
-        step = self.step
-        margin = self.margin
-        half = step / 2
-        level = self._level
-        for i, value in enumerate(values):
-            if level is None:
-                level = int(round(value / step))
-            else:
-                center = level * step
-                if value > center + half + margin:
-                    level = int(round((value - margin) / step))
-                elif value < center - half - margin:
-                    level = int(round((value + margin) / step))
-            out[i] = level
-        self._level = level
-        return out
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self._level = None
-
-
-class RateLimiter:
-    """Limit how fast an output may track its input (slew-rate limit).
-
-    Used by the firmware's fast-scroll mode to keep the selection from
-    skipping entries faster than a human can perceive.
-    """
-
-    def __init__(self, max_rate: float) -> None:
-        if max_rate <= 0:
-            raise ValueError(f"max_rate must be positive, got {max_rate}")
-        self.max_rate = float(max_rate)
-        self._value: Optional[float] = None
-        self._time: Optional[float] = None
-
-    def update(self, time: float, target: float) -> float:
-        """Advance to ``time`` and move toward ``target`` at most at max_rate."""
-        if self._value is None or self._time is None:
-            self._value = float(target)
-            self._time = float(time)
-            return self._value
-        dt = max(float(time) - self._time, 0.0)
-        self._time = float(time)
-        allowed = self.max_rate * dt
-        delta = float(target) - self._value
-        if abs(delta) <= allowed:
-            self._value = float(target)
-        else:
-            self._value += allowed if delta > 0 else -allowed
-        return self._value
-
-    def update_batch(
-        self, times: Sequence[float], targets: Sequence[float]
-    ) -> np.ndarray:
-        """Feed many (time, target) pairs; bit-equal to scalar updates."""
-        if len(times) != len(targets):
-            raise ValueError(
-                f"times and targets must pair up, got {len(times)} times "
-                f"and {len(targets)} targets"
-            )
-        out = np.empty(len(times), dtype=float)
-        max_rate = self.max_rate
-        value = self._value
-        last_time = self._time
-        for i in range(len(times)):
-            time = float(times[i])
-            target = float(targets[i])
-            if value is None or last_time is None:
-                value = target
-                last_time = time
-            else:
-                dt = max(time - last_time, 0.0)
-                last_time = time
-                allowed = max_rate * dt
-                delta = target - value
-                if abs(delta) <= allowed:
-                    value = target
-                else:
-                    value += allowed if delta > 0 else -allowed
-            out[i] = value
-        self._value = value
-        self._time = last_time
-        return out
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self._value = None
-        self._time = None

@@ -65,3 +65,14 @@ def test_stocktaking_note(table):
     assert note.startswith(f"slowest: latex at {slowest[1]:.3g} items/min")
     assert sum(row[3] for row in rows) == 0
     assert note.endswith("0 wrong activations across all gloves")
+
+
+def test_speed_fitts_note(registry_results):
+    result = registry_results["EXT-SPEED"]
+    (fit,) = [n for n in result.notes if n.startswith("fitts distscroll:")]
+    (note,) = [n for n in result.notes if n.startswith("paper §7:")]
+    assert fit.endswith("b=0.3498 s/bit, r2=0.1275, n=40")
+    assert "positive slope (b=0.3498 s/bit)" in note
+    assert "ID explains 13% of the variance (r2=0.1275)" in note
+    assert "chunk paging" in note
+    assert "reliably" not in note

@@ -62,6 +62,26 @@ class TestButtonBounce:
         sim.run_until(sim.now + 0.02)
         assert not button.closed
 
+    def test_release_supersedes_pending_press_burst(self, sim):
+        """A press burst still pending when the finger lets go must not
+        close the contact after the release's own burst has opened it."""
+
+        class _Rng:
+            def integers(self, low, high):
+                return 3
+
+            def random(self):
+                return 0.0
+
+        spec = ButtonSpec("select", ButtonPosition.TOP_RIGHT, True)
+        button = Button(sim, spec, rng=_Rng())
+        start = sim.now
+        button.press()
+        sim.run_until(start + 0.001)
+        button.release()
+        sim.run_until(start + 0.0045)
+        assert not button.closed
+
 
 class TestDebounce:
     def _make(self, sim, rng=True):

@@ -1,7 +1,7 @@
 """Tests for the reprolint v2 project-wide engine.
 
 Covers the phase-1 import/symbol graph, the intra-procedural dataflow
-helpers, the flow-aware rules REP006–REP009, the inline-waiver contract
+helpers, the flow-aware rules REP006–REP008, the inline-waiver contract
 of every shipped rule, the seeded CI fixture trees, the rule-id CLI
 errors, and a hypothesis property pinning engine determinism across
 repeated runs and file-creation order.
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.devtools import LintEngine, ProjectRule
+from repro.devtools import LintEngine
 from repro.devtools.dataflow import (
     FunctionFlow,
     is_rng_draw,
@@ -35,7 +35,6 @@ from repro.devtools.graph import (
 )
 from repro.devtools.rules import (
     ALL_RULES,
-    PROJECT_RULES,
     FaultHookGuardRule,
     NoWallClockRule,
     SeededRngOnlyRule,
@@ -47,7 +46,6 @@ from repro.devtools.rules.iterorder import (
     IterationOrderRule,
     set_iteration_sites,
 )
-from repro.devtools.rules.parity import DualPathParityRule, ParityPair
 from repro.devtools.rules.rngstreams import RngStreamCollisionRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -79,7 +77,7 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
 
 
 def lint(source: str, path: str = "sim/example.py", rules=None):
-    engine = LintEngine(rules, project_rules=())
+    engine = LintEngine(rules)
     return engine.lint_source(textwrap.dedent(source), path)
 
 
@@ -112,7 +110,7 @@ class TestFactsExtraction:
         modules = {record.module for record in facts.imports}
         assert "numpy" in modules
         assert "repro.sim.streams" in modules
-        assert facts.exports == ("Engine", "LIMIT")
+        assert "__all__" not in facts.symbols
         assert facts.symbols["LIMIT"].value == 42
         assert "Engine" in facts.symbols
         assert "Engine.step" in facts.symbols
@@ -301,8 +299,8 @@ class TestDataflow:
 class TestRngStreamCollision:
     def _lint_tree(self, tmp_path: Path, files: dict[str, str]):
         write_tree(tmp_path, files)
-        engine = LintEngine([RngStreamCollisionRule], project_rules=())
-        return engine.lint_project(tmp_path, tests_root=tmp_path / "no-tests")
+        engine = LintEngine([RngStreamCollisionRule])
+        return engine.lint_project(tmp_path)
 
     def test_literal_domain_flagged(self):
         findings = lint(
@@ -574,79 +572,6 @@ class TestIterationOrder:
 
 
 # ---------------------------------------------------------------------------
-# REP009 — dual-path parity (project rule)
-# ---------------------------------------------------------------------------
-class _OnePair(DualPathParityRule):
-    pairs = (ParityPair("mod/impl.py", "scalar_fn", "vector_fn"),)
-
-
-GOOD_IMPL = """
-__all__ = ["scalar_fn", "vector_fn"]
-
-
-def scalar_fn(x):
-    return x
-
-
-def vector_fn(xs):
-    return xs
-"""
-
-GOOD_TEST = """
-from repro.mod.impl import scalar_fn, vector_fn
-
-
-def test_parity():
-    assert scalar_fn(1) == vector_fn([1])[0]
-"""
-
-
-class TestDualPathParity:
-    def _findings(self, tmp_path, impl: str, test: str | None = GOOD_TEST):
-        files = {"mod/impl.py": impl}
-        if test is not None:
-            files["tests/test_parity.py"] = test
-        write_tree(tmp_path, files)
-        engine = LintEngine((), project_rules=[_OnePair])
-        return engine.lint_project(tmp_path, tests_root=tmp_path / "tests")
-
-    def test_intact_pair_clean(self, tmp_path):
-        assert self._findings(tmp_path, GOOD_IMPL) == []
-
-    def test_missing_vector_half_flagged(self, tmp_path):
-        impl = GOOD_IMPL.replace("def vector_fn(xs):\n    return xs\n", "")
-        impl = impl.replace('__all__ = ["scalar_fn", "vector_fn"]',
-                            '__all__ = ["scalar_fn"]')
-        (finding,) = self._findings(tmp_path, impl)
-        assert finding.rule == "REP009"
-        assert "vector_fn" in finding.message
-
-    def test_unexported_pair_flagged(self, tmp_path):
-        impl = GOOD_IMPL.replace(
-            '__all__ = ["scalar_fn", "vector_fn"]', '__all__ = ["scalar_fn"]'
-        )
-        (finding,) = self._findings(tmp_path, impl)
-        assert finding.rule == "REP009"
-        assert "export" in finding.message
-
-    def test_missing_test_reference_flagged(self, tmp_path):
-        lame_test = GOOD_TEST.replace("vector_fn", "scalar_fn")
-        (finding,) = self._findings(tmp_path, GOOD_IMPL, lame_test)
-        assert finding.rule == "REP009"
-        assert "test" in finding.message
-
-    def test_module_absent_skips(self, tmp_path):
-        write_tree(tmp_path, {"other/file.py": "X = 1\n"})
-        engine = LintEngine((), project_rules=[_OnePair])
-        assert engine.lint_project(tmp_path, tests_root=tmp_path / "tests") == []
-
-    def test_real_tree_registry_pairs_hold(self):
-        engine = LintEngine((), project_rules=list(PROJECT_RULES))
-        src_root = REPO_ROOT / "src" / "repro"
-        assert engine.lint_project(src_root) == []
-
-
-# ---------------------------------------------------------------------------
 # inline waivers: the one escape hatch, honoured by every rule
 # ---------------------------------------------------------------------------
 #: One violating tree per shipped rule: rule class, files, flagged file.
@@ -701,33 +626,17 @@ WAIVER_CASES = {
         {"sim/x.py": "for x in {3, 1, 2}:\n    print(x)\n"},
         "sim/x.py",
     ),
-    "REP009": (
-        _OnePair,
-        {
-            "mod/impl.py": GOOD_IMPL.replace(
-                '__all__ = ["scalar_fn", "vector_fn"]', '__all__ = ["scalar_fn"]'
-            ),
-            "tests/test_parity.py": GOOD_TEST,
-        },
-        "mod/impl.py",
-    ),
 }
 
 
 def _lint_case(root: Path, rule_cls, files: dict[str, str]):
     write_tree(root, files)
-    if issubclass(rule_cls, ProjectRule):
-        engine = LintEngine((), project_rules=[rule_cls])
-    else:
-        engine = LintEngine([rule_cls], project_rules=())
-    return engine.lint_project(root, tests_root=root / "tests")
+    return LintEngine([rule_cls]).lint_project(root)
 
 
 class TestInlineWaivers:
     def test_every_shipped_rule_has_a_case(self):
-        assert sorted(WAIVER_CASES) == [
-            cls.rule_id for cls in ALL_RULES + PROJECT_RULES
-        ]
+        assert sorted(WAIVER_CASES) == [cls.rule_id for cls in ALL_RULES]
 
     @pytest.mark.parametrize("rule_id", sorted(WAIVER_CASES))
     def test_waiver_contract(self, tmp_path, rule_id):
@@ -769,7 +678,6 @@ class TestSeededFixtures:
             ("rep006", "REP006"),
             ("rep007", "REP007"),
             ("rep008", "REP008"),
-            ("rep009", "REP009"),
         ],
     )
     def test_fixture_yields_exactly_one_finding(self, name, rule):
@@ -785,7 +693,6 @@ class TestSeededFixtures:
             ("rep006", "REP006"),
             ("rep007", "REP007"),
             ("rep008", "REP008"),
-            ("rep009", "REP009"),
         ],
     )
     def test_fixture_via_cli_rules_filter(self, name, rule, capsys):
@@ -813,7 +720,7 @@ class TestCliV2:
         code = main(["lint", "--rules", "REP999"])
         captured = capsys.readouterr()
         assert code == 2
-        for rid in ("REP001", "REP006", "REP009"):
+        for rid in ("REP001", "REP006", "REP008"):
             assert rid in captured.err
 
     def test_empty_rules_exits_2(self, capsys):
@@ -894,7 +801,7 @@ class TestEngineDeterminism:
             "def f(xs):\n    return sum(xs)\n"
             "def g(xs):\n    return sum(xs)\n"
         )
-        engine = LintEngine([FloatDeterminismRule], project_rules=())
+        engine = LintEngine([FloatDeterminismRule])
         findings = engine.lint_source(source, "experiments/report.py")
         assert [(f.line, f.snippet) for f in findings] == [
             (2, "return sum(xs)"),
@@ -906,7 +813,7 @@ class TestEngineDeterminism:
 # rule metadata (feeds docs/LINTING.md)
 # ---------------------------------------------------------------------------
 class TestRuleMetadata:
-    @pytest.mark.parametrize("rule_cls", ALL_RULES + PROJECT_RULES)
+    @pytest.mark.parametrize("rule_cls", ALL_RULES)
     def test_every_rule_documents_itself(self, rule_cls):
         assert rule_cls.rule_id.startswith("REP")
         assert rule_cls.title
@@ -915,6 +822,6 @@ class TestRuleMetadata:
         assert rule_cls.escape_hatch
 
     def test_rule_ids_unique_and_sorted(self):
-        ids = [cls.rule_id for cls in ALL_RULES + PROJECT_RULES]
+        ids = [cls.rule_id for cls in ALL_RULES]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.signal.filters import (
-    ExponentialMovingAverage,
-    HysteresisQuantizer,
-    MedianFilter,
-    MovingAverage,
-    RateLimiter,
-)
+from repro.signal.filters import ExponentialMovingAverage, MedianFilter
 
 
 class TestExponentialMovingAverage:
@@ -50,31 +44,6 @@ class TestExponentialMovingAverage:
         ema = ExponentialMovingAverage(alpha=0.1)
         outputs = [ema.update(1.0 + rng.normal(0, 0.5)) for _ in range(500)]
         assert np.std(outputs[100:]) < 0.25
-
-
-class TestMovingAverage:
-    def test_partial_window_mean(self):
-        ma = MovingAverage(window=4)
-        assert ma.update(2.0) == 2.0
-        assert ma.update(4.0) == 3.0
-
-    def test_full_window_slides(self):
-        ma = MovingAverage(window=2)
-        ma.update(1.0)
-        ma.update(3.0)
-        assert ma.update(5.0) == 4.0  # mean of (3, 5)
-
-    def test_full_flag(self):
-        ma = MovingAverage(window=3)
-        ma.update(1.0)
-        assert not ma.full
-        ma.update(1.0)
-        ma.update(1.0)
-        assert ma.full
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            MovingAverage(window=0)
 
 
 class TestMedianFilter:
@@ -132,156 +101,3 @@ class TestMedianFilter:
         med.reset()
         assert med.update(1.0) == 1.0
         assert med.update(2.0) == 1.5
-
-
-class TestHysteresisQuantizer:
-    def test_initial_level_rounds(self):
-        q = HysteresisQuantizer(step=1.0, margin=0.2)
-        assert q.update(2.4) == 2
-
-    def test_small_wiggle_does_not_change_level(self):
-        q = HysteresisQuantizer(step=1.0, margin=0.2)
-        q.update(2.0)
-        assert q.update(2.55) == 2  # within margin past boundary
-        assert q.update(2.69) == 2
-
-    def test_decisive_move_changes_level(self):
-        q = HysteresisQuantizer(step=1.0, margin=0.2)
-        q.update(2.0)
-        assert q.update(2.9) == 3
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            HysteresisQuantizer(step=1.0, margin=0.6)
-
-    @given(
-        values=st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_no_chatter_on_tiny_oscillation(self, values):
-        """After settling, ±margin/2 oscillation never changes the level."""
-        q = HysteresisQuantizer(step=1.0, margin=0.3)
-        for v in values:
-            q.update(v)
-        level = q.level
-        center = level * 1.0
-        for delta in (0.6, -0.6, 0.6, -0.6):
-            assert q.update(center + delta * 0.3 / 2) == level
-
-
-class TestRateLimiter:
-    def test_first_sample_passes(self):
-        rl = RateLimiter(max_rate=1.0)
-        assert rl.update(0.0, 10.0) == 10.0
-
-    def test_limits_slew(self):
-        rl = RateLimiter(max_rate=2.0)
-        rl.update(0.0, 0.0)
-        assert rl.update(1.0, 10.0) == 2.0
-        assert rl.update(2.0, 10.0) == 4.0
-
-    def test_reaches_target_within_rate(self):
-        rl = RateLimiter(max_rate=100.0)
-        rl.update(0.0, 0.0)
-        assert rl.update(1.0, 5.0) == 5.0
-
-    def test_negative_direction(self):
-        rl = RateLimiter(max_rate=1.0)
-        rl.update(0.0, 0.0)
-        assert rl.update(1.0, -10.0) == -1.0
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            RateLimiter(max_rate=0.0)
-
-
-_signal = st.lists(
-    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-    min_size=0,
-    max_size=80,
-)
-
-
-class TestUpdateBatchEquivalence:
-    """update_batch (PR 4) must be bit-equal to sample-at-a-time update,
-    including the state the filter carries to the *next* call."""
-
-    @given(_signal, st.floats(min_value=0.01, max_value=1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_ema(self, samples, alpha):
-        scalar = ExponentialMovingAverage(alpha)
-        batched = ExponentialMovingAverage(alpha)
-        out = batched.update_batch(samples)
-        assert out.tolist() == [scalar.update(x) for x in samples]
-        assert batched.value == scalar.value
-
-    @given(_signal, st.integers(min_value=1, max_value=12))
-    @settings(max_examples=60, deadline=None)
-    def test_moving_average(self, samples, window):
-        scalar = MovingAverage(window)
-        batched = MovingAverage(window)
-        out = batched.update_batch(samples)
-        assert out.tolist() == [scalar.update(x) for x in samples]
-        # Same internal running sum => next samples also agree.
-        assert batched.update(1.25) == scalar.update(1.25)
-
-    @given(_signal, st.integers(min_value=1, max_value=9))
-    @settings(max_examples=60, deadline=None)
-    def test_median(self, samples, window):
-        scalar = MedianFilter(window)
-        batched = MedianFilter(window)
-        out = batched.update_batch(samples)
-        assert out.tolist() == [scalar.update(x) for x in samples]
-        assert batched.update(0.5) == scalar.update(0.5)
-
-    @given(_signal)
-    @settings(max_examples=60, deadline=None)
-    def test_hysteresis_quantizer(self, samples):
-        scalar = HysteresisQuantizer(step=2.0, margin=0.5)
-        batched = HysteresisQuantizer(step=2.0, margin=0.5)
-        out = batched.update_batch(samples)
-        assert out.dtype == np.int64
-        assert out.tolist() == [scalar.update(x) for x in samples]
-        assert batched.level == scalar.level
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-                st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-            ),
-            max_size=60,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_rate_limiter(self, pairs):
-        pairs.sort(key=lambda p: p[0])  # time moves forward
-        times = [t for t, _ in pairs]
-        targets = [x for _, x in pairs]
-        scalar = RateLimiter(max_rate=3.0)
-        batched = RateLimiter(max_rate=3.0)
-        out = batched.update_batch(times, targets)
-        assert out.tolist() == [
-            scalar.update(t, x) for t, x in pairs
-        ]
-        assert batched._value == scalar._value
-        assert batched._time == scalar._time
-
-    def test_rate_limiter_length_mismatch(self):
-        with pytest.raises(ValueError, match="pair up"):
-            RateLimiter(max_rate=1.0).update_batch([0.0, 1.0], [1.0])
-
-    def test_batch_then_scalar_resumes_seamlessly(self):
-        """A batch call leaves the same state a scalar prefix would."""
-        scalar = ExponentialMovingAverage(0.3)
-        batched = ExponentialMovingAverage(0.3)
-        prefix = [1.0, 4.0, -2.0, 0.5]
-        for x in prefix:
-            scalar.update(x)
-        batched.update_batch(prefix)
-        for x in [9.0, -1.0]:
-            assert batched.update(x) == scalar.update(x)

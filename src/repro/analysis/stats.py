@@ -456,6 +456,7 @@ class CellCounter:
 
     def total(self) -> int:
         """Sum over all cells."""
+        # reprolint: allow REP007 (sums int cell counts, which is exact in any order)
         return sum(self._counts.values())
 
     def keys(self) -> list[str]:

@@ -279,7 +279,6 @@ def _device_session_payload(seed: int) -> dict:
             device.hold_at(distance)
             device.run_for(0.75)
         device.click("select")
-        recorder.record_snapshot(device.tracer, device.sim.now)
     return recorder.payload()
 
 

@@ -79,11 +79,6 @@ class DistScroll:
             menu = build_menu(menu)
         self.sim = simulator if simulator is not None else Simulator(seed=seed)
         self.tracer = Tracer()
-        # When an observed run is active, completed spans are mirrored
-        # onto this device's tracer (registered channel "spans").
-        from repro.obs.recorder import active_recorder
-
-        active_recorder().attach_tracer(self.tracer)
         self.board: DistScrollBoard = build_distscroll_board(
             self.sim, layout=layout, noisy=noisy
         )

@@ -70,15 +70,14 @@ _DISPLAY_CURRENT_MA = 6.0
 _RF_PULSE_MA = 18.0
 _RF_PULSE_S = 0.005
 
-#: One precomputed tick-obs stage span: (span name, duration, attrs,
-#: sorted attr items), as :meth:`Recorder.emit_span_sequence` takes it.
-_TickObsStage = tuple[str, float, dict[str, int], tuple[tuple[str, int], ...]]
-#: (stage spans, tick attrs, tick attr items, (histogram, cycles)
-#: observations, battery gauge).
+#: One precomputed tick-obs stage span: (span name, duration, attrs),
+#: as :meth:`Recorder.emit_span_sequence` takes it.
+_TickObsStage = tuple[str, float, dict[str, int]]
+#: (stage spans, tick attrs, (histogram, cycles) observations, battery
+#: gauge).
 _TickObsPlan = tuple[
     tuple[_TickObsStage, ...],
     dict[str, int],
-    tuple[tuple[str, int], ...],
     tuple[tuple[Any, float], ...],
     Any,
 ]
@@ -207,10 +206,7 @@ class Firmware:
 
         # Observability binds once at construction (see repro.obs): the
         # per-tick fast path stays a single None check when disabled.
-        recorder = active_recorder()
-        self._obs: Optional[Recorder] = (
-            recorder if isinstance(recorder, Recorder) else None
-        )
+        self._obs: Optional[Recorder] = active_recorder()
         # Precomputed tick-obs stage table, built lazily on the first
         # observed tick (stage costs and the MCU rate are fixed after
         # construction, so names/durations/instruments never change).
@@ -551,10 +547,8 @@ class Firmware:
         plan = self._tick_obs_plan
         if plan is None:
             plan = self._tick_obs_plan = self._build_tick_obs_plan(obs)
-        stages, tick_attrs, tick_items, observations, battery_gauge = plan
-        obs.emit_span_sequence(
-            "firmware.tick", now, tick_attrs, tick_items, stages
-        )
+        stages, tick_attrs, observations, battery_gauge = plan
+        obs.emit_span_sequence("firmware.tick", now, tick_attrs, stages)
         for hist, cycles in observations:
             hist.observe(cycles)
         battery_gauge.set(self.board.battery.terminal_voltage(), now)
@@ -576,14 +570,8 @@ class Firmware:
         for stage, cycles in self._tick_stages():
             if cycles == 0:
                 continue
-            attrs = {"cycles": cycles}
             spans.append(
-                (
-                    f"firmware.tick.{stage}",
-                    cycles / mips,
-                    attrs,
-                    tuple(sorted(attrs.items())),
-                )
+                (f"firmware.tick.{stage}", cycles / mips, {"cycles": cycles})
             )
             observations.append(
                 (
@@ -599,11 +587,9 @@ class Firmware:
                 float(self._tick_cycles),
             )
         )
-        tick_attrs = {"cycles": self._tick_cycles}
         return (
             tuple(spans),
-            tick_attrs,
-            tuple(sorted(tick_attrs.items())),
+            {"cycles": self._tick_cycles},
             tuple(observations),
             metrics.gauge("firmware.battery.volts"),
         )

@@ -95,8 +95,6 @@ class Rule(ast.NodeVisitor):
     #: One-line statement of the protected invariant.
     title: ClassVar[str] = ""
     severity: ClassVar[Severity] = Severity.ERROR
-    #: Exact relative paths the rule never applies to.
-    exempt_paths: ClassVar[tuple[str, ...]] = ()
     #: Why the invariant matters (rendered into docs/LINTING.md).
     rationale: ClassVar[str] = ""
     #: A minimal violating snippet (rendered into docs/LINTING.md).
@@ -118,7 +116,7 @@ class Rule(ast.NodeVisitor):
     @classmethod
     def applies_to(cls, path: str) -> bool:
         """Whether the rule runs on this relative path at all."""
-        return path not in cls.exempt_paths
+        return True
 
     def run(self, tree: ast.Module) -> list[Finding]:
         """Visit the whole module and return the findings."""

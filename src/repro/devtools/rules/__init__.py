@@ -17,7 +17,8 @@ REP008   set iteration goes through ``sorted()`` on
 =======  ==========================================================
 
 Adding a per-file rule: subclass :class:`repro.devtools.base.Rule` in a
-new module here, set ``rule_id``/``title``/exemptions + the
+new module here, set ``rule_id``/``title`` (override ``applies_to`` to
+scope it by path) + the
 ``rationale``/``example``/``escape_hatch`` docs metadata, implement the
 ``visit_*`` methods, and append the class to :data:`ALL_RULES`.
 """

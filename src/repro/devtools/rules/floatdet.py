@@ -94,7 +94,6 @@ class FloatDeterminismRule(Rule):
 
     rule_id = "REP007"
     title = "float sums go through exact accumulators; fast-path pow stays per-element"
-    exempt_paths = ("analysis/stats.py",)  # the exact accumulators themselves
     rationale = (
         "`sum()` over floats is evaluation-order dependent, so shard merges"
         " stop being associative and `--jobs 1 != --jobs N` (the PR 6"
@@ -115,8 +114,6 @@ class FloatDeterminismRule(Rule):
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
-        if not super().applies_to(path):
-            return False
         return _under(path, _SUM_PREFIXES) or _under(path, _POW_PREFIXES)
 
     # ------------------------------------------------------------------

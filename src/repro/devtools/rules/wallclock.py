@@ -7,9 +7,8 @@ and a cached result indistinguishable from a fresh one.  Any
 into simulation or experiment code silently breaks that — results keep
 looking plausible while depending on the host's load.
 
-The runner's pool module legitimately measures wall time (it reports
-suite wall-clock in ``BENCH_runner.json``), so it is exempt.  Any other
-intentional clock read carries an inline
+Every intentional clock read — the runner pool's suite timings in
+``BENCH_runner.json``, ``repro bench``'s throughput — carries an inline
 ``# reprolint: allow REP001 (reason)`` waiver.
 """
 
@@ -46,7 +45,6 @@ class NoWallClockRule(Rule):
 
     rule_id = "REP001"
     title = "no wall-clock reads outside benchmark/runner timing code"
-    exempt_paths = ("runner/pool.py",)
     rationale = (
         "Simulated behaviour must depend only on sim time: a"
         " `time.time()`/`perf_counter()` read inside the simulation stack"

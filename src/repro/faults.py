@@ -56,11 +56,11 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.obs.recorder import Recorder, active_recorder
 from repro.sim import channels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (board -> plan)
     from repro.hardware.board import DistScrollBoard
-    from repro.obs.recorder import Recorder
     from repro.sim.trace import Tracer
 
 __all__ = [
@@ -193,7 +193,7 @@ class FaultPlan:
         self.recoveries: Counter[FaultKind] = Counter()
         self._sim = None
         self._tracer: Optional["Tracer"] = None
-        self._obs: Optional["Recorder"] = None
+        self._obs: Optional[Recorder] = None
         self._rng: Optional[np.random.Generator] = None
         #: window ids (indices into ``windows``) not yet expired+recovered,
         #: kept sorted by end time for O(1) polling.
@@ -298,10 +298,7 @@ class FaultPlan:
         self._tracer = tracer
         self._rng = board.sim.spawn_rng()
         board.fault_plan = self
-        from repro.obs.recorder import Recorder, active_recorder
-
-        recorder = active_recorder()
-        self._obs = recorder if isinstance(recorder, Recorder) else None
+        self._obs = active_recorder()
 
         board.adc.fault_hook = self._adc_hook
         board.i2c.fault_hook = self._i2c_hook

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.obs.recorder import active_recorder
 from repro.signal.scalar import clamp
 
 __all__ = ["ADCParams", "ADC", "AnalogSource"]
@@ -117,12 +118,10 @@ class ADC:
         self._v_ref = params.v_ref
         self._inl_lsb = params.inl_lsb
         self._noise_lsb_rms = params.noise_lsb_rms
-        from repro.obs.recorder import active_recorder
-
         recorder = active_recorder()
         self._obs_samples = (
             recorder.metrics.counter("adc.samples")
-            if recorder.enabled and recorder.metrics is not None
+            if recorder is not None
             else None
         )
 

@@ -19,6 +19,8 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
+from repro.obs.recorder import Recorder, active_recorder
+
 __all__ = ["I2CDevice", "I2CBus", "I2CError", "TransferResult"]
 
 
@@ -96,12 +98,7 @@ class I2CBus:
         #: current transaction attempt (see :mod:`repro.faults`).
         self.fault_hook: Optional[Callable[[], bool]] = None
         self.injected_errors = 0
-        from repro.obs.recorder import Recorder, active_recorder
-
-        recorder = active_recorder()
-        self._obs: Optional[Recorder] = (
-            recorder if isinstance(recorder, Recorder) else None
-        )
+        self._obs: Optional[Recorder] = active_recorder()
 
     def _obs_complete(self, n_bytes: int, duration: float, retries: int) -> None:
         """Metric bookkeeping for one successful transaction."""

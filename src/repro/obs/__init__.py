@@ -5,7 +5,9 @@ happen?" without perturbing the simulation: every instrument is fed
 sim-time values only (no wall clock — reprolint REP001 holds here),
 snapshots merge associatively/commutatively across runner shards so
 ``--jobs 1 == --jobs N`` stays byte-identical, and the whole layer is
-off by default behind a :class:`NullRecorder` whose cost the perf gate
+off by default: with no :class:`Recorder` active,
+:func:`active_recorder` returns ``None`` and instrumented components
+cache ``None`` in place of their instruments, a cost the perf gate
 bounds.
 
 Typical use::
@@ -40,12 +42,9 @@ from .metrics import (
     merge_snapshots,
 )
 from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
     Recorder,
     active_recorder,
     set_active_recorder,
-    span,
     use_recorder,
 )
 
@@ -57,12 +56,9 @@ __all__ = [
     "merge_snapshots",
     "SNAPSHOT_VERSION",
     "Recorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "active_recorder",
     "set_active_recorder",
     "use_recorder",
-    "span",
     "to_chrome_trace",
     "to_jsonl",
     "format_metrics",

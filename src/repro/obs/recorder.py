@@ -11,33 +11,29 @@ construction time and cache either the real instrument or ``None``:
     recorder = active_recorder()
     self._obs_events = (
         recorder.metrics.counter("kernel.events.dispatched")
-        if recorder.enabled
+        if recorder is not None
         else None
     )
     ...
     if self._obs_events is not None:   # ~2 ns when observability is off
         self._obs_events.inc()
 
-The default active recorder is :data:`NULL_RECORDER`, whose ``enabled``
-flag is ``False`` — so by default every hot path reduces to a cached
-``is not None`` check and the perf gate (`repro bench --check`) sees no
-measurable cost.
+By default no recorder is active and :func:`active_recorder` returns
+``None`` — so every hot path reduces to a cached ``is not None`` check
+and the perf gate (`repro bench --check`) sees no measurable cost.
 
 Spans are sim-time intervals.  Nothing here reads a wall clock: span
 start/end times are passed in by the caller (usually ``sim.now``, or a
 modeled duration derived from MCU cycle costs for work that happens
-"inside" a single tick).  Completed spans are mirrored onto the
-registered ``SPANS`` trace channel when a tracer is attached, so the
-existing trace-determinism tests cover them too.
+"inside" a single tick).  :attr:`Recorder.spans` is the one span
+store; :meth:`Recorder.payload` is what the runner merges and the
+exporters read.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Sequence
-
-from repro.sim import channels
-from repro.sim.trace import Tracer
 
 from .metrics import (
     SNAPSHOT_VERSION,
@@ -49,12 +45,9 @@ from .metrics import (
 
 __all__ = [
     "Recorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "active_recorder",
     "set_active_recorder",
     "use_recorder",
-    "span",
 ]
 
 def _clean_attrs(attrs: Optional[dict[str, Any]]) -> dict[str, Any]:
@@ -66,55 +59,16 @@ def _clean_attrs(attrs: Optional[dict[str, Any]]) -> dict[str, Any]:
     return {key: attrs[key] for key in sorted(attrs)}
 
 
-def _sequence_records(
-    name: str,
-    start: float,
-    depth: int,
-    _attrs: dict[str, Any],
-    attr_items: tuple[tuple[str, Any], ...],
-    children: tuple[
-        tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]], ...
-    ],
-) -> tuple[list[float], list[tuple[str, float, int, tuple[tuple[str, Any], ...]]]]:
-    """The ``spans`` channel records of one :meth:`Recorder.emit_span_sequence`.
-
-    Children first, each as ``_finish`` records a span, then the parent.
-    """
-    times: list[float] = []
-    values: list[tuple[str, float, int, tuple[tuple[str, Any], ...]]] = []
-    cursor = start
-    for child, duration, _child_attrs, child_items in children:
-        end = cursor + duration
-        times.append(cursor)
-        values.append((child, end, depth + 1, child_items))
-        cursor = end
-    times.append(start)
-    values.append((name, cursor, depth, attr_items))
-    return times, values
-
-
 class Recorder:
-    """Collects metrics and spans for one observed run.
+    """Collects metrics and spans for one observed run."""
 
-    Parameters
-    ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer` to mirror completed
-        spans onto (channel ``spans``).  A device run attaches its own
-        tracer via :meth:`attach_tracer` so spans ride the existing
-        trace serialization.
-    """
-
-    enabled = True
-
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricRegistry()
         self._spans: list[dict[str, Any]] = []
         # Span sequences recorded but not yet expanded into ``_spans``:
-        # (name, start, depth, attrs, attr_items, children), oldest first.
+        # (name, start, depth, attrs, children), oldest first.
         self._sequences: list[tuple[Any, ...]] = []
         self._stack: list[tuple[str, float, dict[str, Any]]] = []
-        self._tracer = tracer
         # Per-kind instrument caches for the name-keyed conveniences
         # below: the registry's _get does a dict lookup plus an
         # isinstance kind check, which shows up when a hot loop calls
@@ -124,12 +78,6 @@ class Recorder:
         self._counter_cache: dict[str, Counter] = {}
         self._gauge_cache: dict[str, Gauge] = {}
         self._histogram_cache: dict[str, Histogram] = {}
-
-    # -- wiring ---------------------------------------------------------
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Mirror completed spans onto ``tracer``'s ``spans`` channel."""
-        self._tracer = tracer
 
     # -- metric conveniences -------------------------------------------
 
@@ -222,49 +170,39 @@ class Recorder:
         name: str,
         start: float,
         attrs: dict[str, Any],
-        attr_items: tuple[tuple[str, Any], ...],
-        children: Sequence[
-            tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]]
-        ],
+        children: Sequence[tuple[str, float, dict[str, Any]]],
     ) -> None:
         """Record a span and its back-to-back children in one call.
 
-        ``children`` rows are ``(name, duration, attrs, attr_items)``;
-        child ``i`` starts where child ``i - 1`` ended (the first at
-        ``start``) and the parent ends where the last child does.  This
-        is the per-tick path of a precomputed instrumentation plan: the
-        caller supplies each ``attrs`` already key-sorted plus its
-        ``tuple(sorted(attrs.items()))`` form and promises never to
-        mutate them or ``children``.  The call keeps one tuple; the span
-        dicts and the tracer's ``spans`` records are built from it, with
-        the same additions, when :attr:`spans` or the channel is next
-        read.  Spans, tracer records and their order are byte-identical
-        to ``begin_span(name, start)``, one :meth:`emit_span` per child,
-        then ``end_span(end, attrs)``.
+        ``children`` rows are ``(name, duration, attrs)``; child ``i``
+        starts where child ``i - 1`` ended (the first at ``start``) and
+        the parent ends where the last child does.  This is the per-tick
+        path of a precomputed instrumentation plan: the caller supplies
+        each ``attrs`` already key-sorted and promises never to mutate
+        them or ``children``.  The call keeps one tuple; the span
+        dicts are built from it, with the same additions, when
+        :attr:`spans` is next read.  Spans and their order are
+        byte-identical to ``begin_span(name, start)``, one
+        :meth:`emit_span` per child, then ``end_span(end, attrs)``.
         """
         start = float(start)
         children = tuple(children)
         cursor = start
-        for child, duration, _child_attrs, _child_items in children:
+        for child, duration, _child_attrs in children:
             end = cursor + duration
             if end < cursor:
                 raise ValueError(
                     f"span {child!r} ends before it starts ({end} < {cursor})"
                 )
             cursor = end
-        sequence = (name, start, len(self._stack), attrs, attr_items, children)
-        self._sequences.append(sequence)
-        if self._tracer is not None:
-            self._tracer.record_deferred(
-                channels.SPANS, _sequence_records, sequence
-            )
+        self._sequences.append((name, start, len(self._stack), attrs, children))
 
     def _expand_sequences(self) -> None:
         """Append the pending sequences' span dicts to ``_spans``, in order."""
         spans = self._spans
-        for name, start, depth, attrs, _items, children in self._sequences:
+        for name, start, depth, attrs, children in self._sequences:
             cursor = start
-            for child, duration, child_attrs, _child_items in children:
+            for child, duration, child_attrs in children:
                 end = cursor + duration
                 spans.append(
                     {
@@ -307,12 +245,6 @@ class Recorder:
             "attrs": attrs,
         }
         self.spans.append(record)
-        if self._tracer is not None:
-            self._tracer.record(
-                channels.SPANS,
-                start,
-                (name, end, depth, tuple(sorted(attrs.items()))),
-            )
 
     @contextmanager
     def span(
@@ -335,10 +267,6 @@ class Recorder:
 
     # -- snapshots ------------------------------------------------------
 
-    def record_snapshot(self, tracer: Tracer, time: float) -> None:
-        """Publish the full metric snapshot on the ``metrics`` channel."""
-        tracer.record(channels.METRICS, time, self.metrics.snapshot())
-
     def payload(self) -> dict[str, Any]:
         """The JSON-safe observability payload for one run/shard."""
         return {
@@ -348,105 +276,20 @@ class Recorder:
         }
 
 
-class NullRecorder:
-    """The default, disabled recorder: every operation is a no-op.
-
-    ``enabled`` is ``False`` so instrumented components cache ``None``
-    instead of instruments and skip all bookkeeping; the no-op methods
-    below exist so code that *does* hold a recorder reference (e.g. a
-    context manager built before the check) still works.
-    """
-
-    enabled = False
-    metrics: Optional[MetricRegistry] = None
-    spans: list[dict[str, Any]] = []
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """No-op."""
-
-    def counter(self, name: str, n: int = 1) -> None:
-        """No-op."""
-
-    def gauge(self, name: str, value: float, time: float) -> None:
-        """No-op."""
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        low: float = 1e-7,
-        high: float = 1e3,
-        bins_per_decade: int = 3,
-    ) -> None:
-        """No-op."""
-
-    def begin_span(
-        self,
-        name: str,
-        start: float,
-        attrs: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """No-op."""
-
-    def end_span(
-        self, end: float, attrs: Optional[dict[str, Any]] = None
-    ) -> None:
-        """No-op."""
-
-    def emit_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        attrs: Optional[dict[str, Any]] = None,
-    ) -> None:
-        """No-op."""
-
-    def emit_span_sequence(
-        self,
-        name: str,
-        start: float,
-        attrs: dict[str, Any],
-        attr_items: tuple[tuple[str, Any], ...],
-        children: Sequence[
-            tuple[str, float, dict[str, Any], tuple[tuple[str, Any], ...]]
-        ],
-    ) -> None:
-        """No-op."""
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        clock: Callable[[], float],
-        **attrs: Any,
-    ) -> Iterator[None]:
-        """No-op context manager (does not even read the clock)."""
-        yield
-
-    def record_snapshot(self, tracer: Tracer, time: float) -> None:
-        """No-op."""
+_active: Optional[Recorder] = None
 
 
-#: The process-wide default recorder (observability off).
-NULL_RECORDER = NullRecorder()
+def active_recorder() -> Optional[Recorder]:
+    """The recorder new components should report to, or ``None``.
 
-_active: Recorder | NullRecorder = NULL_RECORDER
-
-
-def active_recorder() -> Recorder | NullRecorder:
-    """The recorder new components should report to.
-
-    Components read this once at construction and cache the result (or
-    ``None`` when disabled); swapping the active recorder mid-run is
-    deliberately unsupported.
+    ``None`` means observability is off (the default).  Components read
+    this once at construction and cache the result; swapping the active
+    recorder mid-run is deliberately unsupported.
     """
     return _active
 
 
-def set_active_recorder(
-    recorder: Recorder | NullRecorder,
-) -> Recorder | NullRecorder:
+def set_active_recorder(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Install ``recorder`` as active; returns the previous one."""
     global _active
     previous = _active
@@ -455,7 +298,7 @@ def set_active_recorder(
 
 
 @contextmanager
-def use_recorder(recorder: Recorder | NullRecorder) -> Iterator[None]:
+def use_recorder(recorder: Optional[Recorder]) -> Iterator[None]:
     """Make ``recorder`` active for the enclosed block.
 
     This is how an observed run is delimited: build the components
@@ -466,16 +309,3 @@ def use_recorder(recorder: Recorder | NullRecorder) -> Iterator[None]:
         yield
     finally:
         set_active_recorder(previous)
-
-
-@contextmanager
-def span(
-    name: str, clock: Callable[[], float], **attrs: Any
-) -> Iterator[None]:
-    """``with obs.span("firmware.tick", lambda: sim.now):`` convenience.
-
-    Delegates to the *currently* active recorder; a no-op when
-    observability is off.
-    """
-    with active_recorder().span(name, clock, **attrs):
-        yield

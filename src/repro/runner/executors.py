@@ -31,8 +31,7 @@ shard replays the lost attempt bit for bit.
 
 This module deliberately reads no clocks: all wall-time telemetry
 (queue-wait, execute, merge spans) is measured by the driver in
-``pool.py``, the one runner module exempt from the REP001 wall-clock
-rule.
+``pool.py``, whose clock reads each carry a REP001 waiver.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.recorder import active_recorder
 from repro.sensors.gp2d120 import GP2D120, SENSOR_MAX_CM, SENSOR_MIN_CM
 from repro.sensors.surfaces import AmbientLight, Surface
 from repro.signal.fitting import (
@@ -115,8 +116,6 @@ def calibrate(
     if np.any(distances < SENSOR_MIN_CM - 1e-9):
         raise ValueError("calibration sweep must stay on the monotone branch")
 
-    from repro.obs.recorder import active_recorder
-
     obs = active_recorder()
     samples = []
     clock = 0.0
@@ -130,7 +129,7 @@ def calibrate(
             clock += cycle * 1.05  # ensure a fresh measurement cycle
             readings[i] = sensor.output_voltage(clock, at)
         samples.append(_summarize(distance, readings, readings_per_point))
-        if obs.enabled:
+        if obs is not None:
             _observe_point(obs, dwell_from, clock, distance,
                            readings_per_point)
 

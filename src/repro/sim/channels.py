@@ -20,8 +20,6 @@ __all__ = [
     "EVENTS",
     "FAULTS",
     "FAULT_RECOVERY",
-    "SPANS",
-    "METRICS",
     "CHANNELS",
     "is_registered",
 ]
@@ -36,20 +34,9 @@ FAULTS = "faults"
 #: One record per firmware recovery action, paired with :data:`FAULTS`.
 FAULT_RECOVERY = "fault.recovery"
 
-#: One record per completed observability span (see :mod:`repro.obs`);
-#: the value is ``(name, end, depth, attrs)`` and the record time is the
-#: span's sim-time start.
-SPANS = "spans"
-
-#: Metric snapshots published by :meth:`repro.obs.Recorder.record_snapshot`
-#: — at most a handful per run, each a full registry snapshot dict.
-METRICS = "metrics"
-
 #: Every channel name any component may record on.  ``repro lint``
 #: enforces that tracer call sites only use names from this set.
-CHANNELS: frozenset[str] = frozenset(
-    {EVENTS, FAULTS, FAULT_RECOVERY, SPANS, METRICS}
-)
+CHANNELS: frozenset[str] = frozenset({EVENTS, FAULTS, FAULT_RECOVERY})
 
 
 def is_registered(name: str) -> bool:

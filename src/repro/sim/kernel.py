@@ -28,13 +28,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import Counter
-    from repro.obs.recorder import Recorder
+from repro.obs.metrics import Counter
+from repro.obs.recorder import Recorder, active_recorder
 
 __all__ = [
     "SimulationError",
@@ -173,18 +172,13 @@ class Simulator:
         # Observability binding happens once, at construction: when a
         # recorder is active we cache the instruments themselves, when
         # not (the default) we cache None so the hot loop pays only an
-        # attribute load + identity check per event.  The import is
-        # deferred because repro.obs imports repro.sim.
-        from repro.obs.recorder import active_recorder
-
-        recorder = active_recorder()
-        self._obs_events: Optional["Counter"] = None
-        self._obs_recorder: Optional["Recorder"] = None
-        if recorder.enabled and recorder.metrics is not None:
-            self._obs_events = recorder.metrics.counter(
-                "kernel.events.dispatched"
-            )
-            self._obs_recorder = recorder
+        # attribute load + identity check per event.
+        self._obs_recorder: Optional[Recorder] = active_recorder()
+        self._obs_events: Optional[Counter] = (
+            self._obs_recorder.metrics.counter("kernel.events.dispatched")
+            if self._obs_recorder is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     # clock and RNG

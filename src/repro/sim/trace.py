@@ -19,11 +19,6 @@ import numpy as np
 __all__ = ["Tracer", "TraceChannel"]
 
 
-#: A deferred block of records: ``expand(*args)`` returns its
-#: ``(times, values)`` lists.
-_Deferred = tuple[Callable[..., tuple[list[float], list[Any]]], tuple[Any, ...]]
-
-
 class TraceChannel:
     """A single named stream of ``(time, value)`` records."""
 
@@ -31,75 +26,50 @@ class TraceChannel:
         self.name = name
         self._times: list[float] = []
         self._values: list[Any] = []
-        # Blocks recorded by defer() and not yet expanded, oldest first;
-        # every read and write goes through _settled(), so order is kept.
-        self._deferred: list[_Deferred] = []
 
     def append(self, time: float, value: Any) -> None:
         """Record one sample."""
-        times, values = self._settled()
-        times.append(time)
-        values.append(value)
-
-    def defer(
-        self,
-        expand: Callable[..., tuple[list[float], list[Any]]],
-        args: tuple[Any, ...],
-    ) -> None:
-        """Record the block ``expand(*args)`` returns, when next read.
-
-        ``expand`` must be a pure function of ``args`` and ``args`` must
-        not change: the channel then holds exactly what extending it with
-        the block now would, for the cost of one tuple.
-        """
-        self._deferred.append((expand, args))
-
-    def _settled(self) -> tuple[list[float], list[Any]]:
-        """The record lists, with every deferred block expanded in order."""
-        if self._deferred:
-            for expand, args in self._deferred:
-                times, values = expand(*args)
-                self._times.extend(times)
-                self._values.extend(values)
-            self._deferred.clear()
-        return self._times, self._values
+        self._times.append(time)
+        self._values.append(value)
 
     def __len__(self) -> int:
-        return len(self._settled()[0])
+        return len(self._times)
 
     def __iter__(self) -> Iterator[tuple[float, Any]]:
-        return iter(zip(*self._settled()))
+        return iter(zip(self._times, self._values))
 
     @property
     def times(self) -> np.ndarray:
         """Sample times as a float array."""
-        return np.asarray(self._settled()[0], dtype=float)
+        return np.asarray(self._times, dtype=float)
 
     @property
     def values(self) -> np.ndarray:
         """Sample values as an array (object dtype if heterogeneous)."""
-        values = self._settled()[1]
         try:
-            return np.asarray(values, dtype=float)
+            return np.asarray(self._values, dtype=float)
         except (TypeError, ValueError):
-            return np.asarray(values, dtype=object)
+            return np.asarray(self._values, dtype=object)
 
     def last(self) -> tuple[float, Any]:
         """The most recent ``(time, value)`` record."""
-        times, values = self._settled()
-        if not times:
+        if not self._times:
             raise LookupError(f"channel {self.name!r} is empty")
-        return times[-1], values[-1]
+        return self._times[-1], self._values[-1]
 
     def between(self, t0: float, t1: float) -> list[tuple[float, Any]]:
         """Records with ``t0 <= time <= t1``."""
-        return [(t, v) for t, v in zip(*self._settled()) if t0 <= t <= t1]
+        return [
+            (t, v)
+            for t, v in zip(self._times, self._values)
+            if t0 <= t <= t1
+        ]
 
     def count_changes(self) -> int:
         """Number of times the recorded value changed between samples."""
         changes = 0
         previous: Any = _SENTINEL
-        for value in self._settled()[1]:
+        for value in self._values:
             if previous is not _SENTINEL and value != previous:
                 changes += 1
             previous = value
@@ -117,8 +87,7 @@ class Tracer:
     channel and receives ``(time, value)`` callbacks synchronously.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._channels: dict[str, TraceChannel] = {}
         self._subscribers: dict[str, list[Callable[[float, Any], None]]] = (
             defaultdict(list)
@@ -131,35 +100,10 @@ class Tracer:
         return self._channels[name]
 
     def record(self, name: str, time: float, value: Any) -> None:
-        """Append a record and notify subscribers.
-
-        Subscribers are notified even when recording is disabled, because
-        they model *in-simulation* observers rather than offline analysis.
-        """
-        if self.enabled:
-            self.channel(name).append(time, value)
+        """Append a record and notify subscribers."""
+        self.channel(name).append(time, value)
         for callback in self._subscribers.get(name, ()):
             callback(time, value)
-
-    def record_deferred(
-        self,
-        name: str,
-        expand: Callable[..., tuple[list[float], list[Any]]],
-        args: tuple[Any, ...],
-    ) -> None:
-        """:meth:`record` each record of the block ``expand(*args)``.
-
-        Channel contents and subscriber callbacks are exactly those of
-        the one-by-one calls.  Subscribers get the records now; without
-        subscribers the channel keeps ``(expand, args)`` and expands it
-        when it is next read or written (see :meth:`TraceChannel.defer`).
-        """
-        if self._subscribers.get(name):
-            times, values = expand(*args)
-            for time, value in zip(times, values):
-                self.record(name, time, value)
-        elif self.enabled:
-            self.channel(name).defer(expand, args)
 
     def subscribe(self, name: str, callback: Callable[[float, Any], None]) -> None:
         """Register a live callback for a channel."""

@@ -1,7 +1,8 @@
 """Tests for the observability layer (repro.obs).
 
 Covers the metric instruments and their merge semantics, the recorder's
-span machinery (including the no-op default), the exporters — with a
+span machinery, the off-by-default binding (no active recorder, every
+instrument ``None``), the exporters — with a
 committed golden pinning the Chrome trace-event JSON bytes for one
 seeded run — the runner integration (``observe=True`` is byte-identical
 across job counts), and the ``trace`` / ``metrics`` CLI commands.
@@ -18,12 +19,10 @@ import pytest
 from repro.cli import main
 from repro.experiments.harness import ExperimentResult
 from repro.obs import (
-    NULL_RECORDER,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRecorder,
     Recorder,
     SNAPSHOT_VERSION,
     active_recorder,
@@ -43,8 +42,6 @@ from repro.runner.sharding import (
     merge_shard_results,
 )
 from repro.runner.registry import REGISTRY
-from repro.sim import channels
-from repro.sim.trace import Tracer
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "obs_chrome_trace_golden.json"
 
@@ -227,47 +224,21 @@ class TestRecorder:
         with pytest.raises(ValueError):
             recorder.end_span(1.0)
 
-    def test_spans_mirror_to_tracer(self):
-        tracer = Tracer()
-        recorder = Recorder(tracer=tracer)
-        recorder.emit_span("s", 0.25, 0.75, {"a": 1})
-        records = list(tracer.channel(channels.SPANS))
-        assert len(records) == 1
-        time_s, value = records[0]
-        assert time_s == 0.25
-        assert value == ("s", 0.75, 0, (("a", 1),))
-
-    def _sequence_pair(self, subscribe: bool):
-        """The same tick emitted fused and span by span, each traced."""
+    def test_span_sequence_matches_span_by_span(self):
+        """The same tick emitted fused and span by span."""
         stages = [
             ("tick.buttons", 1.25e-5, {"cycles": 75}),
             ("tick.adc", 3.0e-5, {"cycles": 180}),
             ("tick.filter", 0.1 / 3.0, {"cycles": 200, "window": 5}),
         ]
-        children = [
-            (name, duration, attrs, tuple(sorted(attrs.items())))
-            for name, duration, attrs in stages
-        ]
         tick_attrs = {"cycles": 455}
         runs = []
         for fused in (True, False):
-            tracer = Tracer()
-            seen: list = []
-            if subscribe:
-                tracer.subscribe(
-                    channels.SPANS,
-                    lambda t, v, seen=seen, tracer=tracer: seen.append(
-                        (t, v, len(tracer.channel(channels.SPANS)))
-                    ),
-                )
-            recorder = Recorder(tracer=tracer)
+            recorder = Recorder()
             recorder.begin_span("outer", 0.0)
             for now in (0.02, 0.04, 0.06):
                 if fused:
-                    recorder.emit_span_sequence(
-                        "tick", now, tick_attrs,
-                        tuple(sorted(tick_attrs.items())), children,
-                    )
+                    recorder.emit_span_sequence("tick", now, tick_attrs, stages)
                     continue
                 recorder.begin_span("tick", now)
                 cursor = now
@@ -276,33 +247,14 @@ class TestRecorder:
                     cursor += duration
                 recorder.end_span(cursor, tick_attrs)
             recorder.end_span(1.0)
-            runs.append((recorder.spans, tracer.serialize(), seen))
-        return runs
-
-    @pytest.mark.parametrize("subscribe", [False, True])
-    def test_span_sequence_matches_span_by_span(self, subscribe):
-        (fused_spans, fused_bytes, fused_seen), (spans, trace, seen) = (
-            self._sequence_pair(subscribe)
-        )
+            runs.append(recorder.spans)
+        fused_spans, spans = runs
         assert fused_spans == spans
-        assert fused_bytes == trace
-        assert fused_seen == seen
         assert [s["depth"] for s in spans[:4]] == [2, 2, 2, 1]
 
     def test_span_sequence_rejects_negative_duration(self):
         with pytest.raises(ValueError, match="ends before it starts"):
-            Recorder().emit_span_sequence(
-                "tick", 0.0, {}, (), [("stage", -1.0, {}, ())]
-            )
-
-    def test_record_snapshot_publishes_metrics_channel(self):
-        tracer = Tracer()
-        recorder = Recorder()
-        recorder.counter("c", 3)
-        recorder.record_snapshot(tracer, 1.5)
-        records = list(tracer.channel(channels.METRICS))
-        assert len(records) == 1
-        assert records[0][1]["c"] == {"type": "counter", "value": 3}
+            Recorder().emit_span_sequence("tick", 0.0, {}, [("stage", -1.0, {})])
 
     def test_payload_shape(self):
         recorder = Recorder()
@@ -318,12 +270,44 @@ class TestRecorder:
         json.dumps(payload)
 
 
+def _bound_instruments() -> dict[str, object]:
+    """What each instrumented component of a faulted device bound to."""
+    from repro.core.device import DistScroll
+    from repro.core.menu import build_menu
+    from repro.faults import FaultPlan
+
+    plan = FaultPlan()
+    device = DistScroll(build_menu(["Alpha", "Beta"]), seed=3, fault_plan=plan)
+    board = device.board
+    return {
+        "Simulator._obs_recorder": device.sim._obs_recorder,
+        "Simulator._obs_events": device.sim._obs_events,
+        "ADC._obs_samples": board.adc._obs_samples,
+        "I2CBus._obs": board.i2c._obs,
+        "FaultPlan._obs": plan._obs,
+        "Firmware._obs": device.firmware._obs,
+    }
+
+
 class TestActiveRecorder:
-    def test_default_is_disabled(self):
-        recorder = active_recorder()
-        assert isinstance(recorder, NullRecorder)
-        assert recorder.enabled is False
-        assert recorder.metrics is None
+    def test_off_path_binds_none(self):
+        assert active_recorder() is None
+        bound = _bound_instruments()
+        assert bound == dict.fromkeys(bound)
+
+    def test_observed_path_binds_the_recorder(self):
+        recorder = Recorder()
+        with use_recorder(recorder):
+            bound = _bound_instruments()
+        metrics = recorder.metrics
+        assert bound == {
+            "Simulator._obs_recorder": recorder,
+            "Simulator._obs_events": metrics.counter("kernel.events.dispatched"),
+            "ADC._obs_samples": metrics.counter("adc.samples"),
+            "I2CBus._obs": recorder,
+            "FaultPlan._obs": recorder,
+            "Firmware._obs": recorder,
+        }
 
     def test_use_recorder_scopes_and_restores(self):
         recorder = Recorder()
@@ -339,36 +323,6 @@ class TestActiveRecorder:
             assert active_recorder() is recorder
         finally:
             assert set_active_recorder(previous) is recorder
-
-    def test_null_recorder_never_reads_clock(self):
-        def broken_clock() -> float:
-            raise AssertionError("disabled span must not read the clock")
-
-        with NULL_RECORDER.span("s", broken_clock):
-            pass
-        assert NULL_RECORDER.spans == []
-
-    def test_null_recorder_ops_are_noops(self):
-        NULL_RECORDER.counter("c")
-        NULL_RECORDER.gauge("g", 1.0, 2.0)
-        NULL_RECORDER.observe("h", 0.5)
-        NULL_RECORDER.begin_span("s", 0.0)
-        NULL_RECORDER.end_span(1.0)
-        NULL_RECORDER.emit_span("s", 0.0, 1.0)
-        NULL_RECORDER.emit_span_sequence("s", 0.0, {}, (), [("c", 1.0, {}, ())])
-        NULL_RECORDER.record_snapshot(Tracer(), 0.0)
-        assert NULL_RECORDER.spans == []
-
-
-# ---------------------------------------------------------------------------
-# trace-channel registration (reprolint REP003 surface)
-# ---------------------------------------------------------------------------
-class TestChannelRegistration:
-    def test_spans_and_metrics_channels_registered(self):
-        assert channels.SPANS == "spans"
-        assert channels.METRICS == "metrics"
-        assert channels.SPANS in channels.CHANNELS
-        assert channels.METRICS in channels.CHANNELS
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +405,6 @@ class TestChromeTraceGolden:
             )
             device.hold_at(12.0)
             device.run_for(0.12)
-            recorder.record_snapshot(device.tracer, device.sim.now)
         return to_chrome_trace(recorder.payload(), title="obs-golden")
 
     def test_bytes_match_golden(self):

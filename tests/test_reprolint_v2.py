@@ -444,13 +444,14 @@ class TestFloatDeterminism:
         )
         assert findings == []
 
-    def test_exact_accumulator_module_exempt(self):
-        findings = lint(
-            "def f(xs):\n    return sum(xs)\n",
-            path="analysis/stats.py",
-            rules=[FloatDeterminismRule],
-        )
-        assert findings == []
+    def test_exact_accumulator_module_flagged_unless_waived(self):
+        waiver = "    # reprolint: allow REP007 (sums int counts)\n"
+        source = "def f(xs):\n{}    return sum(xs)\n"
+        for path in ("analysis/stats.py", "experiments/example.py"):
+            flagged = lint(source.format(""), path=path, rules=[FloatDeterminismRule])
+            assert rule_ids(flagged) == ["REP007"], path
+            waived = source.format(waiver)
+            assert lint(waived, path=path, rules=[FloatDeterminismRule]) == [], path
 
     def test_out_of_scope_path_clean(self):
         findings = lint(

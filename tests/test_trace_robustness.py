@@ -51,13 +51,13 @@ class TestTracer:
             tracer.record("ch", 0.0, value)
         assert tracer.channel("ch").count_changes() == 3
 
-    def test_subscribers_fire_even_when_disabled(self):
-        tracer = Tracer(enabled=False)
+    def test_subscribers_fire_on_record(self):
+        tracer = Tracer()
         got = []
         tracer.subscribe("ch", lambda t, v: got.append(v))
         tracer.record("ch", 0.0, 42)
         assert got == [42]
-        assert tracer.get("ch") is None  # nothing stored
+        assert list(tracer.channel("ch")) == [(0.0, 42)]
 
     def test_unsubscribe(self):
         tracer = Tracer()
@@ -78,44 +78,6 @@ class TestTracer:
         tracer.record("ch", 0.0, 1)
         tracer.clear()
         assert tracer.channels() == []
-
-    @pytest.mark.parametrize(
-        "read",
-        [
-            lambda ch: list(ch),
-            lambda ch: len(ch),
-            lambda ch: ch.last(),
-            lambda ch: ch.between(0.0, 9.0),
-            lambda ch: ch.count_changes(),
-            lambda ch: ch.times.tolist(),
-            lambda ch: ch.values.tolist(),
-        ],
-        ids=["iter", "len", "last", "between", "changes", "times", "values"],
-    )
-    def test_deferred_blocks_read_like_recorded_ones(self, read):
-        """Every read sees a deferred block where it was recorded."""
-
-        def block(t0, n):
-            return [t0 + i for i in range(n)], [float(t0 * 10 + i) for i in range(n)]
-
-        deferred, direct = Tracer(), Tracer()
-        deferred.record("ch", 0.0, -1.0)
-        deferred.record_deferred("ch", block, (1.0, 2))
-        deferred.record("ch", 5.0, -2.0)
-        deferred.record_deferred("ch", block, (6.0, 3))
-        for time, value in [(0.0, -1.0), *zip(*block(1.0, 2)), (5.0, -2.0),
-                            *zip(*block(6.0, 3))]:
-            direct.record("ch", time, value)
-        assert read(deferred.channel("ch")) == read(direct.channel("ch"))
-        assert deferred.serialize() == direct.serialize()
-
-    def test_deferred_block_reaches_subscribers_at_once(self):
-        tracer = Tracer(enabled=False)
-        got = []
-        tracer.subscribe("ch", lambda t, v: got.append((t, v)))
-        tracer.record_deferred("ch", lambda a: ([a, a + 1.0], ["x", "y"]), (2.0,))
-        assert got == [(2.0, "x"), (3.0, "y")]
-        assert tracer.get("ch") is None
 
 
 class TestZoomEventSerialization:

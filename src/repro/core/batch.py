@@ -18,9 +18,10 @@ engines, stepped together by one kernel task.
 Per-device RNG streams
 ----------------------
 Every device owns dedicated streams spawned from
-``SeedSequence(seed, spawn_key=(BATCH_STREAM, index, purpose))`` — one
-purpose per draw site (gate / noise / corruption / ADC / glitch) — so a
-device's draws depend only on ``(seed, index)``.  Shard layout cannot
+``SeedSequence(seed, spawn_key=(BATCH_STREAM, index, purpose))``, built
+by :func:`repro.sim.streams.stream_rng` — one purpose per draw site
+(gate / noise / corruption / ADC / glitch) — so a device's draws depend
+only on ``(seed, index)``.  Shard layout cannot
 matter: any block partition of a fleet yields the same per-device rows.
 """
 
@@ -51,7 +52,7 @@ from repro.sensors.surfaces import (
 )
 from repro.signal.filters import MedianFilter
 from repro.signal.scalar import clamp
-from repro.sim.streams import BATCH_STREAM
+from repro.sim.streams import BATCH_STREAM, stream_rng
 
 __all__ = [
     "BatchDeviceSpec",
@@ -99,10 +100,7 @@ def device_stream(
     seed: int, index: int, purpose: int
 ) -> np.random.Generator:
     """Device ``index``'s dedicated generator for one draw site."""
-    sequence = np.random.SeedSequence(
-        entropy=seed, spawn_key=(BATCH_STREAM, index, purpose)
-    )
-    return np.random.Generator(np.random.PCG64(sequence))
+    return stream_rng(seed, BATCH_STREAM, index, purpose)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ module builds the substrate those rules share:
 
 * :class:`FileFacts` — everything the graph needs to know about one
   file, extracted by a pure function of the source text: imports,
-  top-level symbols with literal constant values, and every
-  ``SeedSequence(..., spawn_key=(...))`` call site.
+  top-level symbols with literal constant values, and every stream
+  derivation site: ``SeedSequence(..., spawn_key=(...))`` and the
+  ``stream_rng``/``stream_state(seed, DOMAIN, ...)`` primitive of
+  ``sim/streams.py``.
 * :class:`ProjectGraph` — the linked view: dotted-import resolution by
   module-path suffix matching (works for ``src/repro`` and for fixture
   trees alike) and assignment-chain constant resolution across modules.
@@ -77,12 +79,16 @@ class SymbolInfo:
 
 @dataclass(frozen=True)
 class SpawnSite:
-    """One ``SeedSequence(..., spawn_key=(...))`` call site.
+    """One stream derivation call site.
 
-    ``domain_kind`` describes the first element of the spawn-key tuple:
-    ``"literal"`` (an inline integer), ``"name"`` (an identifier or
-    dotted attribute, recorded in ``domain_name``), or ``"opaque"``
-    (anything else, including non-tuple spawn keys).
+    Either ``SeedSequence(..., spawn_key=(...))`` or a derivation
+    primitive call ``stream_rng(seed, DOMAIN, ...)`` /
+    ``stream_state(seed, DOMAIN, ...)``.  ``domain_kind`` describes the
+    stream domain (the spawn-key tuple's first element, or the
+    primitive's second argument): ``"literal"`` (an inline integer),
+    ``"name"`` (an identifier or dotted attribute, recorded in
+    ``domain_name``), or ``"opaque"`` (anything else, including
+    non-tuple spawn keys and a domain the call does not spell out).
     """
 
     line: int
@@ -145,8 +151,12 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+#: Callees that derive a keyed stream as ``f(seed, DOMAIN, *key)``.
+_DERIVATION_PRIMITIVES = frozenset({"stream_rng", "stream_state"})
+
+
 class _SpawnCollector(ast.NodeVisitor):
-    """Collects ``SeedSequence(..., spawn_key=...)`` call sites."""
+    """Collects ``SeedSequence(..., spawn_key=...)`` and primitive calls."""
 
     def __init__(self, lines: Sequence[str]) -> None:
         self.sites: list[SpawnSite] = []
@@ -169,15 +179,22 @@ class _SpawnCollector(ast.NodeVisitor):
         if callee_name == "SeedSequence":
             for keyword in node.keywords:
                 if keyword.arg == "spawn_key":
-                    self.sites.append(self._site(node, keyword.value))
+                    key = keyword.value
+                    head = (
+                        key.elts[0]
+                        if isinstance(key, ast.Tuple) and key.elts
+                        else None
+                    )
+                    self.sites.append(self._site(node, head))
+        elif callee_name in _DERIVATION_PRIMITIVES:
+            self.sites.append(self._site(node, _primitive_domain(node)))
         self.generic_visit(node)
 
-    def _site(self, call: ast.Call, key: ast.expr) -> SpawnSite:
+    def _site(self, call: ast.Call, head: Optional[ast.expr]) -> SpawnSite:
         line, col = call.lineno, call.col_offset
         snippet = self._snippet(line)
-        if not isinstance(key, ast.Tuple) or not key.elts:
+        if head is None or isinstance(head, ast.Starred):
             return SpawnSite(line, col, snippet, "opaque")
-        head = key.elts[0]
         is_literal, value = _literal_value(head)
         if is_literal and isinstance(value, int) and not isinstance(value, bool):
             return SpawnSite(line, col, snippet, "literal", domain_value=value)
@@ -185,6 +202,23 @@ class _SpawnCollector(ast.NodeVisitor):
         if dotted is not None:
             return SpawnSite(line, col, snippet, "name", domain_name=dotted)
         return SpawnSite(line, col, snippet, "opaque")
+
+
+def _primitive_domain(call: ast.Call) -> Optional[ast.expr]:
+    """The ``domain`` argument of a ``stream_rng``/``stream_state`` call.
+
+    ``None`` when the call does not spell it out (a ``*args`` splat
+    before or at the second position, or no domain at all).
+    """
+    for index, argument in enumerate(call.args):
+        if isinstance(argument, ast.Starred):
+            return None
+        if index == 1:
+            return argument
+    for keyword in call.keywords:
+        if keyword.arg == "domain":
+            return keyword.value
+    return None
 
 
 def extract_facts(path: str, source: str, tree: ast.Module) -> FileFacts:

@@ -2,7 +2,9 @@
 
 The fleet device model and the persona engine both derive
 dedicated RNG streams via ``SeedSequence(entropy, spawn_key=(DOMAIN,
-...))``.  Spawn keys are just tuples: two modules that pick the same
+...))``, built by the registry's primitive ``stream_rng(seed, DOMAIN,
+...)`` (or ``stream_state``); the rule checks the domain of both call
+forms.  Spawn keys are just tuples: two modules that pick the same
 first element and overlapping trailing elements silently share bit
 streams, coupling experiments that must be independent — a failure mode
 that is invisible until a golden test diverges.  The fix is a registry:

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.stats import CellCounter, QuantileSketch, StreamingMoments
 from repro.baselines import ALL_TECHNIQUES, TechniqueFault
 from repro.baselines.base import OperatorTimes
@@ -46,7 +44,7 @@ from repro.interaction.tasks import (
     battery as resolve_battery,
     scenario_distances,
 )
-from repro.sim.streams import ARENA_STREAM
+from repro.sim.streams import ARENA_STREAM, stream_rng
 
 __all__ = [
     "ARENA_ROSTER",
@@ -285,11 +283,7 @@ def run_arena_block(
         aggregate.n_users += 1
         aggregate.cell_users.add(persona.cell())
         glove = persona.glove_model()
-        profile_rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=seed, spawn_key=(ARENA_STREAM, user_index)
-            )
-        )
+        profile_rng = stream_rng(seed, ARENA_STREAM, user_index)
         profile = persona.motor_profile(profile_rng)
         times = OperatorTimes(
             reaction_s=profile.reaction_time_s,
@@ -299,12 +293,7 @@ def run_arena_block(
         faulted_user = fault_every > 0 and user_index % fault_every == 0
         for t, key in enumerate(keys):
             roster_index = ARENA_ROSTER.index(key)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(
-                    entropy=seed,
-                    spawn_key=(ARENA_STREAM, user_index, roster_index),
-                )
-            )
+            rng = stream_rng(seed, ARENA_STREAM, user_index, roster_index)
             faults = (
                 arena_fault_window(key, total_trials) if faulted_user else ()
             )

@@ -524,12 +524,22 @@ def simulate_user_fast(
     instead of driving the event-kernel device.  ~10⁴× faster per
     participant, which is what makes million-user studies CPU-bound.
 
-    Every draw is the one the distribution methods would make, without
+    Every value is the one the distribution methods would draw, without
     their per-call dispatch: numpy computes ``rng.lognormal(0.0, s)`` as
     ``exp(0.0 + s * z)`` and ``rng.normal(0.0, s)`` as ``0.0 + s * z``
     from one ``z = rng.standard_normal()``, and this does the same
     (dropping the ``0.0 +``, which changes at most the sign of a zero
     that ``exp`` and ``abs`` then erase).
+
+    Batch rule: a run of standard normals whose count is known before
+    the first of them is drawn comes from one ``standard_normal(n)``
+    call, which yields the ``n`` values, and leaves the generator state,
+    that ``n`` scalar calls would.  A trial's reaction, page-switch and
+    error-recovery jitters plus its first attempt's movement,
+    perception and endpoint noise are one call of ``1 + 2·page_steps +
+    2·error_recovery + (3 if sigma > 0 else 2)``; each retry attempt is
+    one call of 3 or 2.  Every draw whose count depends on a drawn value
+    (commits, dwells, slips, presses, discovery) stays scalar.
     Movement times are :func:`~repro.interaction.fitts.movement_time`
     inlined with the same operation order.
     """
@@ -585,32 +595,41 @@ def simulate_user_fast(
         for index_distance in scenario_distances(scenario, rng):
             uncertainty = 1.0 + 1.2 * (1.0 + practice) ** learning_exponent
             sigma = aim_sigma * uncertainty
-            trial_time = reaction * exp(0.15 * gauss())
-            subs = 0
+            # Movement, perception and (with a spread) endpoint noise.
+            attempt_normals = 3 if sigma > 0 else 2
             # Page switches toward the target's chunk (long menus).
             page_steps = min(index_distance // chunk, n_chunks - 1)
+            noise = iter(
+                gauss(
+                    1 + 2 * page_steps + 2 * error_recovery + attempt_normals
+                ).tolist()
+            ).__next__
+            trial_time = reaction * exp(0.15 * noise())
+            subs = 0
             for _ in range(page_steps):
-                trial_time += reaction * exp(0.15 * gauss())
-                trial_time += press_time * exp(0.12 * gauss())
+                trial_time += reaction * exp(0.15 * noise())
+                trial_time += press_time * exp(0.12 * noise())
             if error_recovery:
                 # A deliberate wrong activation the participant must
                 # back out of: recovery cost lands in the times, not in
                 # the error rate (those count *unintended* activations).
-                trial_time += reaction * exp(0.15 * gauss())
-                trial_time += press_time * exp(0.12 * gauss())
+                trial_time += reaction * exp(0.15 * noise())
+                trial_time += press_time * exp(0.12 * noise())
                 subs += 1
             distance = max(
                 (index_distance % chunk) * spacing, 0.05
             )
             success = False
-            for _attempt in range(12):
+            for attempt in range(12):
+                if attempt:
+                    noise = iter(gauss(attempt_normals).tolist()).__next__
                 subs += 1
                 mt = fitts_a + fitts_b * log2(distance / width + 1.0)
                 mt *= movement_factor
-                mt = max(mt * exp(0.08 * gauss()), 0.12)
+                mt = max(mt * exp(0.08 * noise()), 0.12)
                 trial_time += mt + 0.06
-                trial_time += perception * exp(0.1 * gauss())
-                endpoint = sigma * gauss() if sigma > 0 else 0.0
+                trial_time += perception * exp(0.1 * noise())
+                endpoint = sigma * noise() if sigma > 0 else 0.0
                 if abs(endpoint) > half_width:
                     # Wrong island: an impulsive user may still commit.
                     if uniform() < impulsivity:

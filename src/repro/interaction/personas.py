@@ -15,9 +15,18 @@ Determinism contract: :func:`persona_for_user` derives participant
 ``i``'s persona from ``SeedSequence(population_seed, spawn_key=(…, i))``
 alone — O(1) per user, no global pass, and independent of how the
 population is sharded across worker processes.  The same holds for
-:func:`user_rng`, the participant's private trial-noise stream.  The
-golden 16-persona pin in ``tests/data/personas_16.json`` freezes the
-derivation.
+:func:`user_rng`, the participant's private trial-noise stream.  Both
+streams come from :func:`repro.sim.streams.stream_rng`, which builds
+exactly that generator from a pool cached per ``(population_seed,
+domain)``.  The golden 16-persona pin in
+``tests/data/personas_16.json`` freezes the derivation.
+
+Batch rule: a run of same-type draws whose count is fixed before the
+first is drawn comes from one call (``rng.random(5)`` for the five
+dimension picks, ``standard_normal(9)`` in
+:meth:`~repro.interaction.user.MotorProfile.sample`).  numpy fills such
+an array with the draws the scalar calls would make, in order, so the
+values and the generator's final state are those of the scalar calls.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.signal.scalar import clamp
 # Stream-domain tags keeping the persona draw and the trial noise of
 # one participant on decorrelated SeedSequence branches; declared in the
 # project-wide spawn-key registry (values pinned by golden persona JSON).
-from repro.sim.streams import PERSONA_STREAM, TRIAL_STREAM
+from repro.sim.streams import PERSONA_STREAM, TRIAL_STREAM, stream_rng
 
 __all__ = [
     "Persona",
@@ -331,25 +340,25 @@ def _weighted_pick(
 def persona_for_user(
     population_seed: int, user_index: int, spec: PersonaSpec
 ) -> Persona:
-    """Participant ``user_index``'s persona, O(1) and shard-independent.
+    """Participant ``user_index``'s persona, O(1) and shard-independent;
+    its five dimension picks are one ``rng.random(5)`` call (the batch
+    rule: the values and final state of five scalar calls).
 
     The persona stream is spawned from ``(population_seed,
     (PERSONA_STREAM, user_index))`` so any worker can derive any
     participant without coordination, and the population is byte-
-    identical for every ``--jobs`` value.  The learning scale is
+    identical for every ``--jobs`` value.  The picks follow dimension
+    declaration order.  The learning scale is
     ``np.clip(rng.lognormal(0.0, 0.25), 0.6, 1.6)`` computed as numpy
     computes it, ``exp(0.25 * z)``, without the per-call dispatch.
     """
-    sequence = np.random.SeedSequence(
-        entropy=population_seed, spawn_key=(PERSONA_STREAM, user_index)
-    )
-    rng = np.random.Generator(np.random.PCG64(sequence))
-    draw = rng.random
-    age_band = _weighted_pick(draw(), spec.age_band)
-    motor = _weighted_pick(draw(), spec.motor)
-    handedness = _weighted_pick(draw(), spec.handedness)
-    vision = _weighted_pick(draw(), spec.vision)
-    glove = _weighted_pick(draw(), spec.gloves)
+    rng = stream_rng(population_seed, PERSONA_STREAM, user_index)
+    picks = rng.random(5).tolist()
+    age_band = _weighted_pick(picks[0], spec.age_band)
+    motor = _weighted_pick(picks[1], spec.motor)
+    handedness = _weighted_pick(picks[2], spec.handedness)
+    vision = _weighted_pick(picks[3], spec.vision)
+    glove = _weighted_pick(picks[4], spec.gloves)
     learning_scale = clamp(
         math.exp(0.25 * rng.standard_normal()), 0.6, 1.6
     )
@@ -365,10 +374,7 @@ def persona_for_user(
 
 def user_rng(population_seed: int, user_index: int) -> np.random.Generator:
     """Participant ``user_index``'s private trial-noise stream."""
-    sequence = np.random.SeedSequence(
-        entropy=population_seed, spawn_key=(TRIAL_STREAM, user_index)
-    )
-    return np.random.Generator(np.random.PCG64(sequence))
+    return stream_rng(population_seed, TRIAL_STREAM, user_index)
 
 
 def sample_personas(

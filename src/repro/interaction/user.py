@@ -82,24 +82,25 @@ class MotorProfile:
     def sample(cls, rng: np.random.Generator) -> "MotorProfile":
         """Draw an individual from the population distribution.
 
-        Draw for draw the same values as ``mean * rng.lognormal(0.0,
-        rel)`` and ``np.clip(rng.normal(loc, scale), lo, hi)``: numpy
-        computes those as ``exp(0.0 + rel * z)`` and ``loc + scale * z``
-        from one standard-normal ``z``, and so does this, without the
-        per-call distribution dispatch.
+        The same values, and the same final generator state, as nine
+        field-by-field draws of ``mean * rng.lognormal(0.0, rel)`` and
+        ``np.clip(rng.normal(loc, scale), lo, hi)``: numpy computes those
+        as ``exp(0.0 + rel * z)`` and ``loc + scale * z`` from one
+        standard-normal ``z``, and ``rng.standard_normal(9)`` draws the
+        nine ``z`` that nine scalar calls would, in one call.
         """
-        gauss = rng.standard_normal
+        z = rng.standard_normal(9).tolist()
         exp = math.exp
         return cls(
-            reaction_time_s=0.26 * exp(0.15 * gauss()),
-            fitts_a=0.10 * exp(0.2 * gauss()),
-            fitts_b=0.145 * exp(0.15 * gauss()),
-            perception_latency_s=0.20 * exp(0.1 * gauss()),
-            verify_dwell_s=0.22 * exp(0.2 * gauss()),
-            button_press_s=0.16 * exp(0.15 * gauss()),
-            endpoint_sigma_frac=0.27 * exp(0.15 * gauss()),
-            impulsivity=clamp(0.03 + 0.02 * gauss(), 0.0, 0.15),
-            learning_rate=clamp(0.35 + 0.08 * gauss(), 0.15, 0.6),
+            reaction_time_s=0.26 * exp(0.15 * z[0]),
+            fitts_a=0.10 * exp(0.2 * z[1]),
+            fitts_b=0.145 * exp(0.15 * z[2]),
+            perception_latency_s=0.20 * exp(0.1 * z[3]),
+            verify_dwell_s=0.22 * exp(0.2 * z[4]),
+            button_press_s=0.16 * exp(0.15 * z[5]),
+            endpoint_sigma_frac=0.27 * exp(0.15 * z[6]),
+            impulsivity=clamp(0.03 + 0.02 * z[7], 0.0, 0.15),
+            learning_rate=clamp(0.35 + 0.08 * z[8], 0.15, 0.6),
         )
 
 

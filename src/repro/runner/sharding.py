@@ -10,10 +10,11 @@ sweep value builds its hardware fresh from it, exactly as the serial
 loop does), while ``users`` shards get one seed per participant — either
 from the experiment's own legacy derivation (``seeds_entry``) or from
 :func:`shard_seed`, which derives one ``numpy.random.SeedSequence``
-child per shard from ``(seed, SHARD_STREAM, index)`` alone, so streams
-stay decorrelated no matter how many shards exist and any single shard
-is derivable in O(1) — workers never materialize the other S-1 shards
-to run one (:func:`make_shard`).  Crash retries call the very same
+child per shard (through :func:`repro.sim.streams.stream_state`) from
+``(seed, SHARD_STREAM, index)`` alone, so streams stay decorrelated no
+matter how many shards exist and any single shard is derivable in O(1)
+— workers never materialize the other S-1 shards to run one
+(:func:`make_shard`).  Crash retries call the very same
 derivation with the very same index, so a retried shard replays the
 original stream bit-for-bit.  ``userblocks`` shards carry ``(start,
 count)`` ranges of participant (or, for FLEET, device) indices; every
@@ -28,14 +29,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from repro.experiments.harness import ExperimentResult
 from repro.obs.metrics import SNAPSHOT_VERSION, merge_snapshots
 from repro.obs.recorder import Recorder, use_recorder
 from repro.runner.registry import ExperimentSpec, resolve_entry
 from repro.sim import kernel
-from repro.sim.streams import SHARD_STREAM
+from repro.sim.streams import SHARD_STREAM, stream_state
 
 __all__ = [
     "Shard",
@@ -88,10 +87,11 @@ def shard_seed(seed: int, index: int) -> int:
     shard ``i``'s seed depends only on ``(seed, i)``, never on how many
     siblings exist.  A crash-retried re-execution of shard ``i`` calls
     this with the same index, so it replays the original stream
-    bit-for-bit.
+    bit-for-bit.  The seed is the child's
+    ``generate_state(1, np.uint32)[0]``: the low word of the first
+    ``uint64`` that :func:`~repro.sim.streams.stream_state` derives.
     """
-    child = np.random.SeedSequence(seed, spawn_key=(SHARD_STREAM, index))
-    return int(child.generate_state(1, np.uint32)[0])
+    return stream_state(seed, SHARD_STREAM, index)[0] & 0xFFFFFFFF
 
 
 def spawn_shard_seeds(seed: int, n: int) -> list[int]:

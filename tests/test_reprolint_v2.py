@@ -333,6 +333,46 @@ class TestRngStreamCollision:
         )
         assert findings == []
 
+    def test_primitive_literal_domain_flagged(self):
+        findings = lint(
+            """
+            from repro.sim.streams import stream_rng
+
+            def f(seed, i):
+                return stream_rng(seed, 0x1234, i)
+            """,
+            rules=[RngStreamCollisionRule],
+        )
+        assert rule_ids(findings) == ["REP006"]
+        assert "literal" in findings[0].message
+
+    def test_primitive_call_forms(self, tmp_path):
+        """``stream_rng``/``stream_state`` name their domain second; a
+        keyword domain resolves, a splatted one is opaque."""
+        findings = self._lint_tree(
+            tmp_path,
+            {
+                "sim/streams.py": REGISTRY_SOURCE,
+                "sim/user.py": textwrap.dedent(
+                    """
+                    from repro.sim import streams
+                    from repro.sim.streams import TRIAL_STREAM, stream_state
+
+                    def f(seed, i):
+                        return streams.stream_rng(seed, streams.PERSONA_STREAM, i)
+
+                    def g(seed, i):
+                        return stream_state(seed, domain=TRIAL_STREAM)
+
+                    def h(args):
+                        return stream_state(*args)
+                    """
+                ),
+            },
+        )
+        assert [(f.rule, f.line) for f in findings] == [("REP006", 12)]
+        assert "registered stream-domain constant" in findings[0].message
+
     def test_cross_module_collision_flagged(self, tmp_path):
         user = """
             import numpy as np

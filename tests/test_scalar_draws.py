@@ -1,13 +1,18 @@
-"""The population path's scalar draws match numpy's, draw for draw.
+"""The population path's draws match numpy's scalar distribution calls.
 
 ``simulate_user_fast``, the persona engine and ``MotorProfile.sample``
 compute ``rng.lognormal(0.0, s)`` as ``exp(s * z)`` and
 ``rng.normal(loc, s)`` as ``loc + s * z`` from one
 ``z = rng.standard_normal()``, and ``np.clip`` on one float as
-:func:`repro.signal.scalar.clamp`.  These tests pin each rewrite
-against the numpy call on twin generators, pin the whole population
-path against the benchmark's output digests, and guard against a
-scalar ``np.clip`` creeping back in.
+:func:`repro.signal.scalar.clamp`.  Batch rule: a run of same-type
+draws whose count is fixed before the first is drawn comes from one
+``standard_normal(n)``/``random(n)`` call, which must give the values
+and the final generator state of the ``n`` scalar calls.  Their streams
+come from :func:`repro.sim.streams.stream_rng`, which must build the
+generator numpy's keyed ``SeedSequence`` builds.  These tests pin each
+rewrite against the numpy calls on twin generators, pin the whole
+population path against the benchmark's output digests, and guard
+against a scalar ``np.clip`` creeping back in.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import signal
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,21 +32,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import QuantileSketch, StreamingMoments
+from repro.core.config import DeviceConfig
 from repro.experiments.user_study import (
+    UserOutcome,
     _fast_discovery,
     finalize_scaled_study,
     run_user_block,
+    simulate_user_fast,
 )
+from repro.interaction import personas
+from repro.interaction.fitts import movement_time
 from repro.interaction.personas import (
     PERSONA_DIMENSIONS,
     Persona,
+    PersonaSpec,
+    _weighted_pick,
     parse_spec,
     persona_for_user,
     user_rng,
 )
+from repro.interaction.tasks import BATTERIES, Scenario, scenario_distances
 from repro.interaction.user import MotorProfile
+from repro.runner.sharding import shard_seed
 from repro.signal.scalar import clamp
-from repro.sim.streams import PERSONA_STREAM
+from repro.sim.streams import (
+    PERSONA_STREAM,
+    SHARD_STREAM,
+    STREAM_DOMAINS,
+    stream_rng,
+    stream_state,
+)
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -180,9 +203,9 @@ class TestCallSites:
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)
     def test_motor_profile_sample(self, seed):
-        numpy_rng, scalar_rng = twins(seed)
-        assert MotorProfile.sample(scalar_rng) == _numpy_motor_sample(numpy_rng)
-        assert numpy_rng.random() == scalar_rng.random()
+        numpy_rng, batch_rng = twins(seed)
+        assert MotorProfile.sample(batch_rng) == _numpy_motor_sample(numpy_rng)
+        assert batch_rng.bit_generator.state == numpy_rng.bit_generator.state
 
     @given(population_seed=population, user=users)
     @settings(max_examples=100, deadline=None)
@@ -231,6 +254,248 @@ class TestCallSites:
         expected = _numpy_discovery(numpy_rng, persona)
         assert _fast_discovery(scalar_rng, persona) == expected
         assert numpy_rng.random() == scalar_rng.random()
+
+
+def _numpy_stream(seed: int, domain: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key))
+        )
+    )
+
+
+def _numpy_persona(
+    population_seed: int, user: int, spec: PersonaSpec
+) -> tuple[Persona, np.random.Generator]:
+    """Five scalar ``random()`` picks, then ``np.clip(lognormal)``."""
+    rng = _numpy_stream(population_seed, PERSONA_STREAM, user)
+    picks = [
+        _weighted_pick(float(rng.random()), getattr(spec, dimension))
+        for dimension in ("age_band", "motor", "handedness", "vision", "gloves")
+    ]
+    learning_scale = float(np.clip(rng.lognormal(0.0, 0.25), 0.6, 1.6))
+    return Persona(*picks, learning_scale), rng
+
+
+def _persona_with_stream(
+    population_seed: int, user: int, spec: PersonaSpec
+) -> tuple[Persona, np.random.Generator]:
+    """``persona_for_user`` and the generator it drew from."""
+    streams: list[np.random.Generator] = []
+    real = personas.stream_rng
+
+    def recording(*args: int) -> np.random.Generator:
+        streams.append(real(*args))
+        return streams[-1]
+
+    with mock.patch.object(personas, "stream_rng", recording):
+        persona = persona_for_user(population_seed, user, spec)
+    (rng,) = streams
+    return persona, rng
+
+
+def _numpy_user(
+    rng: np.random.Generator,
+    persona: Persona,
+    scenarios: tuple[Scenario, ...],
+) -> UserOutcome:
+    """``simulate_user_fast`` with one scalar numpy call per draw."""
+    jitter = lambda s: float(rng.lognormal(0.0, s))  # noqa: E731
+    profile = _numpy_motor_profile(persona, rng)
+    glove = persona.glove_model()
+    miss_p = glove.effective_miss_probability(40.0)
+    press_time = profile.button_press_s * glove.dexterity_time_factor
+    if persona.handedness != "right":
+        press_time *= 1.6
+        miss_p = min(miss_p + 0.12, 0.9)
+    slip_p = min(0.02 * persona.tremor_scale * glove.tremor_factor, 0.5)
+    discovered, discovery_time, movements = _numpy_discovery(rng, persona)
+    reaction = profile.reaction_time_s
+    press = lambda: press_time * jitter(0.12)  # noqa: E731
+    geometry = DeviceConfig()
+    chunk = geometry.chunk_size or 10
+    practice = 0
+    seg_errors, seg_times, seg_subs = [], [], []
+    for scenario in scenarios:
+        spacing = geometry.span_cm / min(scenario.menu_entries, chunk)
+        width = max(geometry.island_fill * spacing, 0.2)
+        half_width = width / 2.0
+        n_chunks = max(1, math.ceil(scenario.menu_entries / chunk))
+        errors = 0
+        total_time = 0.0
+        total_subs = 0
+        for index_distance in scenario_distances(scenario, rng):
+            sigma = (profile.endpoint_sigma_frac * half_width) * (
+                1.0 + 1.2 * (1.0 + practice) ** (-profile.learning_rate * 3.0)
+            )
+            trial_time = reaction * jitter(0.15)
+            subs = 0
+            for _ in range(min(index_distance // chunk, n_chunks - 1)):
+                trial_time += reaction * jitter(0.15)
+                trial_time += press()
+            if scenario.error_recovery:
+                trial_time += reaction * jitter(0.15)
+                trial_time += press()
+                subs += 1
+            distance = max((index_distance % chunk) * spacing, 0.05)
+            success = False
+            for _attempt in range(12):
+                subs += 1
+                mt = movement_time(
+                    profile.fitts_a, profile.fitts_b, distance, width
+                )
+                mt *= glove.movement_time_factor
+                mt = max(mt * jitter(0.08), 0.12)
+                trial_time += mt + 0.06
+                trial_time += profile.perception_latency_s * jitter(0.1)
+                endpoint = (
+                    float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
+                )
+                if abs(endpoint) > half_width:
+                    if rng.random() < profile.impulsivity:
+                        errors += 1
+                        trial_time += reaction * jitter(0.15)
+                        trial_time += press()
+                    distance = max(abs(endpoint), 0.05)
+                    continue
+                if rng.random() >= profile.impulsivity:
+                    trial_time += profile.verify_dwell_s * jitter(0.2)
+                    if rng.random() < slip_p:
+                        distance = max(half_width, 0.05)
+                        continue
+                for _press in range(4):
+                    trial_time += press()
+                    if rng.random() >= miss_p:
+                        break
+                success = True
+                break
+            if not success:
+                errors += 1
+            total_time += trial_time
+            total_subs += subs
+            practice += 1
+        seg_errors.append(errors / scenario.n_trials)
+        seg_times.append(total_time / scenario.n_trials)
+        seg_subs.append(total_subs / scenario.n_trials)
+    return UserOutcome(
+        discovered, discovery_time, movements, seg_errors, seg_times, seg_subs
+    )
+
+
+# ---------------------------------------------------------------------------
+# one stream-derivation primitive, exact against numpy's SeedSequence
+# ---------------------------------------------------------------------------
+big_seeds = st.integers(0, 2**200)
+key_elements = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**96)
+)
+keys = st.lists(key_elements, min_size=1, max_size=3)
+#: Word-count edges of the seed: one word, the padded pool, past it.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**96, 2**128 - 1, 2**128, 2**200)
+
+
+class TestStreamDerivation:
+    @given(
+        seed=big_seeds,
+        domain=st.sampled_from(sorted(STREAM_DOMAINS)),
+        key=keys,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generator_state_equals_numpy(self, seed, domain, key):
+        expected = _numpy_stream(seed, domain, *key).bit_generator.state
+        assert stream_rng(seed, domain, *key).bit_generator.state == expected
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("key", [(0,), (2**32,), (1, 2**64), (7, 0, 3)])
+    def test_word_count_edges(self, seed, key):
+        sequence = np.random.SeedSequence(
+            entropy=seed, spawn_key=(PERSONA_STREAM, *key)
+        )
+        state = sequence.generate_state(4, np.uint64)
+        assert stream_state(seed, PERSONA_STREAM, *key) == tuple(map(int, state))
+
+    @given(seed=big_seeds, index=key_elements)
+    @settings(max_examples=200, deadline=None)
+    def test_shard_seed_equals_numpy(self, seed, index):
+        sequence = np.random.SeedSequence(seed, spawn_key=(SHARD_STREAM, index))
+        assert shard_seed(seed, index) == int(
+            sequence.generate_state(1, np.uint32)[0]
+        )
+
+    @pytest.mark.parametrize(
+        "seed, key",
+        [
+            (-1, (0,)),
+            (-(2**40), (0,)),
+            (0, (-1,)),
+            (5, (3, -(2**33))),
+            (1.5, (0,)),
+            (0, (2.0,)),
+            (0, (1, 0.5)),
+        ],
+    )
+    def test_bad_seed_or_key_raises_numpy_error(self, seed, key):
+        """Negative ints go to numpy before any word split (a ``while v:
+        v >>= 32`` split never ends on one, so a 5 s alarm turns that hang
+        into a failure); floats raise numpy's TypeError."""
+        with pytest.raises((ValueError, TypeError)) as numpy_error:
+            np.random.SeedSequence(
+                entropy=seed, spawn_key=(PERSONA_STREAM, *key)
+            )
+        message = re.escape(str(numpy_error.value))
+
+        def hung(*_args):
+            raise TimeoutError("stream derivation did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            for derive in (stream_rng, stream_state):
+                with pytest.raises(numpy_error.type, match=message):
+                    derive(seed, PERSONA_STREAM, *key)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "seed, key",
+        [(np.int64(9), (1,)), (9, (np.uint32(1),)), (True, (False, 2))],
+    )
+    def test_integer_likes_take_numpy_path(self, seed, key):
+        expected = _numpy_stream(seed, PERSONA_STREAM, *key).bit_generator.state
+        assert stream_rng(seed, PERSONA_STREAM, *key).bit_generator.state == expected
+
+
+# ---------------------------------------------------------------------------
+# batched draws against their scalar twins: values and final state
+# ---------------------------------------------------------------------------
+class TestBatchedDraws:
+    @given(
+        population_seed=population,
+        user=users,
+        spec=st.sampled_from(["full", "bare", "gloves=winter,arctic"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_persona_for_user(self, population_seed, user, spec):
+        parsed = parse_spec(spec)
+        expected, numpy_rng = _numpy_persona(population_seed, user, parsed)
+        persona, batch_rng = _persona_with_stream(population_seed, user, parsed)
+        assert persona == expected
+        assert batch_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    @given(
+        population_seed=population,
+        user=users,
+        battery=st.sampled_from(sorted(BATTERIES)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_simulate_user_fast(self, population_seed, user, battery):
+        persona = persona_for_user(population_seed, user, parse_spec("full"))
+        numpy_rng = user_rng(population_seed, user)
+        batch_rng = user_rng(population_seed, user)
+        expected = _numpy_user(numpy_rng, persona, BATTERIES[battery])
+        assert simulate_user_fast(batch_rng, persona, BATTERIES[battery]) == expected
+        assert batch_rng.bit_generator.state == numpy_rng.bit_generator.state
 
 
 class TestStatsAdds:

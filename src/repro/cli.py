@@ -28,7 +28,7 @@ Commands
 ``run-all [--jobs N] [--no-cache] [--only ID,ID] [--seed N]
           [--csv-dir DIR] [--cache-dir DIR] [--bench PATH]``
                            run the whole suite through the runner with
-                           the on-disk result cache, and record
+                           the on-disk shard cache, and record
                            per-experiment wall-clock and events/second
                            into ``BENCH_runner.json``
 ``calibrate [--seed N]``   print the Figure-4 sweep for one specimen
@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_all_parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the on-disk result cache entirely",
+        help="bypass the on-disk shard cache entirely",
     )
     run_all_parser.add_argument(
         "--cache-dir",

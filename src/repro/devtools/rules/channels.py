@@ -82,7 +82,7 @@ class TraceChannelRegistryRule(Rule):
 
         Matches ``tracer.record``, ``self.tracer.get``,
         ``self._tracer.record``, ``device.tracer.subscribe`` — without
-        needing type inference.  ``cache.get(...)`` and friends pass.
+        needing type inference.  ``mapping.get(...)`` and friends pass.
         """
         chain = attribute_chain(receiver)
         if not chain:

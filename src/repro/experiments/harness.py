@@ -9,16 +9,13 @@ free-form notes.  Benchmarks print them with :meth:`ExperimentResult.table`
 Results are *mergeable*: the parallel runner (:mod:`repro.runner`) splits
 an experiment into independent shards, each producing a partial
 ``ExperimentResult``, and :meth:`ExperimentResult.merge` reassembles them
-in shard order.  :meth:`ExperimentResult.to_json` /
-:meth:`ExperimentResult.from_json` give the runner's on-disk cache a
-stable round-trip that preserves CSV bytes exactly.
+in shard order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -45,7 +42,7 @@ class ExperimentResult:
     obs:
         Optional observability payload (metrics snapshot + spans, see
         :mod:`repro.obs`) attached when the run was observed.  Never
-        part of the CSV bytes; round-trips through :meth:`to_json`.
+        part of the CSV bytes.
     """
 
     experiment_id: str
@@ -152,9 +149,10 @@ class ExperimentResult:
     def normalized(self) -> "ExperimentResult":
         """A copy with every cell coerced to a plain Python scalar.
 
-        NumPy scalars render identically under ``str()`` but do not
-        round-trip through JSON; normalizing both the fresh and the
-        cached path keeps CSV bytes identical regardless of origin.
+        NumPy scalars render identically under ``str()`` but compare
+        and serialize as NumPy types; the runner normalizes every
+        merged result, so its rows hold plain scalars whatever the
+        shards returned.
         """
         copy = ExperimentResult(
             experiment_id=self.experiment_id,
@@ -165,33 +163,6 @@ class ExperimentResult:
         copy.rows = [tuple(_pyify(v) for v in row) for row in self.rows]
         copy.obs = self.obs
         return copy
-
-    def to_json(self) -> str:
-        """Serialize for the runner's on-disk result cache."""
-        payload = {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [[_pyify(v) for v in row] for row in self.rows],
-            "notes": list(self.notes),
-        }
-        if self.obs is not None:
-            payload["obs"] = self.obs
-        return json.dumps(payload, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Inverse of :meth:`to_json`."""
-        payload = json.loads(text)
-        result = cls(
-            experiment_id=payload["experiment_id"],
-            title=payload["title"],
-            columns=tuple(payload["columns"]),
-            notes=list(payload["notes"]),
-        )
-        result.rows = [tuple(row) for row in payload["rows"]]
-        result.obs = payload.get("obs")
-        return result
 
 
 def _pyify(value: Any) -> Any:

@@ -430,8 +430,7 @@ def aggregate_user_study(
     Streams the outcome list through a :class:`StudyAggregate`; the
     sharded runner calls this on reassembled per-user partials, and
     because the aggregate's arithmetic is exact, the result is
-    byte-identical to the fully streaming path of
-    :func:`run_user_study`.
+    byte-identical to :func:`run_user_study`'s one-pass fold.
     """
     aggregate = StudyAggregate.for_blocks(n_blocks)
     for outcome in outcomes:
@@ -445,30 +444,19 @@ def run_user_study(
     n_blocks: int = 4,
     trials_per_block: int = 8,
     config: DeviceConfig | None = None,
-    streaming: bool = True,
 ) -> ExperimentResult:
     """Run the full initial-study protocol over simulated participants.
 
-    With ``streaming=True`` (default) each participant's record is
-    folded into the O(1)-memory :class:`StudyAggregate` as it is
-    produced and then discarded.  ``streaming=False`` keeps the legacy
-    list-based behavior — accumulate every :class:`UserOutcome`, then
-    aggregate — and exists as the equivalence oracle: both paths must
-    produce bit-identical tables (``tests/test_user_study_scale.py``).
+    Each participant's record is folded into the O(1)-memory
+    :class:`StudyAggregate` as it is produced and then discarded.
     """
-    if streaming:
-        aggregate = StudyAggregate.for_blocks(n_blocks)
-        for user_seed in user_study_seeds(seed, n_users):
-            outcome = run_single_user(
-                user_seed, n_blocks, trials_per_block, config
-            )
-            aggregate.add_outcome(outcome)
-        return _classic_result(aggregate)
-    outcomes = [
-        run_single_user(user_seed, n_blocks, trials_per_block, config)
-        for user_seed in user_study_seeds(seed, n_users)
-    ]
-    return aggregate_user_study(outcomes, n_blocks)
+    aggregate = StudyAggregate.for_blocks(n_blocks)
+    for user_seed in user_study_seeds(seed, n_users):
+        outcome = run_single_user(
+            user_seed, n_blocks, trials_per_block, config
+        )
+        aggregate.add_outcome(outcome)
+    return _classic_result(aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +525,11 @@ def simulate_user_fast(
     that ``n`` scalar calls would.  A trial's reaction, page-switch and
     error-recovery jitters plus its first attempt's movement,
     perception and endpoint noise are one call of ``1 + 2·page_steps +
-    2·error_recovery + (3 if sigma > 0 else 2)``; each retry attempt is
-    one call of 3 or 2.  Every draw whose count depends on a drawn value
-    (commits, dwells, slips, presses, discovery) stays scalar.
+    2·error_recovery + 3``; each retry attempt is one call of 3.  The
+    endpoint spread ``sigma`` is a product of positive factors, so every
+    attempt draws its endpoint.  Every draw whose count depends on a
+    drawn value (commits, dwells, slips, presses, discovery) stays
+    scalar.
     Movement times are :func:`~repro.interaction.fitts.movement_time`
     inlined with the same operation order.
     """
@@ -595,14 +585,12 @@ def simulate_user_fast(
         for index_distance in scenario_distances(scenario, rng):
             uncertainty = 1.0 + 1.2 * (1.0 + practice) ** learning_exponent
             sigma = aim_sigma * uncertainty
-            # Movement, perception and (with a spread) endpoint noise.
-            attempt_normals = 3 if sigma > 0 else 2
             # Page switches toward the target's chunk (long menus).
             page_steps = min(index_distance // chunk, n_chunks - 1)
+            # Reaction, paging and recovery jitters, then the first
+            # attempt's movement, perception and endpoint noise.
             noise = iter(
-                gauss(
-                    1 + 2 * page_steps + 2 * error_recovery + attempt_normals
-                ).tolist()
+                gauss(1 + 2 * page_steps + 2 * error_recovery + 3).tolist()
             ).__next__
             trial_time = reaction * exp(0.15 * noise())
             subs = 0
@@ -622,14 +610,14 @@ def simulate_user_fast(
             success = False
             for attempt in range(12):
                 if attempt:
-                    noise = iter(gauss(attempt_normals).tolist()).__next__
+                    noise = iter(gauss(3).tolist()).__next__
                 subs += 1
                 mt = fitts_a + fitts_b * log2(distance / width + 1.0)
                 mt *= movement_factor
                 mt = max(mt * exp(0.08 * noise()), 0.12)
                 trial_time += mt + 0.06
                 trial_time += perception * exp(0.1 * noise())
-                endpoint = sigma * noise() if sigma > 0 else 0.0
+                endpoint = sigma * noise()
                 if abs(endpoint) > half_width:
                     # Wrong island: an impulsive user may still commit.
                     if uniform() < impulsivity:

@@ -17,10 +17,10 @@ registry of experiment entry points into:
   ``jobs == 1`` (the reference path) and ``workqueue`` for ``jobs >= 2``
   (long-lived mortal worker processes over shared queues, with crash
   detection and per-shard retry);
-* :mod:`repro.runner.cache` — a content-addressed on-disk result cache
-  keyed by experiment id, parameters, seed and a digest of the package
-  sources, at both experiment and shard granularity; its shard entries
-  make an interrupted population-scale run resumable;
+* :mod:`repro.runner.cache` — a content-addressed on-disk shard cache
+  keyed by experiment spec, seed, shard index and a digest of the
+  package sources; it makes an interrupted population-scale run
+  resumable, and a warm run merges its cached shards like any other;
 * :mod:`repro.runner.pool` — the scheduler over either executor: cost-aware
   LPT ordering, as-completed collection with per-experiment incremental
   merge, first-error cancellation, and the ``BENCH_runner.json`` timing
@@ -29,7 +29,7 @@ registry of experiment entry points into:
 ``repro run`` and ``repro run-all`` both execute through
 :func:`run_experiments`.  The contract throughout: any job count and
 any crash/retry interleaving produce byte-identical merged CSVs, and a
-cache hit recomputes nothing.
+cached shard is never recomputed.
 """
 
 from repro.runner.cache import ResultCache, source_digest
@@ -48,7 +48,6 @@ from repro.runner.sharding import (
     make_shards,
     merge_shard_results,
     n_shards,
-    spawn_shard_seeds,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "estimate_shard_cost",
     "execute_shard",
     "merge_shard_results",
-    "spawn_shard_seeds",
 ]

@@ -1,29 +1,24 @@
-"""Content-addressed on-disk cache for experiment results.
+"""Content-addressed on-disk cache of executed shards.
 
-A cache entry's key digests everything that determines the output rows:
+An entry's key digests everything that determines one shard's output:
 the experiment's spec (entry point, parameters, sharding plan), the
-seed, and a digest of every ``repro`` source file.  Touch any source
-file and every key changes — stale hits are structurally impossible, so
-there is no invalidation logic, only a directory of ``<key>.json``
-files that can be deleted at will.
+seed, the shard index and a digest of every ``repro`` source file.
+Touch any source file and every key changes — stale hits are
+structurally impossible, so there is no invalidation logic, only a
+directory of ``<key>.shard.pkl`` files that can be deleted at will.
 
-Entries store the merged, normalized :class:`ExperimentResult` plus the
-original compute cost (wall seconds, kernel events), which the runner
-reports for cache hits in ``BENCH_runner.json``.
-
-Two granularities share the directory:
-
-* **experiment entries** (``<key>.json``) — the merged result, exactly
-  as before;
-* **shard entries** (``<key>.shard.pkl``) — one executed
-  :class:`~repro.runner.sharding.ShardResult` keyed on ``(spec, seed,
-  shard index, sources)``.  These are what make an interrupted
-  ``repro run STUDY1 --users 1_000_000`` resumable: every completed
-  shard is durable the moment it merges back, so a second invocation
-  recomputes only the shards the interruption lost.  Payloads are
-  pickled (shard data is exactly what already crosses the worker
-  process boundary); the key's source digest makes stale loads
-  structurally impossible, pickle compatibility included.
+Each entry is one executed :class:`~repro.runner.sharding.ShardResult`
+plus its original compute cost (wall seconds, kernel events), which the
+runner reports for cache hits in ``BENCH_runner.json``.  The shard is
+the cache's only granularity: a run whose shards all come from the
+cache still merges them (:func:`repro.runner.pool.run_experiments`), so
+a warm run, a resumed run and a cold run take one path.  Every
+completed shard is durable the moment it merges back, which is what
+makes an interrupted ``repro run STUDY1 --users 1_000_000`` resumable:
+a second invocation recomputes only the shards the interruption lost.
+Payloads are pickled (shard data is exactly what already crosses the
+worker process boundary); the key's source digest makes stale loads
+structurally impossible, pickle compatibility included.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import pickle
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.harness import ExperimentResult
 from repro.runner.registry import ExperimentSpec
 from repro.runner.sharding import ShardResult
 
@@ -74,68 +68,11 @@ def source_digest() -> str:
 
 
 class ResultCache:
-    """Directory of content-addressed experiment results."""
+    """Directory of content-addressed executed shards."""
 
     def __init__(self, root: Path | str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.shard_hits = 0
-        self.shard_misses = 0
 
-    def key(self, spec: ExperimentSpec, seed: int) -> str:
-        """Content address for one ``(spec, seed)`` pair."""
-        material = json.dumps(
-            {
-                "format": _FORMAT_VERSION,
-                "spec": spec.cache_token(),
-                "seed": seed,
-                "sources": source_digest(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(
-        self, spec: ExperimentSpec, seed: int
-    ) -> Optional[tuple[ExperimentResult, dict]]:
-        """The cached ``(result, meta)`` for this key, or ``None``."""
-        path = self._path(self.key(spec, seed))
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        result = ExperimentResult.from_json(json.dumps(payload["result"]))
-        self.hits += 1
-        return result, payload.get("meta", {})
-
-    def put(
-        self,
-        spec: ExperimentSpec,
-        seed: int,
-        result: ExperimentResult,
-        meta: dict,
-    ) -> None:
-        """Store a merged result and its compute-cost metadata."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(self.key(spec, seed))
-        payload = {
-            "experiment_id": spec.experiment_id,
-            "seed": seed,
-            "meta": meta,
-            "result": json.loads(result.to_json()),
-        }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=False))
-        tmp.replace(path)
-
-    # ------------------------------------------------------------------
-    # shard-level entries
-    # ------------------------------------------------------------------
     def shard_key(self, spec: ExperimentSpec, seed: int, index: int) -> str:
         """Content address for one ``(spec, seed, shard index)`` unit."""
         material = json.dumps(
@@ -158,16 +95,14 @@ class ResultCache:
     ) -> Optional[ShardResult]:
         """The cached executed shard for this key, or ``None``.
 
-        Loaded shards carry no observability payload (observed runs
-        bypass the cache entirely, mirroring the experiment-level rule).
+        Loaded shards carry no observability payload: observed runs
+        bypass the cache entirely.
         """
         path = self._shard_path(self.shard_key(spec, seed, index))
         try:
             payload = pickle.loads(path.read_bytes())
         except (OSError, pickle.UnpicklingError, EOFError):
-            self.shard_misses += 1
             return None
-        self.shard_hits += 1
         return ShardResult(
             experiment_id=payload["experiment_id"],
             index=payload["index"],

@@ -147,8 +147,7 @@ class InlineExecutor:
 
     name = "inline"
 
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = 1
+    def __init__(self) -> None:
         #: Always empty: inline execution has no worker to lose.
         self.retries: dict[TaskKey, int] = {}
         self._queue: list[ShardTask] = []

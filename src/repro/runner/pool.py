@@ -3,9 +3,9 @@
 Runner v2: one scheduler over the two executors in
 :mod:`repro.runner.executors` — inline for ``jobs == 1``, the work
 queue for ``jobs >= 2``.  The driver derives every experiment's shard
-list, serves whole-experiment and **shard-level** cache hits, orders
-the remaining work longest-processing-time-first (cost-aware LPT, so
-stragglers start early), submits it all up front, and then collects
+list, serves shard-cache hits, orders the remaining work
+longest-processing-time-first (cost-aware LPT, so stragglers start
+early), submits it all up front, and then collects
 strictly as-completed: each experiment merges the moment its own last
 shard lands — no submission-order waits, no cross-experiment barrier —
 and the first shard failure cancels all outstanding work and re-raises.
@@ -15,7 +15,9 @@ Resilience features, both proven byte-identical to the inline path:
 * **Shard-cache resume** — every computed shard is written to the
   content-addressed cache as it completes, so an interrupted run
   re-invoked with the same cache recomputes only the missing shards
-  (each report entry's ``shards_from_cache`` records the split).
+  (each report entry's ``shards_from_cache`` records the split).  A
+  warm run is the same path with every shard a hit: each experiment
+  merges at once and its entry reads ``cached: true``.
 * **Crash retry** (work queue) — a worker that dies mid-shard is
   detected by liveness, its shard requeued exactly once per loss, and
   a replacement worker spawned (each report entry's ``retries`` counts
@@ -98,11 +100,10 @@ def run_experiments(
         Worker processes, at least 1.  ``1`` runs every shard inline in
         this process; more runs them on the work-queue executor.
     cache:
-        Result cache, or ``None`` to bypass caching entirely.  When
-        set, both whole-experiment entries and per-shard entries are
-        served and written — the shard entries are what make
-        interrupted runs resumable: a re-run with the same cache
-        recomputes only the shards it lacks.
+        Shard cache, or ``None`` to bypass caching entirely.  When
+        set, every shard is served from it or written to it, which is
+        what makes interrupted runs resumable: a re-run with the same
+        cache recomputes only the shards it lacks.
     csv_dir:
         When set, each merged result is written to ``<csv_dir>/<ID>.csv``
         the moment that experiment merges.
@@ -155,14 +156,13 @@ def run_experiments(
 
     results: dict[str, ExperimentResult] = {}
     per_experiment: dict[str, dict] = {}
-    written_csvs: set[str] = set()
     csv_root = Path(csv_dir) if csv_dir is not None else None
 
     # ------------------------------------------------------------------
-    # phase 1: whole-experiment cache, shard lists, shard-cache hits
+    # phase 1: shard lists, shard-cache hits
     # ------------------------------------------------------------------
     collected: dict[TaskKey, ShardResult] = {}
-    shard_sources: dict[TaskKey, str] = {}
+    cached_keys: set[TaskKey] = set()
     queue_waits: dict[TaskKey, float] = {}
     shard_retries: dict[TaskKey, int] = {}
     remaining: dict[str, int] = {}
@@ -171,21 +171,6 @@ def run_experiments(
 
     for experiment_id in experiment_ids:
         spec = specs[experiment_id]
-        if cache is not None:
-            hit = cache.get(spec, seed)
-            if hit is not None:
-                result, meta = hit
-                results[experiment_id] = result
-                per_experiment[experiment_id] = {
-                    "wall_s": 0.0,
-                    "compute_wall_s": float(meta.get("wall_s", 0.0)),
-                    "events": int(meta.get("events", 0)),
-                    "events_per_s": float(meta.get("events_per_s", 0.0)),
-                    "shards": int(meta.get("shards", 1)),
-                    "cached": True,
-                }
-                say(f"{experiment_id:18s} cached ({len(result.rows)} rows)")
-                continue
         shards = make_shards(spec, seed)
         shard_counts[experiment_id] = len(shards)
         remaining[experiment_id] = len(shards)
@@ -195,7 +180,7 @@ def run_experiments(
                 cached_shard = cache.get_shard(spec, seed, shard.index)
                 if cached_shard is not None:
                     collected[task_key] = cached_shard
-                    shard_sources[task_key] = "shard-cache"
+                    cached_keys.add(task_key)
                     queue_waits[task_key] = 0.0
                     remaining[experiment_id] -= 1
                     continue
@@ -210,7 +195,8 @@ def run_experiments(
             )
 
     # ------------------------------------------------------------------
-    # merge-on-last-shard (shared by the cache path and the live loop)
+    # merge-on-last-shard (shared by fully cached experiments and the
+    # live loop)
     # ------------------------------------------------------------------
     def merge_experiment(experiment_id: str) -> None:
         spec = specs[experiment_id]
@@ -229,19 +215,16 @@ def run_experiments(
         computed_parts = [
             part
             for part in parts
-            if shard_sources[(experiment_id, part.index)] == "computed"
+            if (experiment_id, part.index) not in cached_keys
         ]
         from_cache = len(parts) - len(computed_parts)
-        meta = {
-            "wall_s": wall_s,
-            "events": events,
-            "events_per_s": events / wall_s if wall_s > 0 else 0.0,
-            "shards": len(parts),
-        }
         per_experiment[experiment_id] = {
             "wall_s": sum(part.wall_s for part in computed_parts),
             "compute_wall_s": wall_s,
-            "cached": False,
+            "events": events,
+            "events_per_s": events / wall_s if wall_s > 0 else 0.0,
+            "shards": len(parts),
+            "cached": not computed_parts,
             "shards_from_cache": from_cache,
             "retries": sum(
                 shard_retries.get((experiment_id, part.index), 0)
@@ -251,18 +234,17 @@ def run_experiments(
             "queue_wait_s": sum(
                 queue_waits[(experiment_id, part.index)] for part in parts
             ),
-            **{k: meta[k] for k in ("events", "events_per_s", "shards")},
         }
-        if cache is not None:
-            cache.put(spec, seed, merged, meta)
         if csv_root is not None:
             merged.to_csv(csv_root / f"{experiment_id}.csv")
-            written_csvs.add(experiment_id)
-        say(
-            f"{experiment_id:18s} {wall_s:6.2f}s  "
-            f"{len(parts)} shard(s), {from_cache} from cache  "
-            f"{events} events"
-        )
+        if computed_parts:
+            say(
+                f"{experiment_id:18s} {wall_s:6.2f}s  "
+                f"{len(parts)} shard(s), {from_cache} from cache  "
+                f"{events} events"
+            )
+        else:
+            say(f"{experiment_id:18s} cached ({len(merged.rows)} rows)")
 
     for experiment_id in list(remaining):
         if remaining[experiment_id] == 0:
@@ -311,7 +293,6 @@ def run_experiments(
                             or "unknown worker failure",
                         )
                     collected[task_key] = result
-                    shard_sources[task_key] = "computed"
                     queue_waits[task_key] = max(
                         0.0, now - submit_times[task_key] - result.wall_s
                     )
@@ -351,7 +332,7 @@ def run_experiments(
         executed_wall_s = sum(
             result.wall_s
             for task_key, result in collected.items()
-            if shard_sources[task_key] == "computed"
+            if task_key not in cached_keys
         )
 
     # ------------------------------------------------------------------
@@ -361,7 +342,6 @@ def run_experiments(
     total_wall_s = time.perf_counter() - started
     computed_wall_s = sum(
         entry["wall_s"] for entry in per_experiment.values()
-        if not entry["cached"]
     )
     serial_equivalent_s = sum(
         entry["compute_wall_s"] for entry in per_experiment.values()
@@ -399,12 +379,6 @@ def run_experiments(
         },
     }
 
-    if csv_root is not None:
-        for experiment_id in experiment_ids:
-            if experiment_id not in written_csvs:
-                results[experiment_id].to_csv(
-                    csv_root / f"{experiment_id}.csv"
-                )
     if bench_path is not None:
         bench_path = Path(bench_path)
         bench_path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,10 +18,8 @@ Sharding strategies
     hardware and RNG streams fresh from the experiment seed.
 ``users``
     One shard per simulated participant.  The spec names a per-user
-    entry point and an aggregate function; per-user seeds come from
-    ``seeds_entry`` (legacy master-stream draws) or, when absent, from
-    ``SeedSequence`` spawning via
-    :func:`repro.runner.sharding.spawn_shard_seeds`.
+    entry point, an aggregate function and ``seeds_entry``, which draws
+    the per-user seeds from the experiment's master stream.
 ``userblocks``
     Fixed-size blocks of participants (``users_per_shard`` each), for
     population-scale studies: a million users is ~250 shards, not a
@@ -79,15 +77,11 @@ class ExperimentSpec:
     aggregate_entry: str | None = None
     #: Params (by name) forwarded to the aggregate function.
     aggregate_params: Tuple[str, ...] = ()
-    #: Optional ``(seed, n) -> list[int]`` deriving per-user seeds; when
-    #: ``None`` the runner uses SeedSequence spawning.
+    #: ``(seed, n) -> list[int]`` deriving per-user seeds; required by
+    #: ``users`` sharding.
     seeds_entry: str | None = None
     #: For ``userblocks`` sharding: participants per block.
     users_per_shard: int = 4096
-    #: Relative per-shard cost weight for the scheduler's LPT ordering
-    #: (block sharders additionally scale by block size).  Pure
-    #: scheduling advice: it never enters cache keys or results.
-    cost_hint: float = 1.0
 
     def kwargs(self) -> dict:
         """The entry-point keyword arguments as a fresh dict."""
@@ -101,7 +95,12 @@ class ExperimentSpec:
         return outcome
 
     def cache_token(self) -> str:
-        """Canonical description of everything that determines the rows."""
+        """Canonical description of everything that determines a shard.
+
+        The block layout (``n_users_param``, ``users_per_shard``) is in
+        it because a shard index names a different participant range
+        under another layout.
+        """
         return repr(
             (
                 self.experiment_id,
@@ -111,8 +110,10 @@ class ExperimentSpec:
                 self.sharder,
                 self.shard_param,
                 self.shard_values,
+                self.n_users_param,
                 self.user_entry,
                 self.seeds_entry,
+                self.users_per_shard,
             )
         )
 

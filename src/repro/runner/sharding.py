@@ -7,20 +7,16 @@ merged result is identical for ``--jobs 1`` and ``--jobs N``.
 
 Per-shard randomness: ``param`` shards reuse the experiment seed (each
 sweep value builds its hardware fresh from it, exactly as the serial
-loop does), while ``users`` shards get one seed per participant — either
-from the experiment's own legacy derivation (``seeds_entry``) or from
-:func:`shard_seed`, which derives one ``numpy.random.SeedSequence``
-child per shard (through :func:`repro.sim.streams.stream_state`) from
-``(seed, SHARD_STREAM, index)`` alone, so streams stay decorrelated no
-matter how many shards exist and any single shard is derivable in O(1)
-— workers never materialize the other S-1 shards to run one
-(:func:`make_shard`).  Crash retries call the very same
-derivation with the very same index, so a retried shard replays the
-original stream bit-for-bit.  ``userblocks`` shards carry ``(start,
-count)`` ranges of participant (or, for FLEET, device) indices; every
-participant's streams derive from ``(seed, index)`` alone, so neither
-the block size nor the job count can affect the merged aggregate's
-bytes.
+loop does), while ``users`` shards get one seed per participant from
+the experiment's own master-stream derivation (``seeds_entry``).
+``userblocks`` shards carry ``(start, count)`` ranges of participant
+(or, for FLEET, device) indices; every participant's streams derive
+from ``(seed, index)`` alone, so neither the block size nor the job
+count can affect the merged aggregate's bytes, and any single block is
+derivable in O(1) — workers never materialize the other S-1 shards to
+run one (:func:`make_shard`).  Crash retries derive the very same
+shard from the very same index, so a retried shard replays the
+original streams bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,13 +30,10 @@ from repro.obs.metrics import SNAPSHOT_VERSION, merge_snapshots
 from repro.obs.recorder import Recorder, use_recorder
 from repro.runner.registry import ExperimentSpec, resolve_entry
 from repro.sim import kernel
-from repro.sim.streams import SHARD_STREAM, stream_state
 
 __all__ = [
     "Shard",
     "ShardResult",
-    "shard_seed",
-    "spawn_shard_seeds",
     "n_shards",
     "make_shard",
     "make_shards",
@@ -78,27 +71,6 @@ class ShardResult:
     obs: Optional[dict[str, Any]] = None
 
 
-def shard_seed(seed: int, index: int) -> int:
-    """Shard ``index``'s seed, derived in O(1) from ``(seed, index)``.
-
-    A ``SeedSequence`` child under the registered ``SHARD_STREAM``
-    domain (rather than ``seed + i`` arithmetic) guarantees the child
-    streams are statistically independent and stable under resharding:
-    shard ``i``'s seed depends only on ``(seed, i)``, never on how many
-    siblings exist.  A crash-retried re-execution of shard ``i`` calls
-    this with the same index, so it replays the original stream
-    bit-for-bit.  The seed is the child's
-    ``generate_state(1, np.uint32)[0]``: the low word of the first
-    ``uint64`` that :func:`~repro.sim.streams.stream_state` derives.
-    """
-    return stream_state(seed, SHARD_STREAM, index)[0] & 0xFFFFFFFF
-
-
-def spawn_shard_seeds(seed: int, n: int) -> list[int]:
-    """``n`` decorrelated child seeds — ``shard_seed`` over ``range(n)``."""
-    return [shard_seed(seed, index) for index in range(n)]
-
-
 def n_shards(spec: ExperimentSpec, seed: int) -> int:
     """How many shards :func:`make_shards` would return, computed O(1)."""
     if spec.sharder == "whole":
@@ -116,15 +88,23 @@ def n_shards(spec: ExperimentSpec, seed: int) -> int:
     )
 
 
+def _user_seeds(spec: ExperimentSpec, seed: int, count: int) -> list[int]:
+    """The ``users`` sharder's per-participant seeds, from ``seeds_entry``."""
+    if spec.seeds_entry is None:
+        raise ValueError(
+            f"{spec.experiment_id}: 'users' sharding needs a seeds_entry"
+        )
+    return resolve_entry(spec.seeds_entry)(seed, count)
+
+
 def make_shard(spec: ExperimentSpec, seed: int, index: int) -> Shard:
     """Derive the single shard ``index`` without materializing the rest.
 
-    O(1) for every sharding strategy except ``users`` specs with a
-    legacy ``seeds_entry`` (a master-stream draw is inherently O(n) in
-    the participant index; the population-scale sharders — and ``users``
-    specs on the default :func:`shard_seed` derivation — never pay it).
-    Workers use this to run one shard of a million-user study without
-    rebuilding the full shard list.
+    O(1) for every sharding strategy except ``users`` (its
+    ``seeds_entry`` master-stream draw is inherently O(n) in the
+    participant index; the population-scale ``userblocks`` sharder
+    never pays it).  Workers use this to run one shard of a
+    million-user study without rebuilding the full shard list.
     """
     count = n_shards(spec, seed)
     if not 0 <= index < count:
@@ -138,10 +118,7 @@ def make_shard(spec: ExperimentSpec, seed: int, index: int) -> Shard:
         values = spec.shard_values or ()
         return Shard(spec.experiment_id, index, count, payload=values[index])
     if spec.sharder == "users":
-        if spec.seeds_entry is not None:
-            user_seed = resolve_entry(spec.seeds_entry)(seed, count)[index]
-        else:
-            user_seed = shard_seed(seed, index)
+        user_seed = _user_seeds(spec, seed, count)[index]
         return Shard(spec.experiment_id, index, count, payload=user_seed)
     # userblocks (n_shards already rejected unknowns)
     total = int(dict(spec.params)[spec.n_users_param])
@@ -158,11 +135,11 @@ def make_shard(spec: ExperimentSpec, seed: int, index: int) -> Shard:
 def make_shards(spec: ExperimentSpec, seed: int) -> list[Shard]:
     """Decompose a spec into its deterministic shard list."""
     count = n_shards(spec, seed)
-    if spec.sharder == "users" and spec.seeds_entry is not None:
-        # One resolve for the whole family: the legacy master-stream
+    if spec.sharder == "users":
+        # One resolve for the whole family: the master-stream
         # derivation is O(n) per call, so make_shard in a loop would be
         # quadratic here.
-        user_seeds = resolve_entry(spec.seeds_entry)(seed, count)
+        user_seeds = _user_seeds(spec, seed, count)
         return [
             Shard(spec.experiment_id, i, count, payload=user_seed)
             for i, user_seed in enumerate(user_seeds)
@@ -175,14 +152,14 @@ def estimate_shard_cost(spec: ExperimentSpec, shard: Shard) -> float:
 
     Block sharders carry their block size in the payload — a partial
     trailing block is proportionally cheaper — while the other
-    strategies are treated as unit work scaled by the spec's
-    ``cost_hint``.  Only the *ordering* matters: the scheduler submits
-    expensive shards first so stragglers start early, which is what
-    keeps worker utilisation high on skewed workloads.
+    strategies are treated as unit work.  Only the *ordering* matters:
+    the scheduler submits expensive shards first so stragglers start
+    early, which is what keeps worker utilisation high on skewed
+    workloads.
     """
     if spec.sharder == "userblocks":
         _start, count = shard.payload
-        return float(count) * spec.cost_hint
+        return float(count)
     if (
         spec.sharder == "param"
         and isinstance(shard.payload, (int, float))
@@ -191,8 +168,8 @@ def estimate_shard_cost(spec: ExperimentSpec, shard: Shard) -> float:
         # Sweep values frequently *are* the size knob (island-map entry
         # counts, synthetic fan-out costs), so a numeric payload doubles
         # as the cost proxy; +1 keeps zero-valued sweep points schedulable.
-        return (abs(float(shard.payload)) + 1.0) * spec.cost_hint
-    return spec.cost_hint
+        return abs(float(shard.payload)) + 1.0
+    return 1.0
 
 
 def _dispatch_shard(spec: ExperimentSpec, seed: int, shard: Shard) -> Any:
@@ -273,7 +250,7 @@ def merge_shard_results(
     Partials are sorted by shard index, so the merged rows match the
     serial sweep order regardless of completion order.  Sharded runs
     carry a provenance note; values are normalized to plain Python
-    scalars so fresh and cache-loaded results are byte-identical.
+    scalars.
     """
     ordered = sorted(results, key=lambda r: r.index)
     if spec.sharder in ("users", "userblocks"):

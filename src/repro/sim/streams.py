@@ -62,7 +62,6 @@ __all__ = [
     "PERSONA_STREAM",
     "TRIAL_STREAM",
     "BATCH_STREAM",
-    "SHARD_STREAM",
     "ARENA_STREAM",
     "STREAM_DOMAINS",
     "is_registered_domain",
@@ -83,15 +82,6 @@ TRIAL_STREAM = 0x79B9
 #: fleet index.
 BATCH_STREAM = 0xBA7C
 
-#: Per-shard seed derivation of the parallel runner
-#: (`repro.runner.sharding`): shard ``i`` of a run derives from
-#: ``(seed, SHARD_STREAM, i)`` alone, so any worker can materialize any
-#: single shard in O(1) without spawning the whole family.  There is
-#: deliberately *no* separate retry domain: a crash-retried
-#: re-execution of shard ``i`` must replay the original shard stream
-#: bit-for-bit, so retries reuse this domain with the same trailing key.
-SHARD_STREAM = 0x5A8D
-
 #: Per-(user, technique) trial streams of the technique arena
 #: (`repro.experiments.arena`): participant ``u`` running technique
 #: ``t`` (index in the canonical roster) draws every trial from
@@ -107,7 +97,6 @@ STREAM_DOMAINS: dict[int, str] = {
     PERSONA_STREAM: "PERSONA_STREAM",
     TRIAL_STREAM: "TRIAL_STREAM",
     BATCH_STREAM: "BATCH_STREAM",
-    SHARD_STREAM: "SHARD_STREAM",
     ARENA_STREAM: "ARENA_STREAM",
 }
 

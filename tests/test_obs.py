@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments.harness import ExperimentResult
 from repro.obs import (
     Counter,
     Gauge,
@@ -476,15 +475,6 @@ class TestRunnerIntegration:
             ["FIG4"], seed=0, jobs=1, observe=True
         )
         assert plain["FIG4"].csv_bytes() == observed["FIG4"].csv_bytes()
-
-    def test_result_obs_json_roundtrip(self):
-        result = ExperimentResult("X", "t", ("a",))
-        result.add_row(1)
-        result.obs = {"version": 1, "metrics": {}, "spans": []}
-        restored = ExperimentResult.from_json(result.to_json())
-        assert restored.obs == result.obs
-        bare = ExperimentResult("X", "t", ("a",))
-        assert ExperimentResult.from_json(bare.to_json()).obs is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from repro.runner import (
     make_shards,
     run_experiments,
     source_digest,
-    spawn_shard_seeds,
 )
+from repro.runner.registry import scaled_user_study_spec
+from repro.runner.sharding import merge_shard_results
 from repro.sim import kernel
 
 #: Issue-mandated determinism targets: one unsharded, one param-sharded,
@@ -41,6 +42,7 @@ class TestRegistry:
                 assert spec.shard_values
             if spec.sharder == "users":
                 assert spec.user_entry and spec.aggregate_entry
+                assert spec.seeds_entry
 
     def test_shard_lists_are_deterministic(self):
         for spec in REGISTRY.values():
@@ -49,22 +51,6 @@ class TestRegistry:
     def test_cache_token_distinguishes_specs(self):
         tokens = {spec.cache_token() for spec in REGISTRY.values()}
         assert len(tokens) == len(REGISTRY)
-
-
-class TestShardSeeds:
-    def test_spawn_seeds_deterministic(self):
-        assert spawn_shard_seeds(7, 5) == spawn_shard_seeds(7, 5)
-
-    def test_spawn_seeds_distinct(self):
-        seeds = spawn_shard_seeds(0, 16)
-        assert len(set(seeds)) == 16
-
-    def test_spawn_seeds_stable_under_resharding(self):
-        """Shard i's seed depends only on (seed, i), not the shard count."""
-        assert spawn_shard_seeds(3, 8)[:4] == spawn_shard_seeds(3, 4)
-
-    def test_different_base_seeds_differ(self):
-        assert spawn_shard_seeds(1, 4) != spawn_shard_seeds(2, 4)
 
 
 class TestDeterminism:
@@ -126,17 +112,39 @@ class TestCache:
     def test_cache_key_depends_on_seed(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = REGISTRY["FIG4"]
-        assert cache.key(spec, 0) != cache.key(spec, 1)
+        assert cache.shard_key(spec, 0, 0) != cache.shard_key(spec, 1, 0)
 
     def test_cache_roundtrip_preserves_result(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = REGISTRY["FIG4"]
         results, _ = run_experiments(["FIG4"], seed=0, jobs=1, cache=cache)
-        loaded, meta = cache.get(spec, 0)
-        assert loaded.csv_bytes() == results["FIG4"].csv_bytes()
-        assert loaded.notes == results["FIG4"].notes
-        assert meta["wall_s"] > 0
-        assert meta["shards"] == 1
+        loaded = cache.get_shard(spec, 0, 0)
+        merged = merge_shard_results(spec, [loaded])
+        assert merged.csv_bytes() == results["FIG4"].csv_bytes()
+        assert merged.notes == results["FIG4"].notes
+        assert loaded.wall_s > 0
+        assert [p.suffixes for p in cache.root.iterdir()] == [
+            [".shard", ".pkl"]
+        ]
+
+    def test_block_layout_is_part_of_the_shard_key(self, tmp_path):
+        """A shard cached under one block size is not served under another."""
+        cache = ResultCache(tmp_path / "cache")
+
+        def study(users_per_shard):
+            spec = scaled_user_study_spec(
+                200, battery="smoke", users_per_shard=users_per_shard
+            )
+            results, bench = run_experiments(
+                ["STUDY1"], seed=0, cache=cache, overrides={"STUDY1": spec}
+            )
+            return results["STUDY1"], bench["experiments"]["STUDY1"]
+
+        whole, _entry = study(200)
+        blocked, entry = study(50)
+        assert entry["shards"] == 4
+        assert entry["shards_from_cache"] == 0
+        assert blocked.csv_bytes() == whole.csv_bytes()
 
     def test_no_cache_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -168,6 +176,23 @@ class TestBenchReport:
         on_disk = json.loads(bench_path.read_text())
         assert on_disk["source_digest"] == source_digest()
         assert len(on_disk["source_digest"]) == 64
+
+    def test_cold_and_warm_entries_have_one_shape(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        ids = ["FIG4", "MAP-ISL"]
+        entries = []
+        for _run in ("cold", "warm"):
+            _, bench = run_experiments(ids, seed=0, jobs=1, cache=cache)
+            entries.extend(bench["experiments"][i] for i in ids)
+        assert len({frozenset(entry) for entry in entries}) == 1
+        for entry in entries:
+            assert entry["cached"] == (
+                entry["shards_from_cache"] == entry["shards"]
+            )
+        assert [entry["cached"] for entry in entries] == [
+            False, False, True, True
+        ]
+        assert not list(cache.root.glob("*.json"))
 
     def test_cached_run_reports_original_cost(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -208,14 +233,6 @@ class TestMerge:
         b.note("shared")
         merged = ExperimentResult.merge([a, b])
         assert merged.notes == ["shared"]
-
-    def test_json_roundtrip_preserves_csv_bytes(self):
-        result = ExperimentResult("X", "t", columns=("a", "b"))
-        result.add_row(1, 0.30000000000000004)
-        result.add_row(2, float("1e-300"))
-        restored = ExperimentResult.from_json(result.to_json())
-        assert restored.csv_bytes() == result.csv_bytes()
-        assert restored.rows == result.rows
 
 
 class TestCLIRunAll:

@@ -186,8 +186,8 @@ class TestShardCacheAndResume:
         _data, second = _run_csv(
             tmp_path, "second", jobs=1, cache=ResultCache(cache_dir)
         )
-        # The whole experiment was cached at merge, so the second run
-        # serves it at experiment granularity.
+        # Every shard was cached as it landed, so the second run merges
+        # them all from the cache and computes nothing.
         assert second["experiments"]["FANOUT"]["cached"] is True
         assert second["computed_wall_s"] == 0.0
 
@@ -293,16 +293,15 @@ class TestCLIRunnerV2:
         first = capsys.readouterr()
         assert "4 shard(s), 0 from cache" in first.err
         assert "MAP-ISL" in first.out
-        # Drop the whole-experiment entry and one shard entry: the state
-        # an interrupted run leaves behind.
+        # Drop one shard entry: the state an interrupted run leaves
+        # behind.
         cache_dir = tmp_path / "cache"
-        for path in [*cache_dir.glob("*.json"), *cache_dir.glob("*.pkl")][:2]:
-            path.unlink()
+        next(cache_dir.glob("*.shard.pkl")).unlink()
         assert main(["run", "MAP-ISL", "--resume"]) == 0
         second = capsys.readouterr()
         assert "4 shard(s), 3 from cache" in second.err
         assert second.out == first.out
-        # A third invocation is served at experiment granularity.
+        # A third invocation merges every shard from the cache.
         assert main(["run", "MAP-ISL", "--resume"]) == 0
         assert "cached" in capsys.readouterr().err
 

@@ -53,11 +53,9 @@ from repro.interaction.personas import (
 )
 from repro.interaction.tasks import BATTERIES, Scenario, scenario_distances
 from repro.interaction.user import MotorProfile
-from repro.runner.sharding import shard_seed
 from repro.signal.scalar import clamp
 from repro.sim.streams import (
     PERSONA_STREAM,
-    SHARD_STREAM,
     STREAM_DOMAINS,
     stream_rng,
     stream_state,
@@ -348,9 +346,7 @@ def _numpy_user(
                 mt = max(mt * jitter(0.08), 0.12)
                 trial_time += mt + 0.06
                 trial_time += profile.perception_latency_s * jitter(0.1)
-                endpoint = (
-                    float(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-                )
+                endpoint = float(rng.normal(0.0, sigma))
                 if abs(endpoint) > half_width:
                     if rng.random() < profile.impulsivity:
                         errors += 1
@@ -413,14 +409,6 @@ class TestStreamDerivation:
         )
         state = sequence.generate_state(4, np.uint64)
         assert stream_state(seed, PERSONA_STREAM, *key) == tuple(map(int, state))
-
-    @given(seed=big_seeds, index=key_elements)
-    @settings(max_examples=200, deadline=None)
-    def test_shard_seed_equals_numpy(self, seed, index):
-        sequence = np.random.SeedSequence(seed, spawn_key=(SHARD_STREAM, index))
-        assert shard_seed(seed, index) == int(
-            sequence.generate_state(1, np.uint32)[0]
-        )
 
     @pytest.mark.parametrize(
         "seed, key",

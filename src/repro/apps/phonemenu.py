@@ -20,7 +20,7 @@ from repro.core.device import DistScroll
 from repro.core.events import EntryActivated, InteractionEvent
 from repro.core.menu import MenuEntry, build_menu
 from repro.hardware.board import I2C_ADDR_DISPLAY_BOTTOM
-from repro.hardware.display import BT96040
+from repro.hardware.display import BT96040, TEXT_LINES, wrap_text
 
 __all__ = ["PHONE_MENU_SPEC", "build_phone_menu", "PhoneApp"]
 
@@ -96,8 +96,8 @@ class PhoneApp:
         (otherwise the firmware's debug output overwrites it).
         """
         board = self.device.board
-        lines = ["TASK:"] + _wrap(text, width=16, lines=4)
-        for i in range(5):
+        lines = ["TASK:"] + wrap_text(text, TEXT_LINES - 1)
+        for i in range(TEXT_LINES):
             payload = BT96040.encode_line(i, lines[i] if i < len(lines) else "")
             board.i2c.write(I2C_ADDR_DISPLAY_BOTTOM, payload)
 
@@ -107,20 +107,3 @@ class PhoneApp:
             return None
         _, action, path = self.activations[-1]
         return action, path
-
-
-def _wrap(text: str, width: int, lines: int) -> list[str]:
-    words = text.split()
-    wrapped: list[str] = []
-    current = ""
-    for word in words:
-        if len(current) + len(word) + (1 if current else 0) <= width:
-            current = f"{current} {word}".strip()
-        else:
-            wrapped.append(current)
-            current = word
-        if len(wrapped) == lines:
-            break
-    if current and len(wrapped) < lines:
-        wrapped.append(current)
-    return wrapped

@@ -49,7 +49,7 @@ from repro.hardware.board import (
 )
 from repro.obs.recorder import Recorder, active_recorder
 from repro.sensors.fusion import DualRangeFinder
-from repro.hardware.display import BT96040, TEXT_LINES
+from repro.hardware.display import BT96040, TEXT_LINES, wrap_text
 from repro.signal.filters import MedianFilter
 from repro.sim.kernel import PeriodicTask
 
@@ -741,7 +741,7 @@ class Firmware:
         payload = packet.payload
         if payload.startswith(b"SHOW:"):
             text = payload[5:].decode("latin-1", errors="replace")
-            self._host_message = _wrap_lines(text)
+            self._host_message = wrap_text(text, TEXT_LINES)
             self._display_dirty = True
         elif payload == b"CLEAR":
             self._host_message = None
@@ -910,22 +910,3 @@ class Firmware:
         if self.board.rf_device.send(event.to_bytes()):
             self.board.mcu.execute(_COST_RF_PACKET)
             self.board.battery.draw(_RF_PULSE_MA, _RF_PULSE_S)
-
-
-def _wrap_lines(text: str, width: int = 16, max_lines: int = TEXT_LINES) -> list[str]:
-    """Word-wrap host text into display lines."""
-    words = text.split()
-    lines: list[str] = []
-    current = ""
-    for word in words:
-        candidate = f"{current} {word}".strip()
-        if len(candidate) <= width:
-            current = candidate
-        else:
-            lines.append(current)
-            current = word
-        if len(lines) == max_lines:
-            return lines
-    if current:
-        lines.append(current)
-    return lines

@@ -7,7 +7,7 @@ Two hazards that PR 4 and PR 6 each paid for in postmortem time:
   associative and ``--jobs 1 != --jobs N``.  PR 6 introduced the exact
   integer accumulators in ``analysis/stats.py`` (``StreamingMoments``)
   precisely so merges are byte-identical; result-producing modules
-  (``experiments/``, ``host/``, ``analysis/``) must route float sums
+  (``experiments/``, ``analysis/``) must route float sums
   through them (or ``math.fsum`` for a fixed, documented order).
   Integer counting idioms (``sum(1 for ...)``, ``sum(x > t ...)``) are
   exact and stay allowed.
@@ -32,7 +32,7 @@ from repro.devtools.base import Rule, attribute_chain
 __all__ = ["FloatDeterminismRule"]
 
 #: Result-producing scopes where order-dependent float sums are flagged.
-_SUM_PREFIXES = ("experiments", "host", "analysis")
+_SUM_PREFIXES = ("experiments", "analysis")
 #: Fast-path scopes where array pow is flagged.
 _POW_PREFIXES = ("sensors", "signal", "core")
 

@@ -7,12 +7,13 @@ sensor and the distance-sensor wiring, joined through elongated add-on
 connectors so the case can be opened for battery changes and code
 downloads (Section 4.1).
 
-:func:`build_distscroll_board` wires the full inventory exactly as in
+:func:`build_distscroll_board` wires the inventory as in
 Figure 3: distance sensor on ADC channel 0 (a second, unused sensor slot
-on channel 1 — "only one is used in our experiments so far"),
-accelerometer X/Y on channels 2 and 3, the two BT96040 displays at I2C
-addresses 0x3C/0x3D, three debounced buttons, the contrast potentiometer
-and the 9 V battery.
+on channel 1 — "only one is used in our experiments so far"), the two
+BT96040 displays at I2C addresses 0x3C/0x3D, three debounced buttons,
+the contrast potentiometer and the 9 V battery.  The two-axis
+accelerometer is fitted but unused (§4.3), so it is not modelled and
+ADC channels 2 and 3 stay unwired.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ from repro.hardware.i2c import I2CBus
 from repro.hardware.mcu import PIC18F452
 from repro.hardware.potentiometer import Potentiometer
 from repro.hardware.rf import RFEndpoint, RFLink
-from repro.sensors.adxl311 import ADXL311
 from repro.sensors.gp2d120 import GP2D120
 from repro.sim.kernel import Simulator
 
 __all__ = [
     "ADC_CHANNEL_DISTANCE",
     "ADC_CHANNEL_DISTANCE_SPARE",
-    "ADC_CHANNEL_ACCEL_X",
-    "ADC_CHANNEL_ACCEL_Y",
     "I2C_ADDR_DISPLAY_TOP",
     "I2C_ADDR_DISPLAY_BOTTOM",
     "DistScrollBoard",
@@ -54,8 +52,6 @@ __all__ = [
 #: ADC channel assignments on the Smart-Its base board.
 ADC_CHANNEL_DISTANCE = 0
 ADC_CHANNEL_DISTANCE_SPARE = 1
-ADC_CHANNEL_ACCEL_X = 2
-ADC_CHANNEL_ACCEL_Y = 3
 
 #: I2C addresses of the two chip-on-glass displays.
 I2C_ADDR_DISPLAY_TOP = 0x3C
@@ -79,7 +75,6 @@ class DistScrollBoard:
     #: Longitudinal mounting recess of the spare sensor: it measures
     #: ``distance_cm + spare_offset_cm`` (0 when not fitted).
     spare_offset_cm: float
-    accelerometer: ADXL311
     display_top: BT96040
     display_bottom: BT96040
     buttons: dict[str, DebouncedButton]
@@ -93,25 +88,14 @@ class DistScrollBoard:
 
     # mutable physical state the environment (hand model) drives --------
     distance_cm: float = 25.0
-    pitch_rad: float = 0.0
-    roll_rad: float = 0.0
     #: Fault-injection plan threaded through this board's hardware, set by
     #: :meth:`repro.faults.FaultPlan.install`.  ``None`` = healthy hardware.
     fault_plan: Optional["FaultPlan"] = None
 
-    def set_pose(
-        self,
-        distance_cm: Optional[float] = None,
-        pitch_rad: Optional[float] = None,
-        roll_rad: Optional[float] = None,
-    ) -> None:
+    def set_pose(self, distance_cm: Optional[float] = None) -> None:
         """Update the device's physical pose (driven by the hand model)."""
         if distance_cm is not None:
             self.distance_cm = float(distance_cm)
-        if pitch_rad is not None:
-            self.pitch_rad = float(pitch_rad)
-        if roll_rad is not None:
-            self.roll_rad = float(roll_rad)
 
     def set_distance(self, distance_cm: float) -> None:
         """Set the device–body distance: the hand model's pose writer.
@@ -188,7 +172,10 @@ def build_distscroll_board(
         spare_rng = sim.spawn_rng() if noisy else None
         spare = GP2D120.specimen(spare_rng) if spare_rng is not None else GP2D120(rng=None)
 
-    accelerometer = ADXL311(rng=sim.spawn_rng() if noisy else None)
+    if noisy:
+        # The unmodelled accelerometer's noise stream: spawned and
+        # discarded so the I2C, button and RF streams keep their seeds.
+        sim.spawn_rng()
 
     i2c = I2CBus(
         error_rate=i2c_error_rate if noisy else 0.0,
@@ -230,7 +217,6 @@ def build_distscroll_board(
         distance_sensor=distance_sensor,
         spare_distance_sensor=spare,
         spare_offset_cm=spare_offset_cm if spare is not None else 0.0,
-        accelerometer=accelerometer,
         display_top=display_top,
         display_bottom=display_bottom,
         buttons=debounced,
@@ -255,14 +241,6 @@ def build_distscroll_board(
                 t, board.distance_cm + board.spare_offset_cm
             ),
         )
-    adc.attach(
-        ADC_CHANNEL_ACCEL_X,
-        lambda t: board.accelerometer.output_voltages(board.pitch_rad, board.roll_rad)[0],
-    )
-    adc.attach(
-        ADC_CHANNEL_ACCEL_Y,
-        lambda t: board.accelerometer.output_voltages(board.pitch_rad, board.roll_rad)[1],
-    )
 
     board.apply_contrast()
 

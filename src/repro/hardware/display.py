@@ -24,11 +24,34 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["DisplayGeometry", "BT96040", "TEXT_LINES", "TEXT_COLUMNS"]
+__all__ = ["DisplayGeometry", "BT96040", "TEXT_LINES", "TEXT_COLUMNS", "wrap_text"]
 
 #: Text mode dimensions quoted in the paper ("5 lines in text mode").
 TEXT_LINES = 5
 TEXT_COLUMNS = 16
+
+def wrap_text(text: str, max_lines: int) -> list[str]:
+    """Word-wrap ``text`` into at most ``max_lines`` text-mode lines.
+
+    Words fill a line up to :data:`TEXT_COLUMNS`; a word wider than that
+    gets a line of its own, which the panel clips.  No line is empty.
+    """
+    lines: list[str] = []
+    current = ""
+    for word in text.split():
+        if not current:
+            current = word
+        elif len(current) + 1 + len(word) <= TEXT_COLUMNS:
+            current = f"{current} {word}"
+        else:
+            lines.append(current)
+            if len(lines) == max_lines:
+                return lines
+            current = word
+    if current:
+        lines.append(current)
+    return lines
+
 
 #: I2C command bytes of the (simplified) BT96040 protocol.
 _CMD_CLEAR = 0x01

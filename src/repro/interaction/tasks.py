@@ -6,24 +6,18 @@ target sequences.  These generators produce reproducible task lists:
 
 * :func:`random_targets` — uniform random entries with a minimum index
   separation (so consecutive trials require real movement);
-* :func:`fitts_ladder` — target pairs spanning a controlled range of
-  Fitts IDs, for the speed-comparison experiment;
-* :func:`hierarchical_tasks` — root-to-leaf navigation tasks over a tree.
+* :func:`battery` and :func:`scenario_distances` — ScrollTest-style
+  scenario batteries for the population-scale studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.menu import MenuEntry, flatten_paths
-
 __all__ = [
     "random_targets",
-    "fitts_ladder",
-    "hierarchical_tasks",
     "Scenario",
     "BATTERIES",
     "battery",
@@ -73,52 +67,6 @@ def random_targets(
         targets.append(candidate)
         previous = candidate
     return targets
-
-
-def fitts_ladder(
-    n_entries: int,
-    repetitions: int = 3,
-    distances: Sequence[int] | None = None,
-) -> list[tuple[int, int]]:
-    """(start, target) pairs sweeping movement distance systematically.
-
-    For each requested index distance the pair is placed symmetrically in
-    the list, alternating directions, ``repetitions`` times.  Used to
-    sample a wide range of IDs for the Fitts regression.
-    """
-    if distances is None:
-        distances = [d for d in (1, 2, 3, 5, 7, n_entries - 1) if 0 < d < n_entries]
-    pairs: list[tuple[int, int]] = []
-    for distance in distances:
-        if not 0 < distance < n_entries:
-            raise ValueError(
-                f"distance {distance} impossible in a {n_entries}-entry level"
-            )
-        for rep in range(repetitions):
-            lo = (n_entries - 1 - distance) // 2
-            hi = lo + distance
-            if rep % 2 == 0:
-                pairs.append((lo, hi))
-            else:
-                pairs.append((hi, lo))
-    return pairs
-
-
-def hierarchical_tasks(
-    menu: MenuEntry,
-    n_tasks: int,
-    rng: np.random.Generator,
-) -> Iterator[tuple[str, ...]]:
-    """Random root-to-leaf navigation tasks over a menu tree.
-
-    Yields label paths such as ``("Settings", "Sound", "Volume")``; the
-    user must descend the hierarchy selecting each component.
-    """
-    paths = flatten_paths(menu)
-    if not paths:
-        raise ValueError("menu has no leaves")
-    for _ in range(n_tasks):
-        yield paths[int(rng.integers(0, len(paths)))]
 
 
 # ---------------------------------------------------------------------------

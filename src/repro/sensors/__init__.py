@@ -1,1 +1,2 @@
-"""Sensor physics models: Sharp GP2D120 IR ranger, ADXL311 accelerometer."""
+"""Sensor physics models: the Sharp GP2D120 IR ranger, its calibration,
+surfaces and dual-sensor fusion."""

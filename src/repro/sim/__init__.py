@@ -4,10 +4,8 @@ from repro.sim.channels import CHANNELS, EVENTS, FAULT_RECOVERY, FAULTS
 from repro.sim.kernel import (
     Event,
     PeriodicTask,
-    Process,
     SimulationError,
     Simulator,
-    drain,
 )
 from repro.sim.trace import TraceChannel, Tracer
 
@@ -18,10 +16,8 @@ __all__ = [
     "FAULTS",
     "FAULT_RECOVERY",
     "PeriodicTask",
-    "Process",
     "SimulationError",
     "Simulator",
-    "drain",
     "TraceChannel",
     "Tracer",
 ]

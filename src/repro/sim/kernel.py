@@ -9,8 +9,6 @@ seed is fully deterministic and reproducible.
 The public surface is intentionally small:
 
 * :class:`Simulator` — the event queue and clock.
-* :class:`Process` — a generator-based cooperative process (yield a delay in
-  seconds to sleep).
 * :class:`PeriodicTask` — a fixed-rate callback (e.g. an ADC sampling loop).
 
 Example
@@ -28,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "Simulator",
-    "Process",
     "PeriodicTask",
     "global_events_processed",
 ]
@@ -64,9 +61,6 @@ _SPAWN_BATCH = 16
 #: Compact the queue when more than half of it is cancelled corpses (and
 #: it is large enough for the rebuild to be worth the heapify).
 _COMPACT_MIN_CANCELLED = 64
-
-#: Pre-drawn jitter values per :class:`PeriodicTask` refill.
-_JITTER_BATCH = 64
 
 #: ``max_events`` of a dispatch with no event budget.
 _NO_LIMIT = 1 << 62
@@ -302,8 +296,8 @@ class Simulator:
     def _compact(self) -> None:
         """Purge cancelled corpses and re-heapify the survivors.
 
-        Long-lived runs that churn :meth:`PeriodicTask.stop` /
-        :meth:`Process.kill` otherwise accumulate dead entries that every
+        Long-lived runs that churn :meth:`PeriodicTask.stop` or
+        :meth:`Event.cancel` otherwise accumulate dead entries that every
         ``heappush`` must sift past.  Rebuilding keeps the same
         ``(time, priority, seq)`` keys, so execution order is untouched.
         The rebuild is in place: :meth:`_dispatch` holds the queue list
@@ -345,9 +339,9 @@ class Simulator:
 
         A :class:`PeriodicTask`'s event is re-armed in place once its
         callback returns and the task still runs: the same ``Event``
-        object goes back on the heap at ``now + delay`` with a fresh
+        object goes back on the heap at ``now + period`` with a fresh
         sequence number, followed by the same compaction check as
-        :meth:`schedule` — exactly the ``schedule(delay, ...)`` the task
+        :meth:`schedule` — exactly the ``schedule(period, ...)`` the task
         would otherwise make, so dispatch order is unchanged.  This is the
         kernel's only re-arm site.
         """
@@ -378,9 +372,7 @@ class Simulator:
                 executed += 1
                 task = event.task
                 if task is not None and task._running:
-                    time = self._now + (
-                        task._period if task._rng is None else task._next_delay()
-                    )
+                    time = self._now + task._period
                     seq = next(sequence)
                     event.time = time
                     event.seq = seq
@@ -460,71 +452,6 @@ class Simulator:
         self._now = max(self._now, max_time)
 
 
-class Process:
-    """A cooperative process driven by a generator.
-
-    The generator yields non-negative floats: the number of simulated seconds
-    to sleep before being resumed.  Returning (or ``StopIteration``) ends the
-    process.
-
-    Example
-    -------
-    >>> sim = Simulator()
-    >>> ticks = []
-    >>> def body():
-    ...     for _ in range(3):
-    ...         ticks.append(sim.now)
-    ...         yield 1.0
-    >>> _ = Process(sim, body())
-    >>> sim.run()
-    >>> ticks
-    [0.0, 1.0, 2.0]
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        generator: Generator[float, None, None],
-        start_delay: float = 0.0,
-    ) -> None:
-        self._sim = sim
-        self._gen = generator
-        self._alive = True
-        self._pending: Optional[Event] = sim.schedule(
-            start_delay, self._resume
-        )
-
-    @property
-    def alive(self) -> bool:
-        """Whether the process still has work pending."""
-        return self._alive
-
-    def kill(self) -> None:
-        """Stop the process; its generator is closed."""
-        if not self._alive:
-            return
-        self._alive = False
-        if self._pending is not None:
-            self._pending.cancel()
-        self._gen.close()
-
-    def _resume(self) -> None:
-        if not self._alive:
-            return
-        try:
-            delay = next(self._gen)
-        except StopIteration:
-            self._alive = False
-            self._pending = None
-            return
-        if delay is None or not delay >= 0:
-            self.kill()
-            raise SimulationError(
-                f"process yielded invalid delay {delay!r}; expected >= 0"
-            )
-        self._pending = self._sim.schedule(float(delay), self._resume)
-
-
 class PeriodicTask:
     """A callback invoked at a fixed period until stopped.
 
@@ -533,8 +460,7 @@ class PeriodicTask:
 
     The task owns one :class:`Event` for its whole life.  While the task
     runs, the simulator's event loop re-arms that event in place after
-    each invocation: ``period`` seconds later, or after a jittered delay
-    when the task draws timing jitter.
+    each invocation, ``period`` seconds later.
 
     Parameters
     ----------
@@ -547,10 +473,6 @@ class PeriodicTask:
         directly; the kernel re-arms the event in place afterwards.
     phase:
         Delay before the first invocation; defaults to one full period.
-    jitter:
-        Optional standard deviation of Gaussian timing jitter, in seconds.
-        Real microcontroller loops are not perfectly periodic; a small jitter
-        decorrelates sampling from user motion.
     """
 
     def __init__(
@@ -559,18 +481,10 @@ class PeriodicTask:
         period: float,
         callback: Callable[[], None],
         phase: Optional[float] = None,
-        jitter: float = 0.0,
     ) -> None:
         if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
         self._period = float(period)
-        self._jitter = float(jitter)
-        self._rng = sim.spawn_rng() if jitter > 0 else None
-        # Jitter draws come from a private spawned generator that nothing
-        # else reads, so they can be pre-drawn in batches:
-        # ``rng.normal(size=n)`` is stream-identical to n scalar draws.
-        self._jitter_pool: Optional[np.ndarray] = None
-        self._jitter_index = 0
         self._running = True
         first = self._period if phase is None else float(phase)
         event = sim.schedule(first, callback)
@@ -579,7 +493,7 @@ class PeriodicTask:
 
     @property
     def period(self) -> float:
-        """Nominal period in seconds."""
+        """Period in seconds."""
         return self._period
 
     @property
@@ -593,25 +507,3 @@ class PeriodicTask:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def _next_delay(self) -> float:
-        if self._jitter_pool is None or self._jitter_index >= len(
-            self._jitter_pool
-        ):
-            self._jitter_pool = self._rng.normal(
-                0.0, self._jitter, size=_JITTER_BATCH
-            )
-            self._jitter_index = 0
-        delay = self._period + float(self._jitter_pool[self._jitter_index])
-        self._jitter_index += 1
-        return max(delay, self._period * 0.1)
-
-
-def drain(sim: Simulator, events: Iterable[tuple[float, Callable[[], None]]]) -> None:
-    """Schedule a batch of ``(delay, callback)`` pairs and run to completion.
-
-    Convenience for tests and small scripts.
-    """
-    for delay, callback in events:
-        sim.schedule(delay, callback)
-    sim.run()

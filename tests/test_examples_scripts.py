@@ -1,4 +1,5 @@
-"""Every ``examples/`` and ``scripts/`` file still imports.
+"""Every ``examples/`` and ``scripts/`` file still imports, and every
+example runs end to end.
 
 Nothing else runs these files, so a moved or deleted import would only
 surface in a reader's terminal.  Each file keeps its work behind a
@@ -13,8 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
-FILES = sorted([*REPO.glob("examples/*.py"), *REPO.glob("scripts/*.py")])
+EXAMPLES_DIR = REPO / "examples"
+FILES = sorted([*EXAMPLES_DIR.glob("*.py"), *REPO.glob("scripts/*.py")])
 
 
 def test_examples_and_scripts_import():
@@ -41,3 +45,21 @@ def test_examples_and_scripts_import():
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout == "", result.stdout[-4000:]
+
+
+@pytest.mark.parametrize(
+    "script",
+    sorted(p.name for p in EXAMPLES_DIR.glob("*.py")),
+)
+def test_example_runs_clean(script):
+    """Every shipped example must execute end to end."""
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / script)],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert result.returncode == 0, (
+        f"{script} failed:\n{result.stderr[-2000:]}"
+    )
+    assert result.stdout.strip(), f"{script} printed nothing"

@@ -17,8 +17,7 @@ from repro.interaction.fitts import (
 )
 from repro.interaction.gloves import GLOVES, Glove
 from repro.interaction.hand import Hand, minimum_jerk
-from repro.interaction.tasks import fitts_ladder, hierarchical_tasks, random_targets
-from repro.core.menu import build_menu
+from repro.interaction.tasks import random_targets
 from repro.sim.kernel import Simulator
 
 
@@ -232,30 +231,3 @@ class TestTasks:
     def test_unsatisfiable_separation_rejected(self, rng):
         with pytest.raises(ValueError):
             random_targets(3, 5, rng, min_separation=3)
-
-    def test_fitts_ladder_pairs_valid(self):
-        pairs = fitts_ladder(10, repetitions=2)
-        for start, target in pairs:
-            assert 0 <= start < 10
-            assert 0 <= target < 10
-            assert start != target
-
-    def test_fitts_ladder_alternates_direction(self):
-        pairs = fitts_ladder(10, repetitions=2, distances=[4])
-        assert pairs[0] == (pairs[1][1], pairs[1][0])
-
-    def test_fitts_ladder_bad_distance(self):
-        with pytest.raises(ValueError):
-            fitts_ladder(5, distances=[7])
-
-    def test_hierarchical_tasks_are_valid_paths(self, rng):
-        menu = build_menu({"A": ["a1", "a2"], "B": {"C": ["c1"]}})
-        tasks = list(hierarchical_tasks(menu, 20, rng))
-        assert len(tasks) == 20
-        valid = {("A", "a1"), ("A", "a2"), ("B", "C", "c1")}
-        assert set(tasks) <= valid
-
-    def test_hierarchical_tasks_leafless_menu(self, rng):
-        menu = build_menu({})
-        with pytest.raises(ValueError):
-            list(hierarchical_tasks(menu, 1, rng))

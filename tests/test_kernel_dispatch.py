@@ -5,10 +5,10 @@ executes events through one loop, and a :class:`PeriodicTask`'s event is
 re-armed in place after its callback instead of being rescheduled as a
 fresh event.  The reference below is the straightforward scheduler that
 design replaced: one heap, one new event per periodic invocation, no
-compaction.  Random programs of one-shot events, jitter-free and
-jittered periodic tasks, cancels, self-stopping tasks, same-timestamp
-stops, cancel churn and interleaved run calls must produce the same
-``(time, label)`` trace on both.
+compaction.  Random programs of one-shot events, periodic tasks,
+cancels, self-stopping tasks, same-timestamp stops, cancel churn and
+interleaved run calls must produce the same ``(time, label)`` trace on
+both.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ import itertools
 import math
 from typing import Callable, Optional
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import (
-    PeriodicTask,
-    Process,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import PeriodicTask, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +41,12 @@ class _RefEvent:
 class RefSim:
     """Heap of ``(time, priority, seq, event)``; every event is new."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         self.events_processed = 0
         self._queue: list = []
         self._seq = itertools.count()
         self._finished = False
-        self._seed_seq = np.random.SeedSequence(seed)
-        self._seed_seq.spawn(1)  # the simulator-wide ``rng``
-
-    def spawn_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self._seed_seq.spawn(1)[0])
 
     def schedule(self, delay, callback, priority=0) -> _RefEvent:
         if not delay >= 0:
@@ -116,14 +105,10 @@ class RefSim:
 class RefPeriodic:
     """A periodic task that schedules a new event per invocation."""
 
-    def __init__(self, sim: RefSim, period, callback, phase=None, jitter=0.0):
+    def __init__(self, sim: RefSim, period, callback, phase=None):
         self._sim = sim
         self._period = float(period)
         self._callback = callback
-        self._jitter = float(jitter)
-        self._rng = sim.spawn_rng() if jitter > 0 else None
-        self._pool: Optional[np.ndarray] = None
-        self._index = 0
         self._running = True
         first = self._period if phase is None else float(phase)
         self._event: Optional[_RefEvent] = sim.schedule(first, self._tick)
@@ -134,22 +119,12 @@ class RefPeriodic:
             self._event.cancel()
             self._event = None
 
-    def _next_delay(self) -> float:
-        if self._rng is None:
-            return self._period
-        if self._pool is None or self._index >= len(self._pool):
-            self._pool = self._rng.normal(0.0, self._jitter, size=64)
-            self._index = 0
-        delay = self._period + float(self._pool[self._index])
-        self._index += 1
-        return max(delay, self._period * 0.1)
-
     def _tick(self) -> None:
         if not self._running:
             return
         self._callback()
         if self._running:
-            self._event = self._sim.schedule(self._next_delay(), self._tick)
+            self._event = self._sim.schedule(self._period, self._tick)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +138,7 @@ ops = st.one_of(
     st.tuples(st.just("oneshot"), grid, st.integers(0, 1)),
     st.tuples(
         st.just("periodic"), periods, st.none() | grid,
-        st.sampled_from([0.0, 0.0, 0.02]), st.none() | st.integers(1, 6),
+        st.none() | st.integers(1, 6),
     ),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("stop"), st.integers(0, 30)),
@@ -173,7 +148,6 @@ ops = st.one_of(
     st.tuples(st.just("run_until"), grid),
     st.tuples(st.just("run_while"), grid, st.integers(0, 12)),
     st.tuples(st.just("run"), st.integers(1, 20)),
-    st.tuples(st.just("process"), grid, st.integers(1, 4)),
 )
 
 
@@ -204,11 +178,6 @@ def play(program, sim, periodic) -> list:
 
         return callback
 
-    def body(label, delays):
-        for delay in delays:
-            trace.append((sim.now, label))
-            yield delay
-
     for number, op in enumerate(program):
         kind = op[0]
         label = f"{kind}{number}"
@@ -216,13 +185,13 @@ def play(program, sim, periodic) -> list:
             if kind == "oneshot":
                 events.append(sim.schedule(op[1], mark(label), priority=op[2]))
             elif kind == "periodic":
-                _, period, phase, jitter, fires = op
+                _, period, phase, fires = op
                 holder: list = [None]
                 callback = (
                     mark(label) if fires is None
                     else self_stopping(label, holder, fires)
                 )
-                holder[0] = periodic(sim, period, callback, phase, jitter)
+                holder[0] = periodic(sim, period, callback, phase)
                 tasks.append(holder[0])
             elif kind == "cancel" and events:
                 events[op[1] % len(events)].cancel()
@@ -233,7 +202,7 @@ def play(program, sim, periodic) -> list:
                 events.append(sim.schedule(op[1], stopper(label, task)))
             elif kind == "churn":
                 churned = [
-                    periodic(sim, 0.25 + i * 1e-3, mark(label), None, 0.0)
+                    periodic(sim, 0.25 + i * 1e-3, mark(label), None)
                     for i in range(op[1])
                 ]
                 for task in churned:
@@ -248,8 +217,6 @@ def play(program, sim, periodic) -> list:
                 sim.run_while(lambda: len(trace) < limit, sim.now + op[1])
             elif kind == "run":
                 sim.run(max_events=op[1])
-            elif kind == "process":
-                Process(sim, body(label, [op[1]] * op[2]))
         except SimulationError:
             trace.append(("error", label))
         trace.append(("now", sim.now))
@@ -257,32 +224,24 @@ def play(program, sim, periodic) -> list:
     return trace
 
 
-def _real_periodic(sim, period, callback, phase, jitter):
-    return PeriodicTask(sim, period, callback, phase=phase, jitter=jitter)
-
-
-def _ref_periodic(sim, period, callback, phase, jitter):
-    return RefPeriodic(sim, period, callback, phase=phase, jitter=jitter)
-
-
 class TestAgainstReference:
-    @given(seed=st.integers(0, 2**16), program=st.lists(ops, max_size=40))
+    @given(program=st.lists(ops, max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_same_trace_as_reference(self, seed, program):
-        real = play(program, Simulator(seed=seed), _real_periodic)
-        reference = play(program, RefSim(seed), _ref_periodic)
+    def test_same_trace_as_reference(self, program):
+        real = play(program, Simulator(), PeriodicTask)
+        reference = play(program, RefSim(), RefPeriodic)
         assert real == reference
 
     def test_churn_program_compacts_and_matches(self):
         """A fixed program whose churn must trigger compaction."""
         program = [
-            ("periodic", 0.125, None, 0.0, None),
-            ("periodic", 0.25, 0.0, 0.02, None),
+            ("periodic", 0.125, None, None),
+            ("periodic", 0.25, 0.0, None),
             ("oneshot", 0.25, 1),
             ("run_until", 0.5),
             ("churn", 150),
             ("stopper", 0.125, 0),
-            ("periodic", 0.375, None, 0.0, 3),
+            ("periodic", 0.375, None, 3),
             ("step", 3),
             ("churn", 100),
             ("run_while", 1.0, 7),
@@ -298,9 +257,9 @@ class TestAgainstReference:
             original()
 
         sim._compact = counted  # type: ignore[method-assign]
-        real = play(program, sim, _real_periodic)
+        real = play(program, sim, PeriodicTask)
         assert compactions, "the churn never triggered a compaction"
-        assert real == play(program, RefSim(5), _ref_periodic)
+        assert real == play(program, RefSim(), RefPeriodic)
 
 
 class TestInPlaceRearm:
@@ -311,13 +270,6 @@ class TestInPlaceRearm:
         assert task._event is event
         assert event.time == pytest.approx(1.1)
         assert sim.events_processed == 10
-
-    def test_jittered_task_keeps_one_event(self, sim):
-        task = PeriodicTask(sim, 0.1, lambda: None, jitter=0.01)
-        event = task._event
-        sim.run_until(2.0)
-        assert task._event is event
-        assert sim.events_processed >= 15
 
     def test_event_invokes_the_callback_passed_in(self, sim):
         def callback() -> None:
@@ -414,15 +366,6 @@ class TestNaNRejected:
     def test_nan_phase_rejected(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.1, lambda: None, phase=math.nan)
-
-    def test_process_yielding_nan_is_killed(self, sim):
-        def body():
-            yield math.nan
-
-        process = Process(sim, body())
-        with pytest.raises(SimulationError, match="invalid delay"):
-            sim.run()
-        assert not process.alive
 
     def test_infinite_deadlines_still_accepted(self, sim):
         fired = []

@@ -8,16 +8,10 @@ import pytest
 from repro.core.config import DeviceConfig
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
-from repro.sim.kernel import Simulator, drain
+from repro.sim.kernel import Simulator
 
 
 class TestKernelHelpers:
-    def test_drain_runs_everything(self):
-        sim = Simulator(seed=0)
-        hits = []
-        drain(sim, [(0.2, lambda: hits.append("b")), (0.1, lambda: hits.append("a"))])
-        assert hits == ["a", "b"]
-
     def test_run_while_stops_on_condition(self):
         sim = Simulator(seed=0)
         counter = {"n": 0}
@@ -97,6 +91,14 @@ class TestHostDownlink:
         lines = device.visible_status()
         assert all(len(line) <= 16 for line in lines)
         assert sum(1 for line in lines if line) >= 3
+
+    def test_overwide_first_word_keeps_the_first_line(self):
+        device = DistScroll(build_menu(["A", "B"]), seed=0, noisy=False)
+        device.board.rf_host.send(b"SHOW:Supercalifragilistic is long")
+        device.run_for(0.3)
+        lines = device.visible_status()
+        assert lines[0] == "Supercalifragili"  # the panel clips at 16
+        assert lines[1] == "is long"
 
 
 class TestSDAZGeometryEdges:

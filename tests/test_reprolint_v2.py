@@ -479,7 +479,7 @@ class TestFloatDeterminism:
     def test_len_sum_clean(self):
         findings = lint(
             "def f(rows):\n    return sum(len(r) for r in rows)\n",
-            path="host/report.py",
+            path="analysis/report.py",
             rules=[FloatDeterminismRule],
         )
         assert findings == []

@@ -1,55 +1,15 @@
-"""Tests for the ADXL311 model and the calibration sweep (Fig 4/5 code)."""
+"""Tests for the calibration sweep (Fig 4/5 code)."""
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.sensors.adxl311 import ADXL311
 from repro.sensors.calibration import calibrate, sweep_environments
 from repro.sensors.gp2d120 import GP2D120
 from repro.sensors.surfaces import AMBIENT_CONDITIONS, CLOTHING
-
-
-class TestADXL311:
-    def test_flat_attitude_reads_zero_g(self):
-        accel = ADXL311(rng=None)
-        gx, gy = accel.acceleration_g(0.0, 0.0)
-        assert gx == 0.0
-        assert gy == 0.0
-
-    def test_ninety_degree_tilt_reads_one_g(self):
-        accel = ADXL311(rng=None)
-        gx, gy = accel.acceleration_g(math.pi / 2, 0.0)
-        assert gy == pytest.approx(1.0)
-        assert gx == pytest.approx(0.0)
-
-    def test_zero_g_voltage_at_mid_supply(self):
-        accel = ADXL311(rng=None)
-        vx, vy = accel.output_voltages(0.0, 0.0)
-        assert vx == pytest.approx(accel.params.zero_g_voltage)
-        assert vy == pytest.approx(accel.params.zero_g_voltage)
-
-    def test_tilt_roundtrip(self):
-        accel = ADXL311(rng=None)
-        for pitch, roll in ((0.2, -0.4), (0.0, 0.7), (-0.5, 0.0)):
-            vx, vy = accel.output_voltages(pitch, roll)
-            est_roll, est_pitch = accel.tilt_from_voltages(vx, vy)
-            assert est_pitch == pytest.approx(pitch, abs=1e-6)
-            assert est_roll == pytest.approx(roll, abs=1e-6)
-
-    def test_range_clipping(self):
-        accel = ADXL311(rng=None)
-        gx, _ = accel.acceleration_g(0.0, math.pi / 2, linear_accel_g=(5.0, 0.0))
-        assert gx == accel.params.range_g
-
-    def test_noise_present_with_rng(self):
-        accel = ADXL311(rng=np.random.default_rng(0))
-        readings = {accel.output_voltages(0.0, 0.0)[0] for _ in range(10)}
-        assert len(readings) > 1
 
 
 class TestCalibration:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import PeriodicTask, Process, SimulationError, Simulator
+from repro.sim.kernel import PeriodicTask, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -131,63 +131,6 @@ class TestDeterminism:
         assert (s1.spawn_rng().random(10) == s2.spawn_rng().random(10)).all()
 
 
-class TestProcess:
-    def test_generator_process_ticks(self, sim):
-        ticks = []
-
-        def body():
-            for _ in range(3):
-                ticks.append(sim.now)
-                yield 1.0
-
-        Process(sim, body())
-        sim.run()
-        assert ticks == [0.0, 1.0, 2.0]
-
-    def test_process_start_delay(self, sim):
-        ticks = []
-
-        def body():
-            ticks.append(sim.now)
-            yield 0.5
-            ticks.append(sim.now)
-
-        Process(sim, body(), start_delay=2.0)
-        sim.run()
-        assert ticks == [2.0, 2.5]
-
-    def test_kill_stops_process(self, sim):
-        ticks = []
-
-        def body():
-            while True:
-                ticks.append(sim.now)
-                yield 1.0
-
-        process = Process(sim, body())
-        sim.run_until(2.5)
-        process.kill()
-        sim.run_until(10.0)
-        assert ticks == [0.0, 1.0, 2.0]
-        assert not process.alive
-
-    def test_process_finishes_naturally(self, sim):
-        def body():
-            yield 1.0
-
-        process = Process(sim, body())
-        sim.run()
-        assert not process.alive
-
-    def test_invalid_yield_raises(self, sim):
-        def body():
-            yield -1.0
-
-        Process(sim, body())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-
 class TestPeriodicTask:
     def test_fires_at_period(self, sim):
         ticks = []
@@ -213,13 +156,6 @@ class TestPeriodicTask:
     def test_zero_period_rejected(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
-
-    def test_jitter_keeps_firing(self, sim):
-        ticks = []
-        PeriodicTask(sim, 0.1, lambda: ticks.append(sim.now), jitter=0.01)
-        sim.run_until(2.0)
-        # Roughly 20 fires expected; jitter must not stall or explode.
-        assert 10 <= len(ticks) <= 30
 
     def test_stop_from_within_callback(self, sim):
         ticks = []
@@ -325,7 +261,7 @@ def test_property_events_execute_in_nondecreasing_time_order(delays):
 )
 @settings(max_examples=30, deadline=None)
 def test_property_periodic_task_fire_counts(periods, horizon):
-    """Each task fires floor(horizon/period) times (no jitter)."""
+    """Each task fires floor(horizon/period) times."""
     sim = Simulator(seed=0)
     counters = [0] * len(periods)
 
@@ -575,28 +511,11 @@ class TestSpawnPooling:
 
 
 class TestJitterBatching:
-    def test_jitter_ticks_match_scalar_draws(self):
-        """Pre-drawn normal(size=n) jitter must replay the exact tick
-        times of per-tick scalar draws from the same spawned stream."""
-        import numpy as np
-
-        sim = Simulator(seed=11)
-        times = []
-        PeriodicTask(sim, 0.1, lambda: times.append(sim.now), jitter=0.01)
-        sim.run(max_events=100)
-
-        # Reference: the task's private generator is the simulator's
-        # second spawned child (sim.rng took the first).
-        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[1])
-        expected = [0.1]  # first fire: phase defaults to one clean period
-        clock = 0.1
-        for _ in range(99):
-            delay = max(0.1 + rng.normal(0.0, 0.01), 0.1 * 0.1)
-            clock += delay
-            expected.append(clock)
-        assert times == expected
+    """A periodic task has no timing jitter, so it owns no random stream."""
 
     def test_jitter_free_task_draws_nothing(self):
+        import numpy as np
+
         sim = Simulator(seed=0)
         state_before = sim.rng.bit_generator.state
         count = [0]
@@ -609,22 +528,7 @@ class TestJitterBatching:
         task.stop()
         assert count[0] == 50
         assert sim.rng.bit_generator.state == state_before
-
-
-class TestProcessPendingFix:
-    def test_pending_assigned_exactly_once(self):
-        """PR 4 satellite: Process.__init__ used to assign self._pending
-        twice (a leftover None pre-assignment); the surviving single
-        assignment must hold the start event so kill() can cancel it."""
-        sim = Simulator(seed=0)
-
-        def body():
-            yield 1.0
-
-        process = Process(sim, body(), start_delay=5.0)
-        assert process._pending is not None
-        assert process._pending.time == 5.0
-        process.kill()
-        assert process._pending.cancelled
-        sim.run()
-        assert not process.alive
+        # No child stream was spawned: the next one is the second child
+        # of the seed (sim.rng took the first).
+        expected = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[1])
+        assert sim.spawn_rng().bit_generator.state == expected.bit_generator.state

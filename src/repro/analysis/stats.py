@@ -127,6 +127,11 @@ def linear_regression(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 
+def _canonical_zero(value: Optional[float]) -> Optional[float]:
+    """A stored extreme as ``add`` stores it: -0.0 becomes 0.0."""
+    return None if value is None else value + 0.0
+
+
 class StreamingMoments:
     """Online mean/variance with O(1) state and an exactly mergeable sum.
 
@@ -192,13 +197,15 @@ class StreamingMoments:
             self._sq_shift = sq_scale
         else:
             self._sumsq_fp += (numerator * numerator) << (sq_shift - sq_scale)
-        # min()/max() keep the incumbent on ties; so do these tests.
+        # min()/max() keep the incumbent on ties; so do these tests.  An
+        # extreme is stored with ``+ 0.0``, which turns -0.0 into 0.0, so
+        # a merge of 0.0 with -0.0 gives the same bytes in either order.
         if self.min is None:
-            self.min = self.max = value
+            self.min = self.max = value + 0.0
         elif value < self.min:
-            self.min = value
+            self.min = value + 0.0
         elif value > self.max:
-            self.max = value
+            self.max = value + 0.0
 
     @property
     def _sum(self) -> Fraction:
@@ -280,8 +287,8 @@ class StreamingMoments:
         moments._shift = total.denominator.bit_length() - 1
         moments._sumsq_fp = sumsq.numerator
         moments._sq_shift = sumsq.denominator.bit_length() - 1
-        moments.min = payload["min"]
-        moments.max = payload["max"]
+        moments.min = _canonical_zero(payload["min"])
+        moments.max = _canonical_zero(payload["max"])
         return moments
 
 
@@ -348,13 +355,15 @@ class QuantileSketch:
             raise ValueError(f"QuantileSketch: {kind} observation")
         self.counts[bisect.bisect_right(self._edges, value)] += 1
         self.count += 1
-        # min()/max() keep the incumbent on ties; so do these tests.
+        # min()/max() keep the incumbent on ties; so do these tests.  An
+        # extreme is stored with ``+ 0.0``, which turns -0.0 into 0.0, so
+        # a merge of 0.0 with -0.0 gives the same bytes in either order.
         if self.min is None:
-            self.min = self.max = value
+            self.min = self.max = value + 0.0
         elif value < self.min:
-            self.min = value
+            self.min = value + 0.0
         elif value > self.max:
-            self.max = value
+            self.max = value + 0.0
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combined sketch (bin specs must match; operands unchanged)."""
@@ -425,8 +434,8 @@ class QuantileSketch:
         )
         sketch.counts = list(payload["counts"])
         sketch.count = int(payload["count"])
-        sketch.min = payload["min"]
-        sketch.max = payload["max"]
+        sketch.min = _canonical_zero(payload["min"])
+        sketch.max = _canonical_zero(payload["max"])
         return sketch
 
 

@@ -112,8 +112,8 @@ class DistScroll:
 
     @property
     def distance_cm(self) -> float:
-        """Current true device–body distance."""
-        return self.board.distance_cm
+        """Current true device–body distance (a driving hand caught up)."""
+        return self.board.distance_at(self.sim.now)
 
     def press(self, name: str = "select") -> None:
         """Press a button (it stays down until :meth:`release`)."""

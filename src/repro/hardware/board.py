@@ -35,6 +35,7 @@ from repro.hardware.buttons import (
 from repro.hardware.display import BT96040
 from repro.hardware.i2c import I2CBus
 from repro.hardware.mcu import PIC18F452
+from repro.hardware.pose import DrivenPose
 from repro.hardware.potentiometer import Potentiometer
 from repro.hardware.rf import RFEndpoint, RFLink
 from repro.sensors.gp2d120 import GP2D120
@@ -59,7 +60,7 @@ I2C_ADDR_DISPLAY_BOTTOM = 0x3D
 
 
 @dataclass
-class DistScrollBoard:
+class DistScrollBoard(DrivenPose):
     """The assembled hardware: everything inside the case of Figure 3.
 
     Attributes mirror the physical inventory; the firmware
@@ -156,7 +157,11 @@ def build_distscroll_board(
     DistScrollBoard
         Fully wired hardware with analog channels attached.
     """
-    rng = sim.spawn_rng() if noisy else None
+    if noisy:
+        # The board's general-purpose noise stream, which nothing draws
+        # from: spawned and discarded so every later stream keeps its
+        # seed.
+        sim.spawn_rng()
 
     battery = Battery()
     adc = ADC(params=ADCParams(), rng=sim.spawn_rng() if noisy else None)
@@ -229,16 +234,22 @@ def build_distscroll_board(
         rf_link=rf_link,
     )
 
-    # Analog wiring: sources close over the board's mutable pose.
+    # Analog wiring: each sensor reads the board's pose only when it
+    # starts a new measurement cycle (see GP2D120.output_voltage).
+    distance_at = board.distance_at
     adc.attach(
         ADC_CHANNEL_DISTANCE,
-        lambda t: board.distance_sensor.output_voltage(t, board.distance_cm),
+        lambda t: board.distance_sensor.output_voltage(t, distance_at),
     )
     if spare is not None:
+
+        def spare_distance_at(time_s: float) -> float:
+            return distance_at(time_s) + board.spare_offset_cm
+
         adc.attach(
             ADC_CHANNEL_DISTANCE_SPARE,
             lambda t: board.spare_distance_sensor.output_voltage(
-                t, board.distance_cm + board.spare_offset_cm
+                t, spare_distance_at
             ),
         )
 

@@ -32,6 +32,7 @@ from repro.core.config import DeviceConfig
 from repro.core.islands import IslandMap, build_island_map
 from repro.core.menu import MenuCursor, MenuEntry
 from repro.hardware.adc import ADC, ADCParams
+from repro.hardware.pose import DrivenPose
 from repro.hardware.serial import UART
 from repro.sensors.gp2d120 import GP2D120
 from repro.sim.kernel import PeriodicTask, Simulator
@@ -44,7 +45,7 @@ _SYNC = 0xA5
 _FRAME_LEN = 4
 
 
-class DistScrollAddon:
+class DistScrollAddon(DrivenPose):
     """The minimized sensor module clipped onto the PDA connector.
 
     Parameters
@@ -73,7 +74,10 @@ class DistScrollAddon:
         self.sensor = GP2D120.specimen(rng) if rng is not None else GP2D120(rng=None)
         self.adc = ADC(params=ADCParams(), rng=sim.spawn_rng() if noisy else None)
         self.distance_cm = 25.0
-        self.adc.attach(0, lambda t: self.sensor.output_voltage(t, self.distance_cm))
+        # The sensor reads the pose only when it starts a new measurement
+        # cycle (see GP2D120.output_voltage).
+        distance_at = self.distance_at
+        self.adc.attach(0, lambda t: self.sensor.output_voltage(t, distance_at))
         self.frames_sent = 0
         period = 1.0 / report_hz
         self._task = PeriodicTask(sim, period, self._report, phase=period)

@@ -25,7 +25,7 @@ on pathological specular surfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -139,6 +139,15 @@ class GP2D120:
     def __post_init__(self) -> None:
         self._held_voltage: Optional[float] = None
         self._last_cycle_index: int = -1
+        # ``params``, ``surface`` and ``ambient`` are frozen and never
+        # reassigned, so the per-measurement constants are read once here.
+        params = self.params
+        self._max_range_cm = min(SENSOR_MAX_CM, self.surface.max_range_cm)
+        self._gain = self.surface.gain_factor
+        self._saturation_voltage = params.saturation_voltage
+        self._corruption_probability = self.surface.corruption_probability
+        self._noise_rms = params.noise_rms * self.ambient.noise_factor
+        self._cycle_time_s = params.cycle_time_s
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -179,7 +188,6 @@ class GP2D120:
         """
         params = self.params
         distance_cm = float(distance_cm)
-        max_range = min(SENSOR_MAX_CM, self.surface.max_range_cm)
         if distance_cm <= 0.0:
             voltage = params.floor_voltage
         elif distance_cm < params.peak_distance_cm:
@@ -189,12 +197,12 @@ class GP2D120:
             fraction = distance_cm / params.peak_distance_cm
             span = params.peak_voltage - params.floor_voltage
             voltage = params.floor_voltage + span * fraction**0.8
-        elif distance_cm <= max_range:
+        elif distance_cm <= self._max_range_cm:
             voltage = params.in_range_voltage(distance_cm)
         else:
             voltage = params.floor_voltage
-        voltage *= self.surface.gain_factor
-        return clamp(voltage, 0.0, params.saturation_voltage)
+        voltage *= self._gain
+        return clamp(voltage, 0.0, self._saturation_voltage)
 
     def ideal_voltage_array(self, distances_cm: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`ideal_voltage`: one array op per regime.
@@ -207,7 +215,6 @@ class GP2D120:
         """
         params = self.params
         d = np.atleast_1d(np.asarray(distances_cm, dtype=float))
-        max_range = min(SENSOR_MAX_CM, self.surface.max_range_cm)
         out = np.full(d.shape, params.floor_voltage, dtype=float)
         floor_mask = d <= 0.0
         fold = ~floor_mask & (d < params.peak_distance_cm)
@@ -222,39 +229,48 @@ class GP2D120:
             out[fold] = [
                 floor + span * (x / peak) ** 0.8 for x in d[fold]
             ]
-        ranged = ~floor_mask & ~fold & (d <= max_range)
+        ranged = ~floor_mask & ~fold & (d <= self._max_range_cm)
         if ranged.any():
             out[ranged] = params.in_range_voltage(d[ranged])
-        out *= self.surface.gain_factor
-        np.clip(out, 0.0, params.saturation_voltage, out=out)
+        out *= self._gain
+        np.clip(out, 0.0, self._saturation_voltage, out=out)
         return out
 
     def in_range(self, distance_cm: float) -> bool:
         """Whether a distance lies on the unambiguous monotone branch."""
-        max_range = min(SENSOR_MAX_CM, self.surface.max_range_cm)
-        return self.params.peak_distance_cm <= distance_cm <= max_range
+        return self.params.peak_distance_cm <= distance_cm <= self._max_range_cm
 
     # ------------------------------------------------------------------
     # sampled output
     # ------------------------------------------------------------------
-    def output_voltage(self, time_s: float, distance_cm: float) -> float:
+    def output_voltage(
+        self,
+        time_s: float,
+        distance_cm: Union[float, Callable[[float], float]],
+    ) -> float:
         """Analog output at simulated time ``time_s`` for the true distance.
 
         The internal measurement cycle means the output is a zero-order
         hold: within one ~38 ms cycle repeated reads return the same held
         value; a new measurement (with fresh noise, and possibly a
         corrupted reading on bad surfaces) happens once per cycle.
+
+        ``distance_cm`` is the distance in cm, or a callable giving it for
+        a time.  A callable is called only when a new measurement starts,
+        so a pose evaluated on demand (a board driven by a
+        :class:`~repro.interaction.hand.Hand`) is brought up to date at
+        the sensor's rate, not at every read of the held value.
         """
-        cycle = int(time_s / self.params.cycle_time_s)
+        cycle = int(time_s / self._cycle_time_s)
         if cycle != self._last_cycle_index or self._held_voltage is None:
             self._last_cycle_index = cycle
+            if callable(distance_cm):
+                distance_cm = distance_cm(time_s)
             self._held_voltage = self._measure(distance_cm)
         if self.fault_hook is not None:
             override = self.fault_hook(time_s, self._held_voltage)
             if override is not None:
-                return clamp(
-                    float(override), 0.0, self.params.saturation_voltage
-                )
+                return clamp(float(override), 0.0, self._saturation_voltage)
         return self._held_voltage
 
     def _measure(self, distance_cm: float) -> float:
@@ -268,14 +284,13 @@ class GP2D120:
         rng = self.rng
         if rng is None:
             return voltage
-        params = self.params
-        if rng.random() < self.surface.corruption_probability:
+        if rng.random() < self._corruption_probability:
             # Beam deflected by a specular boundary: the spot lands at an
             # essentially random position on the detector.
+            params = self.params
             return float(rng.uniform(params.floor_voltage, params.peak_voltage))
-        noise_rms = params.noise_rms * self.ambient.noise_factor
-        noisy = voltage + (0.0 + noise_rms * rng.standard_normal())
-        return clamp(noisy, 0.0, params.saturation_voltage)
+        noisy = voltage + (0.0 + self._noise_rms * rng.standard_normal())
+        return clamp(noisy, 0.0, self._saturation_voltage)
 
     # ------------------------------------------------------------------
     # inversion helpers (used by the island mapping)
@@ -289,10 +304,10 @@ class GP2D120:
             If the voltage lies outside the monotone branch's output span.
         """
         params = self.params
-        gain = self.surface.gain_factor
+        gain = self._gain
         unscaled = voltage / gain
         v_near = params.peak_voltage
-        v_far = params.in_range_voltage(min(SENSOR_MAX_CM, self.surface.max_range_cm))
+        v_far = params.in_range_voltage(self._max_range_cm)
         if not v_far <= unscaled <= v_near:
             raise ValueError(
                 f"voltage {voltage:.3f} V outside monotone branch "

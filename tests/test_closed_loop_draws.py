@@ -3,7 +3,7 @@
 ``ADC._quantize`` computes ``np.sin(np.pi * np.clip(f, 0, 1))`` as
 ``math.sin(math.pi * clamp(f, 0, 1))``, its noise ``rng.normal(0.0, s)``
 as ``0.0 + s * rng.standard_normal()`` and its code clip with
-:func:`repro.signal.scalar.clamp`; ``Hand._advance_tremor`` rewrites
+:func:`repro.signal.scalar.clamp`; ``Hand.catch_up`` rewrites
 its two normal draws the same way.  These tests pin each rewrite
 against the numpy original on twin generators, pin the whole ARENA
 closed loop against the benchmark's output digests, and guard against
@@ -27,7 +27,7 @@ from repro.experiments.arena import finalize_arena, run_arena_block
 from repro.hardware.adc import ADC, ADCParams
 from repro.interaction.hand import Hand
 from repro.signal.scalar import clamp
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, global_events_processed
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -209,3 +209,13 @@ class TestArenaPins:
     def test_4_user_block_matches_benchmark_pin(self, seed):
         pins = json.loads(DIGESTS.read_text())["arena"]
         assert _arena_digest(seed, 4) == pins[str(seed)]["ARENA"]
+
+    def test_4_user_block_keeps_the_hand_off_the_event_queue(self):
+        """With one kernel event per hand update the seed-0 block
+        dispatched 35,607 events; on-demand updates must halve that and
+        keep the pinned output."""
+        before = global_events_processed()
+        digest = _arena_digest(0, 4)
+        assert global_events_processed() - before < 17_804
+        pins = json.loads(DIGESTS.read_text())["arena"]
+        assert digest == pins["0"]["ARENA"]

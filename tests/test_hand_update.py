@@ -1,12 +1,15 @@
-"""The fused ``Hand._update`` against the unfused update it replaced.
+"""The on-demand ``Hand`` against a per-update eager twin.
 
-``Hand._update`` computes the tremor step, ``position()`` and the
-minimum-jerk profile in one frame.  The reference below is the update as
-three calls (``_advance_tremor()``, ``position()``, ``minimum_jerk``),
-driven on a twin generator: both hands must write the same pose floats,
-accumulate the same path and fatigue, and leave both generators at the
-same point.  Also covers the constructor's and ``hold_at``'s rejection of
-non-finite input.
+``Hand`` evaluates its 120 Hz updates on demand: two kernel events per
+``run_until`` window, and a catch-up loop run by whoever reads the pose.
+The reference below is the update as it ran before, one kernel event per
+grid point on a :class:`~repro.sim.kernel.PeriodicTask`, computed as
+three calls (``_advance_tremor()``, ``position()``, ``minimum_jerk``)
+with two scalar draws per update.  Driven on twin generators, both hands
+must write the same pose floats, show a reader the same pose at the same
+instant, accumulate the same path and fatigue, and leave both generators
+at the same point.  Also covers the constructor's and ``hold_at``'s
+rejection of non-finite input.
 """
 
 from __future__ import annotations
@@ -20,68 +23,127 @@ from hypothesis import strategies as st
 
 from repro.core.device import DistScroll
 from repro.core.menu import build_menu
+from repro.hardware.pose import DrivenPose
 from repro.interaction.hand import Hand, minimum_jerk
 from repro.sim.kernel import PeriodicTask, Simulator
 
 
-def _advance_tremor(hand: Hand, rng) -> None:
-    if rng is None or hand.tremor_rms_cm <= 0.0:
-        hand._tremor_state = 0.0
-        return
-    gauss = rng.standard_normal
-    dt = hand._update_period
-    hand._tremor_phase += (
-        2.0 * math.pi * hand.tremor_hz * dt * (1.0 + (0.0 + 0.1 * gauss()))
-    )
-    periodic = math.sin(hand._tremor_phase)
-    broadband = 0.0 + 0.6 * gauss()
-    hand._tremor_state = hand.tremor_rms_cm * (
-        0.8 * periodic + 0.45 * broadband
-    )
+class PoseLog(DrivenPose):
+    """A pose sink that keeps every written pose, read like a board."""
+
+    def __init__(self) -> None:
+        self.distance_cm = math.nan
+        self.poses: list[float] = []
+
+    def set_distance(self, distance_cm: float) -> None:
+        self.distance_cm = distance_cm
+        self.poses.append(distance_cm)
 
 
-def _position(hand: Hand) -> float:
-    if hand._move_duration <= 0:
-        voluntary = hand._rest_cm
-    else:
-        tau = (hand._sim.now - hand._move_start) / hand._move_duration
-        s = minimum_jerk(tau)
-        voluntary = hand._move_from + (hand._move_to - hand._move_from) * s
-    return voluntary + hand._tremor_state
+class EagerHand:
+    """The per-update reference: one kernel event per grid point.
+
+    The hand as it was before updates became on-demand, with the unfused
+    update and one scalar draw per normal.
+    """
+
+    def __init__(
+        self, sim, write_pose, start_cm=20.0, tremor_rms_cm=0.08,
+        tremor_hz=9.0, update_hz=120.0, rng=None,
+    ) -> None:
+        self._sim = sim
+        self._write_pose = write_pose
+        self._rng = rng
+        self.tremor_rms_cm = float(tremor_rms_cm)
+        self.tremor_hz = float(tremor_hz)
+        self._update_period = 1.0 / float(update_hz)
+        self._rest_cm = float(start_cm)
+        self._move_from = float(start_cm)
+        self._move_to = float(start_cm)
+        self._move_start = 0.0
+        self._move_duration = 0.0
+        self._tremor_state = 0.0
+        self._tremor_phase = 0.0
+        self.total_path_cm = 0.0
+        self.fatigue_units = 0.0
+        self._relaxed_cm = 14.0
+        self._last_position = float(start_cm)
+        self._task = PeriodicTask(
+            sim, self._update_period, self._update, phase=0.0
+        )
+        write_pose(self._rest_cm)
+
+    @property
+    def is_moving(self) -> bool:
+        return self._sim.now < self._move_start + self._move_duration
+
+    def move_to(self, target_cm: float, duration_s: float) -> None:
+        self._move_from = self.position(include_tremor=False)
+        self._move_to = float(target_cm)
+        self._move_start = self._sim.now
+        self._move_duration = float(duration_s)
+        self._rest_cm = float(target_cm)
+
+    def position(self, include_tremor: bool = True) -> float:
+        if self._move_duration <= 0:
+            voluntary = self._rest_cm
+        else:
+            tau = (self._sim.now - self._move_start) / self._move_duration
+            s = minimum_jerk(tau)
+            voluntary = self._move_from + (self._move_to - self._move_from) * s
+        if include_tremor:
+            return voluntary + self._tremor_state
+        return voluntary
+
+    def stop(self) -> None:
+        self._task.stop()
+
+    def _advance_tremor(self) -> None:
+        if self._rng is None or self.tremor_rms_cm <= 0.0:
+            self._tremor_state = 0.0
+            return
+        gauss = self._rng.standard_normal
+        dt = self._update_period
+        self._tremor_phase += (
+            2.0 * math.pi * self.tremor_hz * dt
+            * (1.0 + (0.0 + 0.1 * gauss()))
+        )
+        periodic = math.sin(self._tremor_phase)
+        broadband = 0.0 + 0.6 * gauss()
+        self._tremor_state = self.tremor_rms_cm * (
+            0.8 * periodic + 0.45 * broadband
+        )
+
+    def _update(self) -> None:
+        self._advance_tremor()
+        position = self.position()
+        travel = abs(position - self._last_position)
+        self.total_path_cm += travel
+        extension = max(position - self._relaxed_cm, 0.0) / self._relaxed_cm
+        holding_cost = (0.25 + extension) * self._update_period
+        self.fatigue_units += holding_cost + 0.06 * travel
+        self._last_position = position
+        self._write_pose(max(position, 0.5))
 
 
-def _reference_update(hand: Hand, rng) -> None:
-    _advance_tremor(hand, rng)
-    position = _position(hand)
-    travel = abs(position - hand._last_position)
-    hand.total_path_cm += travel
-    extension = max(position - hand._relaxed_cm, 0.0) / hand._relaxed_cm
-    holding_cost = (0.25 + extension) * hand._update_period
-    hand.fatigue_units += holding_cost + 0.06 * travel
-    hand._last_position = position
-    hand._write_pose(max(position, 0.5))
+def _twin_hands(seed, start_cm, rms, with_rng, update_hz=120.0, before=None):
+    """``([(on-demand hand, log), (eager twin, log)], [rng, rng])``.
 
-
-def _twin_hands(seed, start_cm, rms, with_rng):
-    """``([(fused hand, poses), (reference hand, poses)], [rng, rng])``."""
+    ``before(sim, log)``, when given, runs on each simulator before its
+    hand is built, so what it schedules is armed ahead of the hand.
+    """
     hands, rngs = [], []
-    for fused in (True, False):
+    for cls in (Hand, EagerHand):
         sim = Simulator(seed=0)
         rng = np.random.default_rng(seed) if with_rng else None
-        poses: list[float] = []
-        hand = Hand(
-            sim, poses.append, start_cm=start_cm, tremor_rms_cm=rms, rng=rng
+        log = PoseLog()
+        if before is not None:
+            before(sim, log)
+        hand = cls(
+            sim, log.set_distance, start_cm=start_cm, tremor_rms_cm=rms,
+            update_hz=update_hz, rng=rng,
         )
-        if not fused:
-            # Swap the update loop for the unfused reference, keeping the
-            # same phase and period (the first update is at t = 0).
-            hand._task.stop()
-            hand._task = PeriodicTask(
-                sim, hand._update_period,
-                lambda hand=hand, rng=rng: _reference_update(hand, rng),
-                phase=0.0,
-            )
-        hands.append((hand, poses))
+        hands.append((hand, log))
         rngs.append(rng)
     return hands, rngs
 
@@ -97,6 +159,18 @@ moves = st.lists(
 )
 
 
+def _assert_twins_agree(hands, rngs) -> None:
+    """Same poses, path, fatigue, tremor state and generator position."""
+    (lazy, lazy_log), (eager, eager_log) = hands
+    assert lazy_log.poses == eager_log.poses
+    assert lazy.total_path_cm == eager.total_path_cm
+    assert lazy.fatigue_units == eager.fatigue_units
+    assert lazy._tremor_phase == eager._tremor_phase
+    assert lazy._tremor_state == eager._tremor_state
+    if rngs[0] is not None:
+        assert rngs[0].random() == rngs[1].random()
+
+
 class TestFusedUpdateMatchesReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -110,46 +184,41 @@ class TestFusedUpdateMatchesReference:
         self, seed, start, rms, with_rng, plan
     ):
         hands, rngs = _twin_hands(seed, start, rms, with_rng)
-        for hand, _poses in hands:
+        for hand, _log in hands:
             for at_s, target, duration in sorted(plan):
                 hand._sim.run_until(max(at_s, hand._sim.now))
                 hand.move_to(target, duration)
             hand._sim.run_until(2.5)
-        (fused, fused_poses), (ref, ref_poses) = hands
-        assert fused_poses == ref_poses
-        assert fused.total_path_cm == ref.total_path_cm
-        assert fused.fatigue_units == ref.fatigue_units
-        assert fused._tremor_phase == ref._tremor_phase
-        assert fused._tremor_state == ref._tremor_state
-        assert fused.position() == ref.position()
-        if with_rng:
-            assert rngs[0].random() == rngs[1].random()
+        (lazy, _), (eager, _) = hands
+        assert lazy.position() == eager.position()
+        _assert_twins_agree(hands, rngs)
 
     def test_rng_none_is_tremor_free(self):
         hands, _ = _twin_hands(0, 12.0, 0.08, with_rng=False)
-        for hand, _poses in hands:
+        for hand, _log in hands:
             hand._sim.run_until(0.2)
-        assert hands[0][1] == hands[1][1] == [12.0] * len(hands[0][1])
+        lazy_poses = hands[0][1].poses
+        assert lazy_poses == hands[1][1].poses == [12.0] * len(lazy_poses)
 
     def test_mid_move_and_after_the_move(self):
         hands, _ = _twin_hands(7, 10.0, 0.08, with_rng=True)
-        for hand, _poses in hands:
+        for hand, _log in hands:
             hand.move_to(25.0, 0.4)
             hand._sim.run_until(0.2)
             assert hand.is_moving
             hand._sim.run_until(1.0)
             assert not hand.is_moving
-        assert hands[0][1] == hands[1][1]
+        assert hands[0][1].poses == hands[1][1].poses
 
     def test_pose_floor(self):
         """Positions below 0.5 cm are written as the 0.5 cm floor."""
         hands, _ = _twin_hands(3, 0.6, 0.3, with_rng=True)
-        for hand, _poses in hands:
+        for hand, _log in hands:
             hand.move_to(-2.0, 0.1)
             hand._sim.run_until(0.5)
-        fused_poses = hands[0][1]
-        assert fused_poses == hands[1][1]
-        assert 0.5 in fused_poses and min(fused_poses) == 0.5
+        lazy_poses = hands[0][1].poses
+        assert lazy_poses == hands[1][1].poses
+        assert 0.5 in lazy_poses and min(lazy_poses) == 0.5
 
 
 class TestHandRejectsNonFinite:
@@ -200,14 +269,15 @@ class TestHoldAtRejectsNonFinite:
 
 
 # ---------------------------------------------------------------------------
-# the per-window tremor block at the edges of a window
+# the per-window tremor block and the on-demand updates at a window's edges
 # ---------------------------------------------------------------------------
 #: Steps of a driving plan.  ``until``/``while``/``step``/``run`` advance
 #: the simulator through each run method; ``move`` starts a reach and
 #: ``draw`` is user code drawing from the shared generator between
 #: windows; ``stop_at``/``rms_at`` schedule a stop or a tremor change
 #: inside a later window; ``nested`` schedules a callback that runs a
-#: ``run_until`` or ``run_while`` from inside a window.
+#: ``run_until`` or ``run_while`` from inside a window; ``read`` schedules
+#: a pose reader at an arbitrary later time.
 plan_steps = st.one_of(
     st.tuples(st.just("until"), st.floats(0.0, 0.4)),
     st.tuples(st.just("while"), st.floats(0.0, 0.4), st.integers(0, 60)),
@@ -225,6 +295,7 @@ plan_steps = st.one_of(
         st.floats(0.0, 0.3),
         st.sampled_from(["until", "while"]),
     ),
+    st.tuples(st.just("read"), st.floats(0.0, 0.4)),
 )
 
 
@@ -232,14 +303,14 @@ def _has_live_events(sim: Simulator) -> bool:
     return any(not entry[3].cancelled for entry in sim._queue)
 
 
-def _drive(hand: Hand, poses: list, rng, step) -> None:
+def _drive(hand, log: PoseLog, rng, reads: list, step) -> None:
     sim = hand._sim
     kind, *args = step
     if kind == "until":
         sim.run_until(sim.now + args[0])
     elif kind == "while":
-        limit = len(poses) + args[1]
-        sim.run_while(lambda: len(poses) < limit, sim.now + args[0])
+        limit = len(log.poses) + args[1]
+        sim.run_while(lambda: len(log.poses) < limit, sim.now + args[0])
     elif kind == "step":
         for _ in range(args[0]):
             sim.step()
@@ -257,6 +328,10 @@ def _drive(hand: Hand, poses: list, rng, step) -> None:
         sim.schedule(
             args[0], lambda: setattr(hand, "tremor_rms_cm", args[1])
         )
+    elif kind == "read":
+        sim.schedule(
+            args[0], lambda: reads.append((sim.now, log.distance_at(sim.now)))
+        )
     else:
         delay, span, inner = args
 
@@ -270,9 +345,9 @@ def _drive(hand: Hand, poses: list, rng, step) -> None:
 
 
 class TestTremorBlockMatchesPerUpdateDraws:
-    """The block-drawing hand against the per-update reference, driven
+    """The on-demand hand against the per-update reference, driven
     through every run method, stops and tremor changes inside windows,
-    nested runs and user draws between windows."""
+    nested runs, pose readers and user draws between windows."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -286,28 +361,23 @@ class TestTremorBlockMatchesPerUpdateDraws:
         self, seed, start, rms, with_rng, plan
     ):
         hands, rngs = _twin_hands(seed, start, rms, with_rng)
-        for (hand, poses), rng in zip(hands, rngs):
+        reads: list[list] = [[], []]
+        for (hand, log), rng, seen in zip(hands, rngs, reads):
             for step in plan:
-                _drive(hand, poses, rng, step)
+                _drive(hand, log, rng, seen, step)
             hand._sim.run_until(hand._sim.now + 0.3)
-        (fused, fused_poses), (ref, ref_poses) = hands
-        assert fused_poses == ref_poses
-        assert fused.total_path_cm == ref.total_path_cm
-        assert fused.fatigue_units == ref.fatigue_units
-        assert fused._tremor_phase == ref._tremor_phase
-        assert fused._tremor_state == ref._tremor_state
-        if with_rng:
-            assert rngs[0].random() == rngs[1].random()
+        assert reads[0] == reads[1]
+        _assert_twins_agree(hands, rngs)
 
     def test_stop_mid_window_gives_back_the_unused_draws(self):
         hands, rngs = _twin_hands(11, 15.0, 0.08, with_rng=True)
-        for hand, _poses in hands:
+        for hand, _log in hands:
             hand._sim.schedule(0.2, hand.stop)
             hand._sim.run_until(1.0)
-        fused = hands[0][0]
-        assert not fused._task.running
-        assert fused._draws == []
-        assert hands[0][1] == hands[1][1]
+        lazy = hands[0][0]
+        assert not _has_live_events(lazy._sim)
+        assert lazy._draws == []
+        assert hands[0][1].poses == hands[1][1].poses
         assert rngs[0].random() == rngs[1].random()
 
     def test_an_update_exactly_on_the_horizon_belongs_to_the_window(self):
@@ -328,6 +398,47 @@ class TestTremorBlockMatchesPerUpdateDraws:
             runs.append((poses, rng.random()))
         assert len(runs[0][0]) == 1 + 96 + 1
         assert runs[0] == runs[1]
+
+    def test_a_reader_on_every_grid_point_sees_the_update_before(self):
+        """Forced ties: a 1/64 s reader armed before a 128 Hz hand reads
+        exactly on a grid point every time, window ends included."""
+        reads: list[list] = [[], []]
+        armed = iter(reads)
+
+        def reader(sim, log):
+            seen = next(armed)
+            PeriodicTask(sim, 1 / 64, lambda: seen.append(log.distance_at(sim.now)))
+
+        hands, rngs = _twin_hands(
+            21, 12.0, 0.3, with_rng=True, update_hz=128.0, before=reader
+        )
+        for hand, _log in hands:
+            sim = hand._sim
+            for end, target in ((0.25, 20.0), (0.3125, 8.0), (0.75, 15.0)):
+                sim.run_until(end)
+                hand.move_to(target, 0.2)
+            sim.run_until(1.0)
+        assert len(reads[0]) == 64
+        assert reads[0] == reads[1]
+        _assert_twins_agree(hands, rngs)
+
+    def test_a_writer_no_reader_can_sync_gets_every_pose_on_time(self):
+        """A plain callable pose writer cannot catch the hand up, so the
+        hand keeps one event per update and a reader sees the pose the
+        eager twin writes at the same instant."""
+        reads: list[list] = [[], []]
+        for cls, seen in zip((Hand, EagerHand), reads):
+            sim = Simulator(seed=0)
+            pose = [math.nan]
+            PeriodicTask(sim, 0.02, lambda: seen.append(pose[0]))
+            hand = cls(
+                sim, lambda d: pose.__setitem__(0, d), start_cm=12.0,
+                rng=np.random.default_rng(4),
+            )
+            hand.move_to(20.0, 0.3)
+            sim.run_until(0.5)
+        assert len(reads[0]) == 24
+        assert reads[0] == reads[1]
 
     def test_one_block_per_window_outside_which_updates_draw_alone(self):
         sim = Simulator(seed=0)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import CellCounter, QuantileSketch, StreamingMoments
@@ -84,6 +84,7 @@ class TestMergeLaws:
         )
 
     @given(float_lists, float_lists)
+    @example(a=[0.0], b=[-0.0])
     def test_moments_commutative(self, a, b):
         x, y = moments_of(a), moments_of(b)
         assert snapshot_bytes(x.merge(y)) == snapshot_bytes(y.merge(x))
@@ -102,6 +103,7 @@ class TestMergeLaws:
         )
 
     @given(float_lists, float_lists)
+    @example(a=[0.0], b=[-0.0])
     def test_sketch_commutative(self, a, b):
         x, y = sketch_of(a), sketch_of(b)
         assert snapshot_bytes(x.merge(y)) == snapshot_bytes(y.merge(x))

@@ -25,6 +25,7 @@ design choices).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -110,7 +111,13 @@ class IslandMap:
         self.islands: tuple[Island, ...] = tuple(
             sorted(islands, key=lambda isl: isl.code_low)
         )
+        # Lookup tables: ``bisect_right(_lows, code)`` is one past the
+        # island whose low is the largest not above ``code``, so
+        # ``_highs`` and ``_slots`` are indexed from 1, with a sentinel
+        # at 0 that no code is <= (a code below every island).
         self._lows = tuple(isl.code_low for isl in self.islands)
+        self._highs = (-math.inf, *(isl.code_high for isl in self.islands))
+        self._slots = (None, *(isl.slot for isl in self.islands))
         self._by_slot = MappingProxyType(
             {isl.slot: isl for isl in self.islands}
         )
@@ -139,11 +146,8 @@ class IslandMap:
         the device is held in a distance between two of those islands":
         the firmware simply keeps the previous selection.
         """
-        i = bisect.bisect_right(self._lows, code) - 1
-        if i < 0:
-            return None
-        island = self.islands[i]
-        return island.slot if island.contains(code) else None
+        i = bisect.bisect_right(self._lows, code)
+        return self._slots[i] if code <= self._highs[i] else None
 
     def island_for_slot(self, slot: int) -> Island:
         """The island of a given slot."""

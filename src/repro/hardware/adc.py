@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from repro.obs.recorder import active_recorder
 from repro.signal.scalar import clamp
+
+if TYPE_CHECKING:
+    from repro.sim.streams import BlockStream
 
 __all__ = ["ADCParams", "ADC", "AnalogSource"]
 
@@ -77,34 +80,37 @@ class ADC:
     params:
         Converter electrical parameters.
     rng:
-        Noise generator; ``None`` gives an ideal noiseless converter.
+        Noise generator, or a ``standard_normal`` block server over a
+        private one; ``None`` gives an ideal noiseless converter.
     fault_hook:
         Optional fault-injection hook ``(time_s, channel, code) -> code``
         consulted after quantization on every conversion (see
         :mod:`repro.faults`).  ``None`` means a healthy converter.
 
-    Noise is drawn one scalar per conversion from ``rng`` and must not
-    be pre-drawn in blocks here.  ``rng`` is often not the ADC's own
-    stream: the Point n Move glove
+    Noise is one ``rng.standard_normal()`` call per conversion, and
+    which stream that is stays the owner's decision.  The DistScroll
+    board and the PDA add-on spawn a generator that only their ADC
+    draws from, so they pass it as a
+    :class:`~repro.sim.streams.BlockStream`, which serves the same
+    values from pre-drawn blocks.  The Point n Move glove
     (:mod:`repro.baselines.pointnmove`) and the pressure pad
-    (:mod:`repro.baselines.pressurepad`) hand the ADC the participant's
-    shared generator, which also draws that participant's reaction
-    times and endpoint noise.  A block of pre-drawn noise would take
-    values meant for those other draws and shift every later one, so
-    every ARENA output would change.  Pooling is only stream-identical
-    on a dedicated noise stream that nothing else reads.
+    (:mod:`repro.baselines.pressurepad`) pass the participant's shared
+    generator, which also draws that participant's reaction times and
+    endpoint noise between conversions.  That one stays scalar: a block
+    would take values meant for those other draws and shift every later
+    one, so every ARENA output would change.
 
-    A conversion is scalar Python with no numpy call but the draw, and
-    every substitution is exact: :func:`~repro.signal.scalar.clamp`
-    returns what ``np.clip`` returns, ``math.sin(math.pi * f)`` equals
-    ``np.sin(np.pi * f)`` on [0, 1], and ``0.0 + s *
-    rng.standard_normal()`` is the sum ``rng.normal(0.0, s)`` computes
-    from the same single draw.  ``tests/test_closed_loop_draws.py`` pins all
-    three.
+    A conversion is scalar Python whose only possible numpy call is the
+    draw, and every substitution is exact:
+    :func:`~repro.signal.scalar.clamp` returns what ``np.clip`` returns,
+    ``math.sin(math.pi * f)`` equals ``np.sin(np.pi * f)`` on [0, 1], and
+    ``0.0 + s * rng.standard_normal()`` is the sum ``rng.normal(0.0, s)``
+    computes from the same single draw.
+    ``tests/test_closed_loop_draws.py`` pins all three.
     """
 
     params: ADCParams = field(default_factory=ADCParams)
-    rng: Optional[np.random.Generator] = None
+    rng: Optional[np.random.Generator | BlockStream] = None
     fault_hook: Optional[Callable[[float, int, int], int]] = None
 
     def __post_init__(self) -> None:

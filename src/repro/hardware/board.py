@@ -40,6 +40,7 @@ from repro.hardware.potentiometer import Potentiometer
 from repro.hardware.rf import RFEndpoint, RFLink
 from repro.sensors.gp2d120 import GP2D120
 from repro.sim.kernel import Simulator
+from repro.sim.streams import BlockStream
 
 __all__ = [
     "ADC_CHANNEL_DISTANCE",
@@ -163,8 +164,14 @@ def build_distscroll_board(
         # seed.
         sim.spawn_rng()
 
+    # The ADC's conversion noise and the I2C bus's error draws each have
+    # a stream that nothing else reads, one draw kind each, so both are
+    # served from blocks (see repro.sim.streams, "Drawing in blocks").
     battery = Battery()
-    adc = ADC(params=ADCParams(), rng=sim.spawn_rng() if noisy else None)
+    adc = ADC(
+        params=ADCParams(),
+        rng=BlockStream(sim.spawn_rng(), "standard_normal") if noisy else None,
+    )
     mcu = PIC18F452(adc=adc, battery=battery)
 
     sensor_rng = sim.spawn_rng() if noisy else None
@@ -184,7 +191,7 @@ def build_distscroll_board(
 
     i2c = I2CBus(
         error_rate=i2c_error_rate if noisy else 0.0,
-        rng=sim.spawn_rng() if noisy else None,
+        rng=BlockStream(sim.spawn_rng(), "random") if noisy else None,
     )
     display_top = BT96040("top")
     display_bottom = BT96040("bottom")

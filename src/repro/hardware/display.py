@@ -193,13 +193,6 @@ class BT96040:
         else:
             raise ValueError(f"unknown display command {command:#x}")
 
-    def i2c_read(self, length: int) -> bytes:
-        """Status read: [busy=0, contrast byte, updates lo, updates hi]."""
-        status = bytes(
-            [0, int(self.contrast * 255), self.updates & 0xFF, (self.updates >> 8) & 0xFF]
-        )
-        return status[:length].ljust(length, b"\x00")
-
     def _decode_pixel_blit(self, args: bytes) -> None:
         if len(args) < 4:
             raise ValueError("SET_PIXELS needs row, col, h, w header")

@@ -14,12 +14,14 @@ so the firmware can account for the time in its loop budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Protocol
 
 import numpy as np
 
 from repro.obs.recorder import Recorder, active_recorder
+
+if TYPE_CHECKING:
+    from repro.sim.streams import BlockStream
 
 __all__ = ["I2CDevice", "I2CBus", "I2CError", "TransferResult"]
 
@@ -34,13 +36,12 @@ class I2CDevice(Protocol):
     def i2c_write(self, payload: bytes) -> None:
         """Accept a write transaction payload."""
 
-    def i2c_read(self, length: int) -> bytes:
-        """Produce ``length`` bytes for a read transaction."""
 
+class TransferResult(NamedTuple):
+    """Outcome of one bus write.
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Outcome of one bus transaction.
+    A named tuple: the firmware writes a display line on every render,
+    and a tuple is the cheapest record to build per write.
 
     Attributes
     ----------
@@ -50,14 +51,11 @@ class TransferResult:
         Bus time consumed, including retries.
     retries:
         Number of retries performed.
-    data:
-        Bytes read (empty for writes).
     """
 
     ok: bool
     duration_s: float
     retries: int
-    data: bytes = b""
 
 
 class I2CBus:
@@ -73,14 +71,15 @@ class I2CBus:
         noise, clock stretching timeout).  Failures are retried up to
         ``max_retries`` times, as the C firmware does.
     rng:
-        Random generator for error injection; ``None`` disables errors.
+        Random generator for error injection, or a ``random`` block
+        server over a private one; ``None`` disables errors.
     """
 
     def __init__(
         self,
         clock_hz: float = 100_000.0,
         error_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[np.random.Generator | BlockStream] = None,
         max_retries: int = 3,
     ) -> None:
         if clock_hz <= 0:
@@ -118,15 +117,6 @@ class I2CBus:
             raise ValueError(f"address {address:#x} already in use")
         self._devices[address] = device
 
-    def detach(self, address: int) -> None:
-        """Remove a peripheral (no-op if absent)."""
-        self._devices.pop(address, None)
-
-    @property
-    def addresses(self) -> list[int]:
-        """Sorted list of occupied addresses."""
-        return sorted(self._devices)
-
     def _byte_time(self) -> float:
         # 8 data bits + ACK per byte, plus start/stop overhead folded in.
         return 9.0 / self.clock_hz
@@ -158,42 +148,13 @@ class I2CBus:
                 self.transactions += 1
                 if self._obs is not None:
                     self._obs_complete(n_bytes, duration, retries)
-                return TransferResult(ok=True, duration_s=duration, retries=retries)
+                return TransferResult(True, duration, retries)
             retries += 1
             if retries > self.max_retries:
                 if self._obs is not None:
                     self._obs.counter("i2c.failures")
                 raise I2CError(
                     f"write to {address:#x} failed after {self.max_retries} retries"
-                )
-
-    def read(self, address: int, length: int) -> TransferResult:
-        """Master read: fetch ``length`` bytes from a peripheral."""
-        device = self._require(address)
-        n_bytes = 1 + length
-        retries = 0
-        while True:
-            duration = (retries + 1) * n_bytes * self._byte_time()
-            if not self._transaction_fails():
-                data = device.i2c_read(length)
-                if len(data) != length:
-                    raise I2CError(
-                        f"device {address:#x} returned {len(data)} bytes, "
-                        f"expected {length}"
-                    )
-                self.bytes_transferred += n_bytes
-                self.transactions += 1
-                if self._obs is not None:
-                    self._obs_complete(n_bytes, duration, retries)
-                return TransferResult(
-                    ok=True, duration_s=duration, retries=retries, data=data
-                )
-            retries += 1
-            if retries > self.max_retries:
-                if self._obs is not None:
-                    self._obs.counter("i2c.failures")
-                raise I2CError(
-                    f"read from {address:#x} failed after {self.max_retries} retries"
                 )
 
     def _require(self, address: int) -> I2CDevice:

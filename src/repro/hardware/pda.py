@@ -36,6 +36,7 @@ from repro.hardware.pose import DrivenPose
 from repro.hardware.serial import UART
 from repro.sensors.gp2d120 import GP2D120
 from repro.sim.kernel import PeriodicTask, Simulator
+from repro.sim.streams import BlockStream
 from repro.signal.filters import MedianFilter
 
 __all__ = ["DistScrollAddon", "PDAListWidget", "PDADriver", "build_pda_device"]
@@ -72,7 +73,12 @@ class DistScrollAddon(DrivenPose):
         self._uart = uart
         rng = sim.spawn_rng() if noisy else None
         self.sensor = GP2D120.specimen(rng) if rng is not None else GP2D120(rng=None)
-        self.adc = ADC(params=ADCParams(), rng=sim.spawn_rng() if noisy else None)
+        # Only this ADC draws from its noise stream, so it is served from
+        # blocks (see repro.sim.streams, "Drawing in blocks").
+        self.adc = ADC(
+            params=ADCParams(),
+            rng=BlockStream(sim.spawn_rng(), "standard_normal") if noisy else None,
+        )
         self.distance_cm = 25.0
         # The sensor reads the pose only when it starts a new measurement
         # cycle (see GP2D120.output_voltage).

@@ -45,11 +45,29 @@ A seed, domain or key element that is not a non-negative ``int`` takes
 numpy's own ``SeedSequence`` path, so it raises numpy's ``ValueError``
 or ``TypeError`` (or derives numpy's stream for the ``np.integer`` and
 other inputs numpy accepts).
+
+Drawing in blocks
+-----------------
+The batch rule: one call of ``n`` same-kind draws gives the values and
+the generator end state of ``n`` scalar calls, because numpy fills the
+array with exactly the draws the scalar calls would make, in order.  A
+caller that knows its count up front makes the one call
+(``simulate_user_fast``, ``MotorProfile.sample``,
+:func:`~repro.analysis.stats.bootstrap_ci`).  A component that draws one
+value per event cannot know its count, but if it owns its generator
+outright and draws one kind from it, drawing ahead is unobservable:
+:class:`BlockStream` serves such a generator's scalar ``standard_normal()``
+or ``random()`` calls from blocks.  The component's code keeps its one
+scalar call site.  Whoever creates the generator decides whether it
+is private (the DistScroll board's ADC and I2C streams are) and wraps
+it; a generator that anything else also draws from must stay scalar,
+or the block would take draws meant for the other consumer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -65,6 +83,7 @@ __all__ = [
     "ARENA_STREAM",
     "STREAM_DOMAINS",
     "is_registered_domain",
+    "BlockStream",
     "stream_rng",
     "stream_state",
 ]
@@ -317,3 +336,51 @@ def stream_rng(seed: int, domain: int, *key: int) -> np.random.Generator:
     # numpy's stub narrows ``seed`` to ``SeedSequence``; ``BitGenerator``
     # takes any ``ISeedSequence`` at run time.
     return np.random.Generator(np.random.PCG64(words))  # type: ignore[arg-type]
+
+
+
+class BlockStream:
+    """One kind of a private generator's scalar draws, served from blocks.
+
+    ``kind`` is ``"standard_normal"`` or ``"random"``.  That method
+    returns, call by call, the Python floats the wrapped generator's own
+    scalar method would, at a fraction of numpy's per-call cost: each
+    call takes the next value of a ``kind(BLOCK_DRAWS)`` block, drawn
+    when the previous one runs out.  The generator runs up to one block
+    ahead of the draws served, so wrap only a generator nothing else
+    draws from (see "Drawing in blocks" above).  Blocks of one kind
+    would skip the draws another kind makes between them, so the other
+    method raises ``ValueError``.
+    """
+
+    __slots__ = ("kind", "standard_normal", "random")
+
+    #: Draws per block: big enough that numpy's per-call cost vanishes,
+    #: small enough that a short device life wastes little.  A class
+    #: attribute, because every upper-case integer constant at module
+    #: level here is read as a stream domain (REP006).
+    BLOCK_DRAWS = 256
+
+    standard_normal: Callable[[], float]
+    random: Callable[[], float]
+
+    def __init__(self, rng: np.random.Generator, kind: str) -> None:
+        if kind not in ("standard_normal", "random"):
+            raise ValueError(
+                f"kind must be 'standard_normal' or 'random', got {kind!r}"
+            )
+        self.kind = kind
+        draw: Callable[[int], npt.NDArray[np.float64]] = getattr(rng, kind)
+        # ``chain`` asks for a block only when the previous one is used
+        # up, so the first block is drawn by the first call.
+        served = chain.from_iterable(
+            draw(self.BLOCK_DRAWS).tolist() for _ in repeat(None)
+        ).__next__
+        self.standard_normal = served if kind == "standard_normal" else self._refuse
+        self.random = served if kind == "random" else self._refuse
+
+    def _refuse(self) -> float:
+        raise ValueError(
+            f"this BlockStream serves {self.kind}() draws only; a block "
+            "of them would skip the draws another kind makes in between"
+        )
